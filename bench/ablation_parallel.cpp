@@ -49,7 +49,7 @@ int main() {
       const ParemspLabeler two_line(ParemspConfig{t});
       const ParemspLabeler one_line(ParemspConfig{
           t, MergeBackend::LockedRem, 12, ScanStrategy::OneLine});
-      const TiledParemspLabeler tiled(TiledParemspConfig{.threads = t});
+      const TiledParemspLabeler tiled(RleConfig{.threads = t});
       const ParallelSuzukiLabeler psuzuki(Connectivity::Eight, t);
 
       const double t2 = time_labeler_ms(two_line, image, reps);

@@ -36,7 +36,7 @@
 #include "common/table.hpp"
 #include "core/aremsp.hpp"
 #include "core/label_scratch.hpp"
-#include "core/paremsp_tiled.hpp"
+#include "core/rle_labelers.hpp"
 #include "core/registry.hpp"
 #include "image/generators.hpp"
 #include "propagate/propagate_labeler.hpp"
@@ -71,9 +71,9 @@ std::vector<BenchBackend> bench_backends() {
       {"paremsp2d", true,
        [](int threads, Coord tile) -> std::unique_ptr<Labeler> {
          return std::make_unique<TiledParemspLabeler>(
-             TiledParemspConfig{.threads = threads,
-                                .tile_rows = tile,
-                                .tile_cols = tile});
+             RleConfig{.threads = threads,
+                       .tile_rows = tile,
+                       .tile_cols = tile});
        }},
   };
 }

@@ -34,7 +34,7 @@
 #include "common/timer.hpp"
 #include "core/aremsp.hpp"
 #include "core/label_scratch.hpp"
-#include "core/paremsp_tiled.hpp"
+#include "core/rle_labelers.hpp"
 #include "engine/engine.hpp"
 #include "image/generators.hpp"
 
@@ -172,7 +172,7 @@ int main() {
 
   // --- Tiled PAREMSP (OpenMP) -----------------------------------------------
   {
-    const TiledParemspLabeler tiled(TiledParemspConfig{
+    const TiledParemspLabeler tiled(RleConfig{
         .threads = threads, .tile_rows = 256, .tile_cols = 256});
     LabelScratch scratch;
     const LabelingWithStats fused = tiled.label_with_stats_into(image,

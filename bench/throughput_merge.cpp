@@ -39,7 +39,7 @@
 #include "core/aremsp.hpp"
 #include "core/label_scratch.hpp"
 #include "core/paremsp.hpp"
-#include "core/paremsp_tiled.hpp"
+#include "core/rle_labelers.hpp"
 #include "unionfind/lock_pool.hpp"
 
 namespace {
@@ -171,13 +171,13 @@ int main() {
       std::uint64_t retries_at_max = 0;
       for (const int threads : thread_counts) {
         const TiledParemspLabeler labeler(
-            TiledParemspConfig{.threads = threads,
-                               .tile_rows = tile,
-                               .tile_cols = tile,
-                               .merge_backend = config.backend,
-                               .lock_bits = config.lock_bits,
-                               .cas_find = config.find,
-                               .cas_splice = config.splice});
+            RleConfig{.threads = threads,
+                      .tile_rows = tile,
+                      .tile_cols = tile,
+                      .merge_backend = config.backend,
+                      .lock_bits = config.lock_bits,
+                      .cas_find = config.find,
+                      .cas_splice = config.splice});
         // Bit-identity gate before any timing: every backend x policy
         // must reproduce sequential AREMSP exactly (DESIGN.md §11).
         const LabelingResult got = labeler.label_into(image, scratch);

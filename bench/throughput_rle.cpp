@@ -1,7 +1,8 @@
-// Run-based scan throughput: the rle algorithms (bit-packed row encoding
-// + run merging, core/runs.hpp) against their pixel-scan twins across a
-// foreground-density sweep, plus the engine's sharded ShardScan::Runs
-// pipeline against the pixel shards.
+// Run-based scan throughput: aremsp_rle and paremsp_rle (bit-packed row
+// encoding + run merging, core/runs.hpp) against their pixel-scan twins,
+// the paper's AREMSP and PAREMSP, across a foreground-density sweep. The
+// 2-D tiled labeler and the engine's sharded path have no pixel twin —
+// they scan runs only — so bench/throughput_sharded.cpp covers them.
 //
 // Both sides of every pair run label_into on one warm LabelScratch
 // (best-of-reps), so the measured difference is the scan layer itself.
@@ -28,7 +29,7 @@
 //     "stretch_dense_ge_1p3x": true }
 //
 // The JSON additionally carries the traced phase breakdown of one
-// paremsp2d_rle run (scan/merge/flatten/relabel + union counters) and the
+// paremsp2d run (scan/merge/flatten/relabel + union counters) and the
 // tracing-off overhead guard: throughput with span sites gated OFF after
 // a TraceSession ran must stay >= 0.99x the never-traced throughput — a
 // stopped session may leave no residual cost at the instrumentation
@@ -51,9 +52,7 @@
 #include "core/aremsp.hpp"
 #include "core/label_scratch.hpp"
 #include "core/paremsp.hpp"
-#include "core/paremsp_tiled.hpp"
 #include "core/rle_labelers.hpp"
-#include "engine/engine.hpp"
 #include "image/generators.hpp"
 #include "obs/trace.hpp"
 
@@ -85,7 +84,7 @@ double best_ms(int reps, Fn&& fn) {
   return best;
 }
 
-/// Traced phase economics of one paremsp2d_rle run plus the tracing-off
+/// Traced phase economics of one paremsp2d run plus the tracing-off
 /// residual-overhead measurement (see the file comment).
 struct ObsReport {
   PhaseTimings timings;          // one traced run's breakdown
@@ -124,7 +123,7 @@ void write_json(const std::string& path, Coord rows, Coord cols,
   const PhaseCounters& c = obs.timings.counters;
   std::fprintf(
       f,
-      "  ],\n  \"phase_breakdown\": {\"algorithm\": \"paremsp2d_rle\", "
+      "  ],\n  \"phase_breakdown\": {\"algorithm\": \"paremsp2d\", "
       "\"scan_ms\": %.3f, \"merge_ms\": %.3f, \"flatten_ms\": %.3f, "
       "\"relabel_ms\": %.3f, \"total_ms\": %.3f,\n"
       "    \"provisional_labels\": %lld, \"scan_unions\": %llu, "
@@ -222,46 +221,6 @@ int main() {
     const ParemspLabeler paremsp(ParemspConfig{.threads = threads});
     const ParemspRleLabeler paremsp_rle(RleConfig{.threads = threads});
     compare("paremsp", density, image, paremsp, paremsp_rle);
-
-    const TiledParemspLabeler tiled(TiledParemspConfig{
-        .threads = threads, .tile_rows = 256, .tile_cols = 256});
-    const TiledParemspRleLabeler tiled_rle(RleConfig{
-        .threads = threads, .tile_rows = 256, .tile_cols = 256});
-    compare("paremsp2d", density, image, tiled, tiled_rle);
-  }
-
-  // Engine sharded pipeline: pixel vs run scan kernels, one mid-density
-  // image (the shard phases are identical apart from the scan layer).
-  {
-    const BinaryImage image = gen::landcover_like(side, side, 77);
-    engine::LabelingEngine eng({.workers = threads});
-    const engine::ShardOptions pixel_opts{.tile_rows = 512, .tile_cols = 512};
-    engine::ShardOptions rle_opts = pixel_opts;
-    rle_opts.scan = ShardScan::Runs;
-    const LabelingResult want = eng.label_sharded(image, pixel_opts);
-    const LabelingResult got = eng.label_sharded(image, rle_opts);
-    if (got.num_components != want.num_components ||
-        got.labels != want.labels) {
-      std::cerr << "MISMATCH: sharded runs differ from sharded pixel\n";
-      ++failures;
-    } else {
-      const double pixel_ms = best_ms(reps, [&] {
-        (void)eng.label_sharded(image, pixel_opts);
-      });
-      const double rle_ms = best_ms(reps, [&] {
-        (void)eng.label_sharded(image, rle_opts);
-      });
-      RleRecord r;
-      r.pair = "engine.sharded 512x512";
-      r.density = 0.5;  // landcover stand-in, roughly half foreground
-      r.reps = reps;
-      r.pixel_mpx = mpx / (pixel_ms / 1e3);
-      r.rle_mpx = mpx / (rle_ms / 1e3);
-      table.add_row({r.pair, "landcover", TextTable::num(r.pixel_mpx, 1),
-                     TextTable::num(r.rle_mpx, 1),
-                     TextTable::num(r.speedup(), 2) + "x"});
-      runs.push_back(r);
-    }
   }
 
   std::cout << table.to_string() << "\n";
@@ -281,7 +240,7 @@ int main() {
     // single-threaded minimum is reproducible at the 1% level, where an
     // OpenMP team's wake/balance jitter alone exceeds the threshold.
     const AremspRleLabeler guard_labeler;
-    const TiledParemspRleLabeler traced_labeler(RleConfig{
+    const TiledParemspLabeler traced_labeler(RleConfig{
         .threads = threads, .tile_rows = 256, .tile_cols = 256});
     LabelScratch scratch;
     (void)guard_labeler.label_into(image, scratch);  // warm the scratch

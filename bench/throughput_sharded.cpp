@@ -35,7 +35,7 @@
 #include "common/table.hpp"
 #include "common/timer.hpp"
 #include "core/aremsp.hpp"
-#include "core/paremsp_tiled.hpp"
+#include "core/rle_labelers.hpp"
 #include "engine/engine.hpp"
 #include "image/generators.hpp"
 
@@ -206,7 +206,7 @@ int main() {
 
   // --- In-process tiled PAREMSP reference (OpenMP, same phase code) ---------
   {
-    const TiledParemspLabeler tiled(TiledParemspConfig{
+    const TiledParemspLabeler tiled(RleConfig{
         .threads = max_threads, .tile_rows = 256, .tile_cols = 256});
     const auto ms = sample_latencies(
         reps, reference.num_components, [&] { return tiled.label(image); },

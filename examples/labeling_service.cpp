@@ -231,8 +231,7 @@ int main(int argc, char** argv) {
     const BinaryImage huge = gen::landcover_like(768, 768, 99);
     LabelRequest request;
     request.input = huge;
-    request.shard = ShardOptions{
-        .tile_rows = 256, .tile_cols = 256, .scan = ShardScan::Runs};
+    request.shard = ShardOptions{.tile_rows = 256, .tile_cols = 256};
     LabelResponse response = eng.submit(std::move(request)).get();
     const PhaseCounters& c = response.timings.counters;
     std::cout << "sharded run-scan: " << response.num_components

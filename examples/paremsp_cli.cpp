@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
     cli.add_option("algorithm", "paremsp",
                    "any registry name, e.g. floodfill|suzuki|psuzuki|run|"
                    "arun|ccllrpc|cclremsp|aremsp|paremsp|paremsp2d|"
-                   "aremsp_rle|paremsp_rle|paremsp2d_rle");
+                   "aremsp_rle|paremsp_rle");
     cli.add_option("connectivity", "8", "4 or 8");
     cli.add_option("threads", "0", "threads for parallel algorithms");
     cli.add_option("output", "", "write label visualization PGM here");

@@ -45,10 +45,9 @@ enum class Algorithm {
   Cclremsp,        // paper §III-A: decision tree + REMSP
   Aremsp,          // paper §III-B: two-line scan + REMSP
   Paremsp,         // paper §IV: parallel AREMSP
-  ParemspTiled,    // extension: 2-D tiled PAREMSP
+  ParemspTiled,    // extension: 2-D tiled PAREMSP over runs
   AremspRle,       // extension: run-based AREMSP (bit-packed rows)
   ParemspRle,      // extension: run-based PAREMSP (row bands)
-  ParemspTiledRle, // extension: run-based 2-D tiled PAREMSP
   Propagate,       // extension: coarse-to-fine label propagation (seq ref)
   PropagatePar,    // extension: label propagation, std::thread kernels
 };

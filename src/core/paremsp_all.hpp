@@ -26,7 +26,6 @@
 #include "core/label_scratch.hpp"
 #include "core/labeling.hpp"
 #include "core/paremsp.hpp"
-#include "core/paremsp_tiled.hpp"
 #include "core/registry.hpp"
 #include "core/request.hpp"
 #include "core/rle_labelers.hpp"

@@ -13,7 +13,6 @@
 #include "core/aremsp.hpp"
 #include "core/cclremsp.hpp"
 #include "core/paremsp.hpp"
-#include "core/paremsp_tiled.hpp"
 #include "core/rle_labelers.hpp"
 #include "propagate/propagate_labeler.hpp"
 
@@ -21,7 +20,7 @@ namespace paremsp {
 
 namespace {
 
-constexpr std::array<AlgorithmInfo, 15> kCatalog{{
+constexpr std::array<AlgorithmInfo, 14> kCatalog{{
     {Algorithm::FloodFill, "floodfill",
      "BFS flood fill (ground-truth oracle)", false, true, false, true},
     {Algorithm::Suzuki, "suzuki",
@@ -46,16 +45,14 @@ constexpr std::array<AlgorithmInfo, 15> kCatalog{{
      "paper: parallel AREMSP (OpenMP, boundary merge)", true, false, true,
      true, true},
     {Algorithm::ParemspTiled, "paremsp2d",
-     "extension: 2-D tiled PAREMSP", true, false, false, true, true},
+     "extension: 2-D tiled PAREMSP (run scan, run seam merges)", true, true,
+     false, true, true},
     {Algorithm::AremspRle, "aremsp_rle",
      "extension: run-based AREMSP (bit-packed rows, run merging)", false,
      true, false, true, true},
     {Algorithm::ParemspRle, "paremsp_rle",
      "extension: run-based PAREMSP (row bands, boundary-run merge)", true,
      true, false, true, true},
-    {Algorithm::ParemspTiledRle, "paremsp2d_rle",
-     "extension: run-based 2-D tiled PAREMSP (run seam merges)", true, true,
-     false, true, true},
     {Algorithm::Propagate, "propagate",
      "extension: coarse-to-fine label propagation (sequential reference)",
      false, true, false, true, false, Backend::Propagation},
@@ -102,6 +99,11 @@ Algorithm default_algorithm_for(Backend backend, Connectivity connectivity) {
 std::unique_ptr<Labeler> make_labeler(Algorithm algorithm,
                                       const LabelerOptions& options) {
   require_supported(algorithm, options.connectivity);
+  const RleConfig rle_config{.threads = options.threads,
+                             .merge_backend = options.merge_backend,
+                             .lock_bits = options.lock_bits,
+                             .cas_find = options.cas_find,
+                             .cas_splice = options.cas_splice};
 
   switch (algorithm) {
     case Algorithm::FloodFill:
@@ -128,31 +130,14 @@ std::unique_ptr<Labeler> make_labeler(Algorithm algorithm,
                         .lock_bits = options.lock_bits,
                         .cas_find = options.cas_find,
                         .cas_splice = options.cas_splice});
-    case Algorithm::ParemspTiled:
-      return std::make_unique<TiledParemspLabeler>(TiledParemspConfig{
-          .threads = options.threads,
-          .merge_backend = options.merge_backend,
-          .lock_bits = options.lock_bits,
-          .cas_find = options.cas_find,
-          .cas_splice = options.cas_splice});
     case Algorithm::AremspRle:
       return std::make_unique<AremspRleLabeler>(options.connectivity);
     case Algorithm::ParemspRle:
-      return std::make_unique<ParemspRleLabeler>(
-          RleConfig{.threads = options.threads,
-                    .merge_backend = options.merge_backend,
-                    .lock_bits = options.lock_bits,
-                    .cas_find = options.cas_find,
-                    .cas_splice = options.cas_splice},
-          options.connectivity);
-    case Algorithm::ParemspTiledRle:
-      return std::make_unique<TiledParemspRleLabeler>(
-          RleConfig{.threads = options.threads,
-                    .merge_backend = options.merge_backend,
-                    .lock_bits = options.lock_bits,
-                    .cas_find = options.cas_find,
-                    .cas_splice = options.cas_splice},
-          options.connectivity);
+      return std::make_unique<ParemspRleLabeler>(rle_config,
+                                                 options.connectivity);
+    case Algorithm::ParemspTiled:
+      return std::make_unique<TiledParemspLabeler>(rle_config,
+                                                   options.connectivity);
     case Algorithm::Propagate:
       return std::make_unique<PropagateLabeler>(PropagateConfig{},
                                                 options.connectivity);

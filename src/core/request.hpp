@@ -46,34 +46,27 @@ struct OutputSet {
   bool stats = false;  // per-component area/bbox/centroid (fused when able)
 };
 
-/// Which scan kernel the sharded tile pipeline runs per tile.
-enum class ShardScan {
-  Pixel,  // AREMSP two-line pixel scan (8-connectivity only)
-  Runs,   // run-based scan over bit-packed rows (both connectivities;
-          // seam merges operate on the boundary runs of adjacent tiles)
-};
-
-[[nodiscard]] constexpr const char* to_string(ShardScan s) noexcept {
-  return s == ShardScan::Pixel ? "pixel" : "runs";
-}
+/// Which scan kernel the sharded tile pipeline runs per tile. Runs is
+/// the only one: tiles scan bit-packed runs and seam merges operate on
+/// the boundary runs of adjacent tiles (core/tiled_phases.hpp). The enum
+/// stays so existing `ShardOptions{rows, cols, ShardScan::Runs}`
+/// initializers keep compiling.
+enum class ShardScan { Runs };
 
 /// Tuning knobs for sharded execution of one huge image across the
 /// engine's worker pool (the scan → seam-merge → flatten → rewrite
 /// dataflow of engine/sharded_labeler.hpp). Lives at the request layer so
 /// `LabelRequest::shard` can select the sharded path; the semantics —
 /// which pixels end up in which component — are unchanged by sharding
-/// (bit-identical to sequential AREMSP for every tile geometry).
+/// (bit-identical to sequential AREMSP / CCLREMSP for every tile
+/// geometry).
 struct ShardOptions {
   /// Tile height in rows; any value >= 1 (oversize clamps to the image).
   Coord tile_rows = 512;
   /// Tile width in columns. Minimum 1.
   Coord tile_cols = 512;
-  /// Per-tile scan kernel. Runs selects the run-based pipeline
-  /// (core/runs.hpp): bit-packed row extraction, one union per
-  /// overlapping boundary-run pair at the seams, fill-width rewrite —
-  /// still bit-identical to sequential AREMSP for 8-connectivity via the
-  /// same canonical renumber, and additionally 4-conn capable.
-  ShardScan scan = ShardScan::Pixel;
+  /// Per-tile scan kernel; Runs is the only value (see ShardScan).
+  ShardScan scan = ShardScan::Runs;
   /// Seam-merge backend (shared with PAREMSP). Sequential runs every seam
   /// in one job — the ablation lower bound — since rem_unite must not run
   /// concurrently; the parallel backends get one merge job per tile.
@@ -106,8 +99,8 @@ struct LabelRequest {
   /// foreground is the pixels strictly above floor(threshold * 255) — the
   /// exact integer form of im2bw's compare (image/threshold.hpp), so
   /// labeling a GrayImage with a level here is bit-identical to
-  /// im2bw + label. The run-based labelers (and the sharded Runs
-  /// pipeline) fuse the compare into bit-packed run extraction (RowBits
+  /// im2bw + label. The run-based labelers (and the sharded and stream
+  /// pipelines) fuse the compare into bit-packed run extraction (RowBits
   /// threshold kernels) and never materialize the binary plane; the
   /// remaining labelers binarize internally with identical results.
   /// Must be within [0.0, 1.0].

@@ -256,9 +256,9 @@ LabelingResult ParemspRleLabeler::run_gray_impl(
                          cutoff);
 }
 
-TiledParemspRleLabeler::TiledParemspRleLabeler(RleConfig config,
-                                               Connectivity connectivity)
-    : Labeler(Algorithm::ParemspTiledRle, connectivity), config_(config) {
+TiledParemspLabeler::TiledParemspLabeler(RleConfig config,
+                                         Connectivity connectivity)
+    : Labeler(Algorithm::ParemspTiled, connectivity), config_(config) {
   PAREMSP_REQUIRE(config_.threads >= 0, "threads must be >= 0");
   PAREMSP_REQUIRE(config_.tile_rows >= 1 && config_.tile_cols >= 1,
                   "tiles must be at least 1x1");
@@ -269,7 +269,7 @@ TiledParemspRleLabeler::TiledParemspRleLabeler(RleConfig config,
   }
 }
 
-LabelingResult TiledParemspRleLabeler::run_impl(
+LabelingResult TiledParemspLabeler::run_impl(
     ConstImageView image, Connectivity connectivity, LabelScratch& scratch,
     analysis::ComponentStats* stats) const {
   const int threads =
@@ -280,7 +280,7 @@ LabelingResult TiledParemspRleLabeler::run_impl(
                          cas_unite_fn(config_.cas_find, config_.cas_splice));
 }
 
-LabelingResult TiledParemspRleLabeler::run_gray_impl(
+LabelingResult TiledParemspLabeler::run_gray_impl(
     ConstImageView gray, std::uint8_t cutoff, Connectivity connectivity,
     LabelScratch& scratch, analysis::ComponentStats* stats) const {
   const int threads =

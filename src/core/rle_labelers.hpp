@@ -1,18 +1,17 @@
-// Run-based (RLE) labelers — the run-scan twins of AREMSP, PAREMSP and
-// tiled PAREMSP.
+// Run-based (RLE) labelers — sequential and parallel AREMSP over runs.
 //
 // All three compose the same run-based phases from core/tiled_phases.hpp
 // over a tile grid; they differ only in how the grid is cut and how the
 // phases are scheduled:
 //
-//   aremsp_rle     one tile (the whole image), sequential — the run twin
-//                  of sequential AREMSP;
-//   paremsp_rle    full-width row bands, one OpenMP task each, boundary
-//                  RUNS merged by the Algorithm-8 backends — the run twin
-//                  of PAREMSP;
-//   paremsp2d_rle  a 2-D tile grid with run seam merges on both axes —
-//                  the run twin of tiled PAREMSP (and the kernel set the
-//                  engine's sharded ShardScan::Runs path reuses).
+//   aremsp_rle   one tile (the whole image), sequential — the run twin of
+//                sequential AREMSP;
+//   paremsp_rle  full-width row bands, one OpenMP task each, boundary RUNS
+//                merged by the Algorithm-8 backends — the run twin of
+//                PAREMSP;
+//   paremsp2d    a 2-D tile grid with run seam merges on both axes — the
+//                2-D extension of PAREMSP's Algorithm 7 (and the kernel set
+//                the engine's sharded path reuses).
 //
 // The pipeline per tile: RowBits packs each row into 64-pixel words, runs
 // are emitted by ctz/popcount word scanning, each run records ONE
@@ -22,13 +21,12 @@
 // std::fill-width segments — the output plane is written exactly once,
 // where the pixel algorithms write provisional labels and then rewrite.
 //
-// Bit-identity: for 8-connectivity the canonical renumber
-// (resolve_final_run_labels) restores sequential AREMSP's two-line
-// first-appearance numbering, so all three are bit-identical to
-// AremspLabeler for every thread count and tile geometry. Unlike their
-// pixel twins they also support 4-connectivity (the run overlap window is
-// the only place connectivity enters), numbering components in raster
-// first-appearance order like the one-line-scan algorithms.
+// Bit-identity: the canonical renumber (resolve_final_run_labels)
+// restores the sequential first-appearance numbering, so all three are
+// bit-identical to AremspLabeler (8-connectivity) and CclremspLabeler
+// (4-connectivity) for every thread count and tile geometry. Unlike
+// AREMSP and PAREMSP they support both connectivities: the run overlap
+// window is the only place connectivity enters.
 #pragma once
 
 #include <memory>
@@ -43,10 +41,11 @@ namespace paremsp {
 struct RleConfig {
   /// Worker threads; 0 means the OpenMP default.
   int threads = 0;
-  /// Tile height in rows (paremsp2d_rle; paremsp_rle derives its row
-  /// bands from `threads` instead). Any value >= 1.
+  /// Tile height in rows (paremsp2d; paremsp_rle derives its row bands
+  /// from `threads` instead). Any value >= 1, down to single-pixel tiles
+  /// — the canonical renumber keeps the output identical regardless.
   Coord tile_rows = 256;
-  /// Tile width in columns (paremsp2d_rle only). Minimum 1.
+  /// Tile width in columns (paremsp2d only). Minimum 1.
   Coord tile_cols = 256;
   /// Boundary-run merge backend (shared with the pixel algorithms).
   MergeBackend merge_backend = MergeBackend::LockedRem;
@@ -112,14 +111,14 @@ class ParemspRleLabeler final : public Labeler {
   std::unique_ptr<uf::LockPool> locks_;
 };
 
-/// 2-D tiled parallel run-based PAREMSP.
-class TiledParemspRleLabeler final : public Labeler {
+/// 2-D tiled parallel PAREMSP over runs.
+class TiledParemspLabeler final : public Labeler {
  public:
-  explicit TiledParemspRleLabeler(
-      RleConfig config = {}, Connectivity connectivity = Connectivity::Eight);
+  explicit TiledParemspLabeler(RleConfig config = {},
+                               Connectivity connectivity = Connectivity::Eight);
 
   [[nodiscard]] std::string_view name() const noexcept override {
-    return "paremsp2d_rle";
+    return "paremsp2d";
   }
   [[nodiscard]] bool is_parallel() const noexcept override { return true; }
 

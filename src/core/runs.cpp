@@ -31,7 +31,7 @@ void RunBuffer::extract(ConstImageView image, Coord row_begin, Coord row_end,
         const int ones = std::countr_one(word);
         if (ones == 64) continue;  // still growing past this word
         if (ones > 0) word &= ~((std::uint64_t{1} << ones) - 1);
-        runs_.push_back(Run{r, open, base + ones, 0});
+        runs_.push_back(Run{open, base + ones, 0});
         open = -1;
       }
       while (word != 0) {
@@ -41,13 +41,13 @@ void RunBuffer::extract(ConstImageView image, Coord row_begin, Coord row_end,
           open = base + b;  // may continue into the next word
           break;
         }
-        runs_.push_back(Run{r, base + b, base + b + len, 0});
+        runs_.push_back(Run{base + b, base + b + len, 0});
         word &= ~(((std::uint64_t{1} << len) - 1) << b);
       }
     }
     // The tail word zero-pads past col_end, so `open` survives the word
     // loop only when the run reaches the window edge exactly.
-    if (open >= 0) runs_.push_back(Run{r, open, col_end, 0});
+    if (open >= 0) runs_.push_back(Run{open, col_end, 0});
     offsets_[static_cast<std::size_t>(r - row_begin) + 1] = runs_.size();
   }
 }

@@ -54,11 +54,11 @@
 
 namespace paremsp {
 
-/// One maximal horizontal foreground run: row `row`, half-open column
-/// range [col_begin, col_end), carrying its provisional label once the
-/// scan has assigned one.
+/// One maximal horizontal foreground run: the half-open column range
+/// [col_begin, col_end) of one row, carrying its provisional label once
+/// the scan has assigned one. The row is implied by where the run sits in
+/// its RunBuffer (RunBuffer::row), which keeps a run at 12 bytes.
 struct Run {
-  Coord row = 0;
   Coord col_begin = 0;  // first foreground column (inclusive)
   Coord col_end = 0;    // one past the last foreground column
   Label label = 0;      // provisional label (0 until the merge step)
@@ -114,7 +114,7 @@ class RunBuffer {
   RowBits bits_;  // encoder scratch, pooled with the buffer
 };
 
-/// Merge step for one row: assign every run in `cur` (col-sorted, labels
+/// Merge step for row `r`: assign every run in `cur` (col-sorted, labels
 /// unset) a label from the previous row's runs, recording one equivalence
 /// per overlapping run pair beyond the first through `eq`, or a fresh
 /// label when nothing overlaps. `window` is the vertical-adjacency slack:
@@ -123,7 +123,7 @@ class RunBuffer {
 /// per run — the fused-analysis hook (arithmetic-series coordinate sums).
 /// Two-pointer walk: O(|cur| + |prev| + overlapping pairs).
 template <class Equiv, class FeatureSink>
-void merge_row_runs(std::span<Run> cur, std::span<const Run> prev,
+void merge_row_runs(std::span<Run> cur, std::span<const Run> prev, Coord r,
                     Coord window, Equiv& eq, FeatureSink& sink) {
   std::size_t j = 0;
   for (Run& run : cur) {
@@ -142,13 +142,13 @@ void merge_row_runs(std::span<Run> cur, std::span<const Run> prev,
       sink.fresh(label);
     }
     run.label = label;
-    sink.add_run(label, run.row, run.col_begin, run.col_end);
+    sink.add_run(label, r, run.col_begin, run.col_end);
   }
 }
 
-/// Two-line merge step for one ROW PAIR (8-connectivity): visit the upper
-/// and lower rows' runs merged by (col_begin, upper first on ties) — the
-/// sequential two-line visit order — assigning labels exactly as
+/// Two-line merge step for the ROW PAIR (r, r + 1) (8-connectivity):
+/// visit the upper and lower rows' runs merged by (col_begin, upper first
+/// on ties) — the sequential two-line visit order — assigning labels as
 /// merge_row_runs would. `prev` is the row ABOVE the pair (fully labeled
 /// by the previous pair); the lower row is two rows away from it and
 /// never adjacent. Issuing labels in this order makes every fresh-label
@@ -167,7 +167,7 @@ void merge_row_runs(std::span<Run> cur, std::span<const Run> prev,
 /// single last_upper/last_lower probe replaces an inner overlap loop.
 template <class Equiv, class FeatureSink>
 void merge_row_pair_runs(std::span<Run> upper, std::span<Run> lower,
-                         std::span<const Run> prev, Equiv& eq,
+                         std::span<const Run> prev, Coord r, Equiv& eq,
                          FeatureSink& sink) {
   const Run* last_upper = nullptr;
   const Run* last_lower = nullptr;
@@ -197,7 +197,7 @@ void merge_row_pair_runs(std::span<Run> upper, std::span<Run> lower,
         sink.fresh(label);
       }
       run.label = label;
-      sink.add_run(label, run.row, run.col_begin, run.col_end);
+      sink.add_run(label, r, run.col_begin, run.col_end);
       last_upper = &run;
     } else {
       Run& run = lower[l++];
@@ -209,7 +209,7 @@ void merge_row_pair_runs(std::span<Run> upper, std::span<Run> lower,
         sink.fresh(label);
       }
       run.label = label;
-      sink.add_run(label, run.row, run.col_begin, run.col_end);
+      sink.add_run(label, r + 1, run.col_begin, run.col_end);
       last_lower = &run;
     }
   }
@@ -271,14 +271,14 @@ Label scan_runs(ConstImageView image, RunBuffer& runs, Equiv& eq,
       const std::span<Run> upper = runs.row(r);
       const std::span<Run> lower =
           r + 1 < row_end ? runs.row(r + 1) : std::span<Run>{};
-      merge_row_pair_runs(upper, lower, prev, eq, sink);
+      merge_row_pair_runs(upper, lower, prev, r, eq, sink);
       prev = lower;  // the next pair's row above (unused after the last)
     }
     return eq.used();
   }
   for (Coord r = row_begin; r < row_end; ++r) {
     const std::span<Run> cur = runs.row(r);
-    merge_row_runs(cur, prev, window, eq, sink);
+    merge_row_runs(cur, prev, r, window, eq, sink);
     prev = cur;
   }
   return eq.used();

@@ -4,7 +4,7 @@
 
 #include "common/contracts.hpp"
 #include "core/equiv_policies.hpp"
-#include "core/scan_two_line.hpp"
+#include "core/scan_two_line.hpp"  // NoFeatureSink
 
 namespace paremsp {
 
@@ -27,23 +27,6 @@ std::vector<TileSpec> make_tile_grid(Coord rows, Coord cols, Coord tile_rows,
     }
   }
   return tiles;
-}
-
-Label scan_tile(ConstImageView image, LabelImage& labels,
-                std::span<Label> parents, const TileSpec& tile,
-                std::uint64_t* joins) {
-  RemEquiv eq(parents, tile.base, joins);
-  return scan_two_line(image, labels, eq, tile.row_begin, tile.row_end,
-                       tile.col_begin, tile.col_end);
-}
-
-Label scan_tile(ConstImageView image, LabelImage& labels,
-                std::span<Label> parents, const TileSpec& tile,
-                std::span<analysis::FeatureCell> cells, std::uint64_t* joins) {
-  RemEquiv eq(parents, tile.base, joins);
-  analysis::FeatureAccumulator sink(cells);
-  return scan_two_line(image, labels, eq, sink, tile.row_begin, tile.row_end,
-                       tile.col_begin, tile.col_end);
 }
 
 TileGridShape tile_grid_shape(std::span<const TileSpec> tiles) {
@@ -150,10 +133,10 @@ Label resolve_final_run_labels(std::span<Label> parents,
                                std::span<const RunBuffer> tile_runs,
                                Connectivity connectivity, Coord rows,
                                std::span<Label> remap) {
-  // FLATTEN over used ranges in increasing base order — identical to the
-  // pixel resolve: REM parents always point at smaller issued labels, so
-  // one pass resolves everything and numbers components by increasing
-  // root, i.e. first appearance in TILE order.
+  // FLATTEN (paper Algorithm 3) over used ranges in increasing base
+  // order: REM parents always point at smaller issued labels, so one pass
+  // resolves everything and numbers components by increasing root, i.e.
+  // first appearance in TILE order.
   Label k = 0;
   for (const TileSpec& tile : tiles) {
     const Label lo = tile.base + 1;
@@ -171,7 +154,7 @@ Label resolve_final_run_labels(std::span<Label> parents,
   const TileGridShape grid = tile_grid_shape(tiles);
 
   // 4-connectivity targets raster-first-appearance order (the numbering
-  // of the one-line pixel algorithms and the flood-fill oracle). For
+  // of the one-line scan algorithms and the flood-fill oracle). For
   // full-width tile bands the label bases increase in row order, so the
   // flatten above already numbered components by their first run in
   // raster order and the walk would be the identity.
@@ -192,7 +175,7 @@ Label resolve_final_run_labels(std::span<Label> parents,
     // two-line pair order aligned with the global pairing
     // (merge_row_pair_runs), so the flatten above already numbered
     // components by two-line first appearance — the walk is the identity
-    // and is skipped, same argument as the pixel chunk_equivalent path.
+    // and is skipped (DESIGN.md §3).
     const bool pair_aligned =
         std::all_of(tiles.begin(), tiles.end(),
                     [](const TileSpec& t) { return t.row_begin % 2 == 0; });
@@ -271,74 +254,6 @@ void rewrite_run_labels(const RunBuffer& runs, std::span<const Label> parents,
                 parents[static_cast<std::size_t>(run.label)]);
     }
   }
-}
-
-Label resolve_final_labels(std::span<Label> parents,
-                           std::span<const TileSpec> tiles,
-                           const LabelImage& labels, std::span<Label> remap) {
-  // FLATTEN (paper Algorithm 3) over used ranges in increasing base order:
-  // parents always point at smaller used labels, so every parent is
-  // resolved before its children and one pass suffices.
-  Label k = 0;
-  for (const TileSpec& tile : tiles) {
-    const Label lo = tile.base + 1;
-    const Label hi = tile.base + tile.used;
-    for (Label i = lo; i <= hi; ++i) {
-      if (parents[i] < i) {
-        parents[i] = parents[parents[i]];
-      } else {
-        parents[i] = ++k;
-      }
-    }
-  }
-  if (k == 0) return 0;
-
-  // Full-width tiles whose rows start even are exactly the paper's row
-  // chunks: bases increase in scan order AND each tile's two-line pairing
-  // matches the sequential scan's, so the flatten above already numbered
-  // components in sequential order (DESIGN.md §3) and the remap would be
-  // the identity.
-  const bool chunk_equivalent =
-      std::all_of(tiles.begin(), tiles.end(), [&](const TileSpec& t) {
-        return t.col_begin == 0 && t.col_end == labels.cols() &&
-               t.row_begin % 2 == 0;
-      });
-  if (chunk_equivalent) return k;
-
-  // Any other grid numbers components in tile order; renumber them by
-  // first appearance in the sequential scan's TWO-LINE visit order (row
-  // pairs (0,1),(2,3),…, column by column, upper pixel before lower).
-  // Sequential AREMSP's FLATTEN assigns final labels by increasing
-  // component minimum, and each minimum sits at the component's first
-  // two-line-visited pixel — so first-appearance order in that same visit
-  // order reproduces the sequential numbering exactly, for every grid.
-  PAREMSP_REQUIRE(remap.size() > static_cast<std::size_t>(k),
-                  "remap storage smaller than the component count");
-  std::fill_n(remap.begin(), static_cast<std::size_t>(k) + 1, Label{0});
-  Label next = 0;
-  const Coord rows = labels.rows();
-  const Coord cols = labels.cols();
-  for (Coord r = 0; r < rows && next < k; r += 2) {
-    const Label* upper = labels.row(r);
-    const Label* lower = r + 1 < rows ? labels.row(r + 1) : nullptr;
-    for (Coord c = 0; c < cols; ++c) {
-      if (upper[c] != 0) {
-        Label& slot = remap[parents[upper[c]]];
-        if (slot == 0) slot = ++next;
-      }
-      if (lower != nullptr && lower[c] != 0) {
-        Label& slot = remap[parents[lower[c]]];
-        if (slot == 0) slot = ++next;
-      }
-    }
-  }
-  PAREMSP_ENSURE(next == k, "first-appearance renumber lost a component");
-  for (const TileSpec& tile : tiles) {
-    const Label lo = tile.base + 1;
-    const Label hi = tile.base + tile.used;
-    for (Label i = lo; i <= hi; ++i) parents[i] = remap[parents[i]];
-  }
-  return k;
 }
 
 void fold_tile_features(std::span<const analysis::FeatureCell> cells,

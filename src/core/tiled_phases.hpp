@@ -1,40 +1,37 @@
-// Composable phases of 2-D tiled AREMSP labeling.
+// Composable phases of 2-D tiled run-based AREMSP labeling.
 //
 // The tiled algorithm (a 2-D generalization of the paper's Algorithm 7)
-// decomposes into four independently schedulable steps:
+// decomposes into five independently schedulable steps:
 //
-//   1. make_tile_grid      — partition the image into a row-major tile grid
-//                            with disjoint provisional-label ranges;
-//   2. scan_tile           — the AREMSP two-line scan (Algorithm 6) over one
-//                            tile, masked at the tile's top row and left
-//                            column (out-of-tile pixels read as background);
-//   3. merge_tile_seams    — re-establish the adjacencies suppressed at one
-//                            tile's top/left seams through any union backend
-//                            (Algorithm 8's parallel REM merger, its CAS
-//                            variant, or sequential REM);
-//   4. resolve_final_labels — FLATTEN every tile's used label range, then
-//                            renumber components in the sequential scan's
-//                            first-appearance order so the result is
-//                            bit-identical to sequential AREMSP for EVERY
-//                            tile geometry.
+//   1. make_tile_grid           — partition the image into a row-major tile
+//                                 grid with disjoint provisional-label
+//                                 ranges;
+//   2. scan_tile                — extract the tile's runs and merge them row
+//                                 against row (core/runs.hpp); rows and
+//                                 columns outside the tile read as
+//                                 background;
+//   3. merge_run_seams          — re-establish the adjacencies suppressed at
+//                                 one tile's top/left seams through any
+//                                 union backend (Algorithm 8's parallel REM
+//                                 merger, its CAS variant, or sequential
+//                                 REM), one union per adjacent boundary-run
+//                                 pair;
+//   4. resolve_final_run_labels — FLATTEN every tile's used label range,
+//                                 then renumber components into the
+//                                 sequential scan's canonical order so the
+//                                 result is bit-identical to sequential
+//                                 AREMSP (8-conn) and CCLREMSP (4-conn) for
+//                                 EVERY tile geometry;
+//   5. rewrite_run_labels       — expand the resolved run labels into the
+//                                 output raster, the only write to it.
 //
-// Two executors compose these pieces: TiledParemspLabeler (in-process
-// OpenMP, core/paremsp_tiled.cpp) and the engine's sharded huge-image path
-// (persistent-worker jobs, engine/sharded_labeler.cpp). Keeping the steps
-// here means both run the same audited kernel code and differ only in
-// scheduling.
-//
-// Why the renumber step makes any grid bit-identical (DESIGN.md §5): REM
-// keeps each component's root at its minimum provisional label, and the
-// sequential scan issues that minimum at the component's first pixel in
-// TWO-LINE VISIT ORDER (row pairs (0,1),(2,3),…, column by column, upper
-// before lower) — the first-visited pixel has no earlier-visited
-// foreground neighbor, so it is always a new-label event. Sequential
-// AREMSP's FLATTEN therefore numbers components 1..k by first appearance
-// in that visit order. A 2-D grid's bases are prefix sums in tile order
-// instead, so after FLATTEN the dense labels come out permuted — one
-// first-appearance remap in the sequential visit order restores exactly
-// the sequential numbering.
+// Three executors compose these pieces: the rle labelers (in-process
+// OpenMP, core/rle_labelers.cpp), the engine's sharded huge-image path
+// (persistent-worker jobs, engine/sharded_labeler.cpp) and the streaming
+// slab session (stream/slab_session.cpp, which reuses the scan and rewrite
+// steps). Keeping the steps here means they run the same audited kernel
+// code and differ only in scheduling. Why the renumber makes any grid
+// bit-identical is argued at resolve_final_run_labels and in DESIGN.md §8.
 #pragma once
 
 #include <algorithm>
@@ -46,7 +43,6 @@
 #include "common/types.hpp"
 #include "core/runs.hpp"
 #include "image/connectivity.hpp"
-#include "image/raster.hpp"
 #include "image/view.hpp"
 
 namespace paremsp {
@@ -71,46 +67,12 @@ struct TileSpec {
 /// Partition rows x cols into a row-major grid of tile_rows x tile_cols
 /// tiles (edge tiles clipped). Bases are prefix sums of tile pixel counts,
 /// so label ranges are disjoint and increase in row-major tile order —
-/// the order resolve_final_labels flattens them in. Any tile size >= 1
+/// the order resolve_final_run_labels flattens them in. Any tile size >= 1
 /// works (down to 1-pixel tiles); oversize tiles degenerate to one tile,
 /// which skips the merge and renumber phases entirely.
 [[nodiscard]] std::vector<TileSpec> make_tile_grid(Coord rows, Coord cols,
                                                    Coord tile_rows,
                                                    Coord tile_cols);
-
-/// Phase I for one tile: run the AREMSP two-line scan over the tile's
-/// rectangle, issuing provisional labels above tile.base into `parents`
-/// and writing them to `labels`. Pixels outside the rectangle are treated
-/// as background; the suppressed cross-seam adjacencies are restored by
-/// merge_tile_seams. Returns the number of labels issued (the caller
-/// stores it in tile.used). Thread-safe across distinct tiles: a tile
-/// scan writes only its own label range and its own pixel rectangle.
-/// Every overload takes an optional `joins` accumulator (see RemEquiv) —
-/// pass a per-tile slot to fill PhaseCounters::scan_unions race-free.
-[[nodiscard]] Label scan_tile(ConstImageView image, LabelImage& labels,
-                              std::span<Label> parents, const TileSpec& tile,
-                              std::uint64_t* joins = nullptr);
-
-/// Fused-analysis variant of scan_tile: identical labeling, but every
-/// labeled pixel is additionally folded into `cells` (indexed by
-/// provisional label) while it is still hot — the basis of
-/// label_with_stats, which never re-reads the pixels. A tile scan touches
-/// only cells in its own label range (tile.base, tile.base + used], so
-/// concurrent tiles share one cell array race-free, exactly like they
-/// share `parents`.
-[[nodiscard]] Label scan_tile(ConstImageView image, LabelImage& labels,
-                              std::span<Label> parents, const TileSpec& tile,
-                              std::span<analysis::FeatureCell> cells,
-                              std::uint64_t* joins = nullptr);
-
-// --- Run-based phase variants ------------------------------------------------
-// The run-based rle pipelines (core/rle_labelers.hpp, the engine's
-// ShardOptions::scan == ShardScan::Runs) compose these instead of the
-// pixel phases above: the scan emits labeled runs (no provisional label is
-// ever written to the raster), seams merge boundary RUNS of adjacent
-// tiles, the canonical renumber walks runs instead of pixels, and the
-// rewrite expands resolved labels with std::fill-width row segments — the
-// label plane is written exactly once, by the rewrite.
 
 /// Row-major shape of a make_tile_grid() result: `tile_rows`/`tile_cols`
 /// are the uniform strides (edge tiles may be clipped smaller), so the
@@ -125,17 +87,19 @@ struct TileGridShape {
 /// Derive the grid shape back from a row-major TileSpec list.
 [[nodiscard]] TileGridShape tile_grid_shape(std::span<const TileSpec> tiles);
 
-/// Run-based Phase I for one tile: extract the tile's maximal horizontal
-/// runs into `runs` (bit-packed RowBits words, core/runs.hpp) and merge
-/// them row against row, issuing provisional labels above tile.base into
+/// Phase I for one tile: extract the tile's maximal horizontal runs into
+/// `runs` (bit-packed RowBits words, core/runs.hpp) and merge them row
+/// against row, issuing provisional labels above tile.base into
 /// `parents`. Nothing is written to any label plane — the runs CARRY the
-/// labels until rewrite_run_labels expands them. Unlike the pixel scan,
-/// both connectivities route through the one kernel (the overlap window
-/// is the only difference). Thread-safe across distinct tiles exactly
-/// like the pixel scan_tile: disjoint label ranges, disjoint buffers.
-/// `threshold` >= 0 scans a GRAYSCALE image through the fused
-/// pixel > threshold encoder (RunBuffer::extract) — the rle pipelines'
-/// im2bw fusion; -1 is the plain binary mode.
+/// labels until rewrite_run_labels expands them. Both connectivities
+/// route through the one kernel (the overlap window is the only
+/// difference). Thread-safe across distinct tiles: disjoint label
+/// ranges, disjoint buffers. Returns the number of labels issued (the
+/// caller stores it in tile.used); `joins`, when set, accumulates the
+/// scan's unions (see RemEquiv) — pass a per-tile slot to fill
+/// PhaseCounters::scan_unions race-free. `threshold` >= 0 scans a
+/// GRAYSCALE image through the fused pixel > threshold encoder
+/// (RunBuffer::extract) — the im2bw fusion; -1 is the plain binary mode.
 [[nodiscard]] Label scan_tile(ConstImageView image, std::span<Label> parents,
                               const TileSpec& tile, RunBuffer& runs,
                               Connectivity connectivity,
@@ -143,8 +107,10 @@ struct TileGridShape {
                               int threshold = -1);
 
 /// Fused-analysis variant: every run is additionally folded into `cells`
-/// in O(1) via the arithmetic-series coordinate sums
-/// (FeatureCell::add_run), value-identical to per-pixel accumulation.
+/// (indexed by provisional label) in O(1) via the arithmetic-series
+/// coordinate sums (FeatureCell::add_run), value-identical to per-pixel
+/// accumulation. A tile scan touches only cells in its own label range,
+/// so concurrent tiles share one cell array race-free, like `parents`.
 [[nodiscard]] Label scan_tile(ConstImageView image, std::span<Label> parents,
                               const TileSpec& tile, RunBuffer& runs,
                               Connectivity connectivity,
@@ -152,11 +118,11 @@ struct TileGridShape {
                               std::uint64_t* joins = nullptr,
                               int threshold = -1);
 
-/// Run-based Phase II for tile `t`: feed every 4/8-adjacency crossing the
-/// tile's top and left seams to `unite(Label, Label)`, operating on the
-/// BOUNDARY RUNS of adjacent tiles — one unite per overlapping run pair,
-/// instead of one per seam pixel. Covering top + left seams over all
-/// tiles covers every seam exactly once, like the pixel merge_tile_seams:
+/// Phase II for tile `t`: feed every 4/8-adjacency crossing the tile's
+/// top and left seams to `unite(Label, Label)`, operating on the BOUNDARY
+/// RUNS of adjacent tiles — one unite per overlapping run pair, instead
+/// of one per seam pixel. Covering top + left seams over all tiles covers
+/// every seam exactly once:
 ///
 ///   top seam   this tile's first-row runs against the up neighbor's
 ///              last-row runs (two-pointer overlap walk, window widened
@@ -170,8 +136,8 @@ struct TileGridShape {
 ///              horizontal seam too and are exactly the corner cases the
 ///              top seams above already cover).
 ///
-/// `unite` must be safe for the caller's schedule, same contract as
-/// merge_tile_seams.
+/// `unite` must be safe for the caller's schedule: uf::locked_unite /
+/// uf::cas_unite for concurrent tiles, uf::rem_unite when serialized.
 template <class UniteFn>
 void merge_run_seams(std::span<const TileSpec> tiles,
                      std::span<const RunBuffer> tile_runs, std::size_t t,
@@ -221,10 +187,10 @@ void merge_run_seams(std::span<const TileSpec> tiles,
   }
 }
 
-/// Run-based Phases III+IV bookkeeping: FLATTEN every tile's used label
-/// range in increasing base order, then renumber into the canonical
-/// order of the matching pixel algorithms by walking the RUNS (the label
-/// plane holds no provisional labels in the run pipelines):
+/// Phases III+IV bookkeeping: FLATTEN every tile's used label range in
+/// increasing base order, then renumber into the canonical order of the
+/// sequential algorithms by walking the RUNS (no label plane ever holds
+/// provisional labels):
 ///
 ///   8-connectivity  first appearance in the sequential TWO-LINE visit
 ///                   order — row pairs (0,1),(2,3),…, column by column,
@@ -233,7 +199,7 @@ void merge_run_seams(std::span<const TileSpec> tiles,
 ///                   among its runs in its earliest pair, so merging each
 ///                   pair's two run streams by (col_begin, parity)
 ///                   reproduces sequential AREMSP's numbering exactly —
-///                   the rle pipelines are bit-identical to AREMSP for
+///                   the tiled pipelines are bit-identical to AREMSP for
 ///                   every chunking and tile geometry. Full-width bands
 ///                   whose rows start even skip the walk: the scan
 ///                   issues labels in that very order
@@ -252,97 +218,20 @@ void merge_run_seams(std::span<const TileSpec> tiles,
     std::span<const RunBuffer> tile_runs, Connectivity connectivity,
     Coord rows, std::span<Label> remap);
 
-/// Run-based final labeling for one tile: expand each resolved run label
-/// into its row segment with std::fill, zero-filling the gaps — the only
-/// pass that writes the output raster in the run pipelines. `out` may be
+/// Final labeling for one tile: expand each resolved run label into its
+/// row segment with std::fill, zero-filling the gaps — the only pass that
+/// writes the output raster. `out` may be
 /// strided (a caller's label_out ROI writes zero-copy). Thread-safe
 /// across distinct tiles (disjoint rectangles).
 void rewrite_run_labels(const RunBuffer& runs, std::span<const Label> parents,
                         const TileSpec& tile, MutableImageView out);
 
-/// Phase II for one tile: feed every 8-adjacency crossing the tile's top
-/// and left seams to `unite(Label, Label)`. Each seam pixel generates at
-/// most one union when its direct neighbor across the seam is foreground
-/// (the diagonal neighbors are then already connected to it on the far
-/// side — in-tile by the scan, or by the far tile's own seam merge), and
-/// at most two diagonal unions otherwise. Covering only top + left seams
-/// over all tiles covers every seam exactly once.
-///
-/// `unite` must be safe for the caller's schedule: uf::locked_unite /
-/// uf::cas_unite for concurrent tiles, uf::rem_unite when serialized.
-template <class UniteFn>
-void merge_tile_seams(const LabelImage& labels, const TileSpec& tile,
-                      UniteFn&& unite) {
-  const Coord rows = labels.rows();
-  const Coord cols = labels.cols();
-  // Top seam: same b/a/c case analysis as Algorithm 7 — when b is set,
-  // a/c already share b's component on the far side of the seam.
-  if (tile.row_begin > 0) {
-    const Coord r = tile.row_begin;
-    for (Coord c = tile.col_begin; c < tile.col_end; ++c) {
-      const Label e = labels(r, c);
-      if (e == 0) continue;
-      const Label b = labels(r - 1, c);
-      if (b != 0) {
-        unite(e, b);
-      } else {
-        if (c > 0) {
-          const Label a = labels(r - 1, c - 1);
-          if (a != 0) unite(e, a);
-        }
-        if (c + 1 < cols) {
-          const Label cc = labels(r - 1, c + 1);
-          if (cc != 0) unite(e, cc);
-        }
-      }
-    }
-  }
-  // Left seam: mirror argument with l (left) in b's role — the up-left /
-  // down-left diagonals are vertically adjacent to l on the far side.
-  if (tile.col_begin > 0) {
-    const Coord c = tile.col_begin;
-    for (Coord r = tile.row_begin; r < tile.row_end; ++r) {
-      const Label e = labels(r, c);
-      if (e == 0) continue;
-      const Label l = labels(r, c - 1);
-      if (l != 0) {
-        unite(e, l);
-      } else {
-        if (r > 0) {
-          const Label ul = labels(r - 1, c - 1);
-          if (ul != 0) unite(e, ul);
-        }
-        if (r + 1 < rows) {
-          const Label dl = labels(r + 1, c - 1);
-          if (dl != 0) unite(e, dl);
-        }
-      }
-    }
-  }
-}
-
-/// Phases III+IV bookkeeping: FLATTEN every tile's used label range in
-/// increasing base order (resolving each provisional label to a dense
-/// component id), then renumber the dense ids into raster-first-appearance
-/// order by scanning `labels` (which still holds provisional labels).
-/// On return parents[l] is the FINAL label for every issued provisional
-/// label l; the caller finishes with the (parallelizable) rewrite
-/// labels(i) = parents[labels(i)]. Returns the component count.
-///
-/// `remap` is caller-provided storage for the renumber table, at least
-/// (total used labels + 1) entries; contents need not be initialized.
-/// Single-threaded: run after all scans and merges completed.
-[[nodiscard]] Label resolve_final_labels(std::span<Label> parents,
-                                         std::span<const TileSpec> tiles,
-                                         const LabelImage& labels,
-                                         std::span<Label> remap);
-
-/// Fused-analysis epilogue of resolve_final_labels: reduce every tile's
-/// per-provisional-label feature cells into per-component records through
-/// the resolved parent array (parents[l] is final after
-/// resolve_final_labels), then derive centroids. This is where the seam
-/// unions take effect on the features — a union recorded by
-/// merge_tile_seams makes two provisional labels resolve to one final
+/// Fused-analysis epilogue of resolve_final_run_labels: reduce every
+/// tile's per-provisional-label feature cells into per-component records
+/// through the resolved parent array (parents[l] is final after
+/// resolve_final_run_labels), then derive centroids. This is where the
+/// seam unions take effect on the features — a union recorded by
+/// merge_run_seams makes two provisional labels resolve to one final
 /// label, so their cells land in (and commutatively merge into) the same
 /// component here. O(total used labels): no pixel is ever revisited.
 /// `components` must be default-initialized and sized num_components.

@@ -10,7 +10,9 @@
 // ever waits on another: fan-in is a fetch_sub, and the acquire/release
 // ordering on that counter is what publishes one phase's writes to the
 // next (the role the OpenMP barrier plays in the in-process
-// TiledParemspLabeler).
+// TiledParemspLabeler). Every phase is the run-based kernel of
+// core/tiled_phases.hpp, so the label plane is written once, by the
+// rewrite.
 #include "engine/sharded_labeler.hpp"
 
 #include <algorithm>
@@ -70,35 +72,19 @@ class ShardedRun : public std::enable_shared_from_this<ShardedRun> {
 
  private:
   [[nodiscard]] ConstImageView image() const noexcept {
-    return binary_.size() != 0 ? ConstImageView(binary_) : request_.input;
+    return request_.input;
   }
   [[nodiscard]] bool with_stats() const noexcept {
     return request_.outputs.stats;
   }
-  [[nodiscard]] bool scans_runs() const noexcept {
-    return options_.scan == ShardScan::Runs;
-  }
   [[nodiscard]] std::span<const RunBuffer> runs() const noexcept {
-    // Runs mode only. Only the first tiles_.size() entries are this
-    // run's: the pooled vector may be larger (a previous shard had more
-    // tiles), and the excess buffers hold that shard's stale runs.
+    // Only the first tiles_.size() entries are this run's: the pooled
+    // vector may be larger (a previous shard had more tiles), and the
+    // excess buffers hold that shard's stale runs.
     return {tile_runs_.data(), std::min(tiles_.size(), tile_runs_.size())};
   }
 
   void launch() {
-    if (cutoff_ >= 0 && !scans_runs() && request_.input.size() != 0) {
-      // Pixel shards have no fused threshold kernel: binarize the
-      // grayscale input once up front (the Runs pipeline instead fuses
-      // the compare into per-tile run extraction and never does this).
-      binary_ = BinaryImage(request_.input.rows(), request_.input.cols());
-      for (Coord r = 0; r < request_.input.rows(); ++r) {
-        const std::uint8_t* src = request_.input.row(r);
-        std::uint8_t* dst = binary_.row(r);
-        for (Coord c = 0; c < request_.input.cols(); ++c) {
-          dst[c] = src[c] > cutoff_ ? std::uint8_t{1} : std::uint8_t{0};
-        }
-      }
-    }
     result_.labels = engine_.take_recycled_plane();
     result_.labels.resize_for_overwrite(image().rows(), image().cols());
     if (image().size() == 0) {
@@ -111,13 +97,11 @@ class ShardedRun : public std::enable_shared_from_this<ShardedRun> {
     if (with_stats()) cells_ = engine_.take_shard_cells(parents_size_);
     tiles_ = make_tile_grid(image().rows(), image().cols(),
                             options_.tile_rows, options_.tile_cols);
-    if (scans_runs()) {
-      // Per-tile run storage, pooled at the engine like the parent and
-      // cell buffers: each RunBuffer keeps its grown run/offset storage
-      // between shards, so steady-state Runs shards allocate nothing.
-      tile_runs_ = engine_.take_run_buffers(tiles_.size());
-      grid_ = tile_grid_shape(tiles_);
-    }
+    // Per-tile run storage, pooled at the engine like the parent and
+    // cell buffers: each RunBuffer keeps its grown run/offset storage
+    // between shards, so steady-state shards allocate nothing.
+    tile_runs_ = engine_.take_run_buffers(tiles_.size());
+    grid_ = tile_grid_shape(tiles_);
     // Disjoint per-job counter slots (one per tile): scan jobs write
     // tile_joins_[t], merge jobs write merge_*_slots_[t], and resolve()
     // sums them after the latch barrier — no shared counters on any
@@ -145,7 +129,7 @@ class ShardedRun : public std::enable_shared_from_this<ShardedRun> {
         /*bounded=*/true);
   }
 
-  // --- Phase I: tile-local AREMSP scans -------------------------------------
+  // --- Phase I: tile-local run scans ----------------------------------------
   void run_scan(std::size_t t) {
     if (!failed_.load(std::memory_order_acquire)) {
       // Queue wait for the sharded path: submit -> the first scan job
@@ -159,25 +143,17 @@ class ShardedRun : public std::enable_shared_from_this<ShardedRun> {
         auto& tile = tiles_[t];
         const std::span<Label> parents{parents_.data.get(), parents_size_};
         std::uint64_t* joins = &tile_joins_[t];
-        // The fused variant writes feature cells only in this tile's label
-        // range, so concurrent scan jobs share cells_ race-free.
-        if (scans_runs()) {
-          // Run scan: labels live on the runs until the rewrite —
-          // nothing touches the shared label plane in this phase.
-          tile.used =
-              with_stats()
-                  ? scan_tile(image(), parents, tile, tile_runs_[t],
-                              connectivity_, {cells_.data.get(), parents_size_},
-                              joins, cutoff_)
-                  : scan_tile(image(), parents, tile, tile_runs_[t],
-                              connectivity_, joins, cutoff_);
-        } else {
-          tile.used =
-              with_stats()
-                  ? scan_tile(image(), result_.labels, parents, tile,
-                              {cells_.data.get(), parents_size_}, joins)
-                  : scan_tile(image(), result_.labels, parents, tile, joins);
-        }
+        // Labels live on the runs until the rewrite — nothing touches
+        // the shared label plane in this phase. The fused variant writes
+        // feature cells only in this tile's label range, so concurrent
+        // scan jobs share cells_ race-free.
+        tile.used =
+            with_stats()
+                ? scan_tile(image(), parents, tile, tile_runs_[t],
+                            connectivity_, {cells_.data.get(), parents_size_},
+                            joins, cutoff_)
+                : scan_tile(image(), parents, tile, tile_runs_[t],
+                            connectivity_, joins, cutoff_);
       } catch (...) {
         fail(std::current_exception());
       }
@@ -213,30 +189,18 @@ class ShardedRun : public std::enable_shared_from_this<ShardedRun> {
         Label* p = parents_.data.get();
         std::uint64_t pairs = 0;
         uf::UniteStats us;
-        if (scans_runs()) {
-          if (options_.merge_backend == MergeBackend::LockedRem) {
-            merge_run_seams(tiles_, runs(), t, grid_, connectivity_,
-                            [&](Label x, Label y) {
-                              ++pairs;
-                              uf::locked_unite(p, *locks_, x, y, &us);
-                            });
-          } else {
-            merge_run_seams(tiles_, runs(), t, grid_, connectivity_,
-                            [&](Label x, Label y) {
-                              ++pairs;
-                              cas_unite_(p, x, y, &us);
-                            });
-          }
-        } else if (options_.merge_backend == MergeBackend::LockedRem) {
-          merge_tile_seams(result_.labels, tiles_[t], [&](Label x, Label y) {
-            ++pairs;
-            uf::locked_unite(p, *locks_, x, y, &us);
-          });
+        if (options_.merge_backend == MergeBackend::LockedRem) {
+          merge_run_seams(tiles_, runs(), t, grid_, connectivity_,
+                          [&](Label x, Label y) {
+                            ++pairs;
+                            uf::locked_unite(p, *locks_, x, y, &us);
+                          });
         } else {
-          merge_tile_seams(result_.labels, tiles_[t], [&](Label x, Label y) {
-            ++pairs;
-            cas_unite_(p, x, y, &us);
-          });
+          merge_run_seams(tiles_, runs(), t, grid_, connectivity_,
+                          [&](Label x, Label y) {
+                            ++pairs;
+                            cas_unite_(p, x, y, &us);
+                          });
         }
         merge_pair_slots_[t] = pairs;
         merge_stat_slots_[t] = us;
@@ -254,21 +218,12 @@ class ShardedRun : public std::enable_shared_from_this<ShardedRun> {
         Label* p = parents_.data.get();
         std::uint64_t pairs = 0;
         std::uint64_t joins = 0;
-        if (scans_runs()) {
-          for (std::size_t t = 0; t < tiles_.size(); ++t) {
-            merge_run_seams(tiles_, runs(), t, grid_, connectivity_,
-                            [&](Label x, Label y) {
-                              ++pairs;
-                              uf::rem_unite(p, x, y, &joins);
-                            });
-          }
-        } else {
-          for (const TileSpec& tile : tiles_) {
-            merge_tile_seams(result_.labels, tile, [&](Label x, Label y) {
-              ++pairs;
-              uf::rem_unite(p, x, y, &joins);
-            });
-          }
+        for (std::size_t t = 0; t < tiles_.size(); ++t) {
+          merge_run_seams(tiles_, runs(), t, grid_, connectivity_,
+                          [&](Label x, Label y) {
+                            ++pairs;
+                            uf::rem_unite(p, x, y, &joins);
+                          });
         }
         merge_pair_slots_[0] = pairs;
         merge_stat_slots_[0].joins = joins;
@@ -303,24 +258,16 @@ class ShardedRun : public std::enable_shared_from_this<ShardedRun> {
             counters.merge_unions += us.joins;
             counters.merge_retries += us.retries;
           }
-          if (scans_runs()) {
-            for (const RunBuffer& tile : runs()) {  // this run's tiles only
-              counters.runs_extracted += tile.size();
-            }
+          for (const RunBuffer& tile : runs()) {  // this run's tiles only
+            counters.runs_extracted += tile.size();
           }
         }
         const std::size_t remap_size =
             static_cast<std::size_t>(total_used) + 1;
         remap_ = engine_.take_shard_buffer(remap_size);
-        result_.num_components =
-            scans_runs()
-                ? resolve_final_run_labels({parents_.data.get(), parents_size_},
-                                           tiles_, runs(), connectivity_,
-                                           image().rows(),
-                                           {remap_.data.get(), remap_size})
-                : resolve_final_labels(
-                      {parents_.data.get(), parents_size_}, tiles_,
-                      result_.labels, {remap_.data.get(), remap_size});
+        result_.num_components = resolve_final_run_labels(
+            {parents_.data.get(), parents_size_}, tiles_, runs(),
+            connectivity_, image().rows(), {remap_.data.get(), remap_size});
         if (with_stats()) {
           // The seam-merge jobs' unions are resolved in the parent table
           // now, so this fold merges accumulators exactly where labels
@@ -346,24 +293,14 @@ class ShardedRun : public std::enable_shared_from_this<ShardedRun> {
     }
 
     // --- Phase IV: parallel rewrite ------------------------------------------
-    // Pixel mode rewrites the provisional plane over row bands; run mode
-    // expands the resolved run labels per tile (fill-width segments) —
-    // the plane (or the caller's label_out) is written here for the
-    // first and only time.
-    if (scans_runs()) {
-      fan_out(tiles_.size(), [](const std::shared_ptr<ShardedRun>& self,
-                                std::size_t t) { self->run_rewrite_runs(t); });
-      return;
-    }
-    const std::size_t bands = std::min<std::size_t>(
-        static_cast<std::size_t>(engine_.workers()),
-        static_cast<std::size_t>(image().rows()));
-    rewrite_bands_ = bands;
-    fan_out(bands, [](const std::shared_ptr<ShardedRun>& self,
-                      std::size_t band) { self->run_rewrite(band); });
+    // Expand the resolved run labels per tile (fill-width segments): the
+    // plane (or the caller's label_out) is written here for the first and
+    // only time.
+    fan_out(tiles_.size(), [](const std::shared_ptr<ShardedRun>& self,
+                              std::size_t t) { self->run_rewrite(t); });
   }
 
-  void run_rewrite_runs(std::size_t t) {
+  void run_rewrite(std::size_t t) {
     if (!failed_.load(std::memory_order_acquire)) {
       obs::Span span("shard.rewrite", "shard");
       const std::span<const Label> parents{parents_.data.get(), parents_size_};
@@ -371,44 +308,6 @@ class ShardedRun : public std::enable_shared_from_this<ShardedRun> {
                                        ? *request_.label_out
                                        : MutableImageView(result_.labels);
       rewrite_run_labels(tile_runs_[t], parents, tiles_[t], out);
-    }
-    finish_phase(1, &ShardedRun::deliver);
-  }
-
-  void run_rewrite(std::size_t band) {
-    if (!failed_.load(std::memory_order_acquire)) {
-      obs::Span span("shard.rewrite", "shard");
-      const Coord rows = image().rows();
-      const Coord cols = image().cols();
-      const Coord row_begin = static_cast<Coord>(
-          static_cast<std::int64_t>(rows) * static_cast<std::int64_t>(band) /
-          static_cast<std::int64_t>(rewrite_bands_));
-      const Coord row_end = static_cast<Coord>(
-          static_cast<std::int64_t>(rows) *
-          static_cast<std::int64_t>(band + 1) /
-          static_cast<std::int64_t>(rewrite_bands_));
-      const Label* p = parents_.data.get();
-      if (request_.label_out.has_value()) {
-        // Rewrite straight into the caller's (possibly strided) buffer:
-        // the parallel bands ARE the delivery, so label_out costs no
-        // extra serial pass over an image-sized plane. Bands are
-        // disjoint row ranges, hence race-free on the shared view.
-        const MutableImageView out = *request_.label_out;
-        for (Coord r = row_begin; r < row_end; ++r) {
-          const Label* src = result_.labels.row(r);
-          Label* dst = out.row(r);
-          for (Coord c = 0; c < cols; ++c) {
-            dst[c] = src[c] != 0 ? p[src[c]] : 0;
-          }
-        }
-      } else {
-        for (Coord r = row_begin; r < row_end; ++r) {
-          Label* row = result_.labels.row(r);
-          for (Coord c = 0; c < cols; ++c) {
-            if (row[c] != 0) row[c] = p[row[c]];
-          }
-        }
-      }
     }
     finish_phase(1, &ShardedRun::deliver);
   }
@@ -443,8 +342,8 @@ class ShardedRun : public std::enable_shared_from_this<ShardedRun> {
     response.timings = result_.timings;
     if (with_stats()) response.stats = std::move(stats_);
     if (request_.label_out.has_value()) {
-      // Final labels already landed in label_out during the rewrite
-      // bands; the working plane only holds dead provisional labels.
+      // Final labels already landed in label_out during the rewrite; the
+      // working plane was never written.
       engine_.recycle(std::move(result_.labels));
     } else if (request_.outputs.labels) {
       response.labels = std::move(result_.labels);
@@ -576,7 +475,6 @@ class ShardedRun : public std::enable_shared_from_this<ShardedRun> {
   std::unique_ptr<uf::LockPool> locks_;
   int cutoff_ = -1;      // request threshold as an integer cutoff; -1 unset
   std::optional<double> deadline_ms_;  // request deadline vs timer_, if any
-  BinaryImage binary_;   // pixel-mode upfront binarization (threshold only)
 
   LabelingResult result_;
   analysis::ComponentStats stats_;       // fused features (outputs.stats)
@@ -585,9 +483,8 @@ class ShardedRun : public std::enable_shared_from_this<ShardedRun> {
   LabelingEngine::ShardBuffer remap_;    // renumber table (Phase III)
   LabelingEngine::ShardCellBuffer cells_;  // feature cells (outputs.stats)
   std::vector<TileSpec> tiles_;
-  std::vector<RunBuffer> tile_runs_;       // run-mode per-tile runs
-  TileGridShape grid_;                     // run-mode seam/renumber lookup
-  std::size_t rewrite_bands_ = 1;
+  std::vector<RunBuffer> tile_runs_;       // per-tile runs (pooled)
+  TileGridShape grid_;                     // seam/renumber tile lookup
 
   // Per-job observability slots (disjoint by tile index; folded by
   // resolve() into result_.timings.counters after the merge latch).
@@ -615,15 +512,10 @@ void LabelingEngine::start_sharded(LabelRequest request, Deliver deliver) {
   // Shared request gate: the effective connectivity defaults exactly like
   // the worker path (request override, else the engine's configured
   // labeler default). The pipeline is validated against the algorithm it
-  // actually runs: pixel shards ARE tiled AREMSP (8-connectivity only),
-  // run shards are run-based tiled PAREMSP, which additionally admits
-  // 4-connectivity — either way an unsupported combination is rejected
-  // with the registry's uniform error, never silently relabeled.
-  const Algorithm algorithm = options.scan == ShardScan::Runs
-                                  ? Algorithm::ParemspTiledRle
-                                  : Algorithm::ParemspTiled;
-  const Connectivity connectivity =
-      validate_request(request, algorithm, config_.labeler.connectivity);
+  // actually runs — tiled PAREMSP over runs, which admits both
+  // connectivities — so request errors match Labeler::run's exactly.
+  const Connectivity connectivity = validate_request(
+      request, Algorithm::ParemspTiled, config_.labeler.connectivity);
   shards_submitted_.fetch_add(1, std::memory_order_relaxed);
   std::make_shared<ShardedRun>(*this, std::move(request), connectivity,
                                std::move(deliver))

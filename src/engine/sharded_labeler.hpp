@@ -5,14 +5,14 @@
 // decomposed into a grid of tiles (core/tiled_phases.hpp) and labeled as a
 // dataflow of engine jobs:
 //
-//   submit(request with .shard) ──► scan job per tile ──┐ (completion latch)
-//                                                       ▼
-//                      seam-merge job per tile (parallel REM, Algorithm 8)
+//   submit(request with .shard) ──► run-scan job per tile ──┐ (latch)
+//                                                           ▼
+//                  run seam-merge job per tile (parallel REM, Algorithm 8)
 //                                          │ (completion latch)
 //                                          ▼
 //                      FLATTEN + canonical renumber (one worker)
 //                                          │
-//                      rewrite job per row band ──► deliver(LabelResponse)
+//                      rewrite job per tile ──► deliver(LabelResponse)
 //
 // Fan-in uses a per-phase completion latch on the shared run state rather
 // than one future per tile job: the worker that decrements the latch to
@@ -23,10 +23,12 @@
 // deadlock the pool); only the initial tile fan-out from the submitting
 // thread takes the bounded, backpressured push.
 //
-// Output is bit-identical to sequential AREMSP for every tile geometry and
-// worker count — the canonical scan-order first-appearance renumber inside
-// resolve_final_labels restores the sequential numbering that 2-D label
-// bases permute (DESIGN.md §5). The pipeline reads the request's input
+// Output is bit-identical to sequential AREMSP (8-conn) and CCLREMSP
+// (4-conn) for every tile geometry and worker count — the canonical
+// first-appearance renumber inside resolve_final_run_labels restores the
+// sequential numbering that 2-D label bases permute (DESIGN.md §5, §8). A
+// threshold request fuses the compare into per-tile run extraction, so no
+// binary plane is ever materialized. The pipeline reads the request's input
 // through its ConstImageView — a strided ROI shards zero-copy exactly like
 // a packed raster — and honors the request's OutputSet and label_out like
 // any other request: stats requests thread per-tile feature cells through

@@ -12,7 +12,7 @@
 
 #include "common/contracts.hpp"
 #include "core/equiv_policies.hpp"
-#include "core/scan_two_line.hpp"
+#include "core/scan_two_line.hpp"  // NoFeatureSink
 #include "core/tiled_phases.hpp"
 #include "obs/trace.hpp"
 #include "unionfind/rem.hpp"
@@ -60,12 +60,6 @@ SlabSession::SlabSession(StreamOptions options) : options_(options) {
     // Exact integer form of im2bw's compare (see LabelRequest::threshold).
     cutoff_ = static_cast<int>(*options_.threshold * 255.0);
   }
-  // Same support matrix as the sharded pipeline: the AREMSP two-line
-  // pixel scan exists for 8-connectivity only.
-  PAREMSP_REQUIRE(
-      options_.scan == ShardScan::Runs ||
-          options_.connectivity == Connectivity::Eight,
-      "pixel scan mode supports 8-connectivity only (use Runs for 4)");
   window_ = run_overlap_window(options_.connectivity);
   // Track id 0 is the background sentinel; live tracks are 1-based.
   track_parent_.push_back(0);
@@ -112,57 +106,16 @@ Label SlabSession::track_new() {
 
 Label SlabSession::scan_slab(ConstImageView slab, std::span<Label> parents,
                              std::span<analysis::FeatureCell> cells,
-                             RunBuffer& runs, LabelImage* plane) {
-  const Coord rows = slab.rows();
-  const Coord cols = options_.cols;
+                             RunBuffer& runs) {
   RemEquiv eq(parents);
-
-  if (options_.scan == ShardScan::Runs) {
-    if (options_.stats) {
-      OffsetFeatureSink sink(cells, global_row_);
-      return scan_runs_one_line(slab, runs, eq, sink, options_.connectivity,
-                                0, rows, 0, cols, cutoff_);
-    }
-    NoFeatureSink sink;
-    return scan_runs_one_line(slab, runs, eq, sink, options_.connectivity, 0,
-                              rows, 0, cols, cutoff_);
-  }
-
-  // Pixel mode: the AREMSP two-line scan labels the plane, then the
-  // slab's runs are extracted separately for the seam bookkeeping. The
-  // pixel kernels have no fused threshold path, so binarize upfront
-  // (same as the sharded pixel pipeline).
-  ConstImageView source = slab;
-  if (cutoff_ >= 0) {
-    pixel_binary_.resize_for_overwrite(rows, cols);
-    for (Coord r = 0; r < rows; ++r) {
-      const std::uint8_t* src = slab.row(r);
-      std::uint8_t* dst = pixel_binary_.row(r);
-      for (Coord c = 0; c < cols; ++c) {
-        dst[c] = src[c] > cutoff_ ? std::uint8_t{1} : std::uint8_t{0};
-      }
-    }
-    source = ConstImageView(pixel_binary_);
-  }
-  MutableImageView out(*plane);
-  Label used = 0;
   if (options_.stats) {
     OffsetFeatureSink sink(cells, global_row_);
-    used = scan_two_line(source, out, eq, sink, 0, rows, 0, cols);
-  } else {
-    used = scan_two_line(source, out, eq, 0, rows, 0, cols);
+    return scan_runs_one_line(slab, runs, eq, sink, options_.connectivity, 0,
+                              slab.rows(), 0, options_.cols, cutoff_);
   }
-  runs.extract(source, 0, rows, 0, cols, /*threshold=*/-1);
-  // A run's pixels may hold different provisional labels, but they are
-  // one equivalence class (the scan merges every left-adjacency), so any
-  // member — the first pixel's — stands for the run in the parent forest.
-  for (Coord r = 0; r < rows; ++r) {
-    const Label* row = plane->row(r);
-    for (Run& run : runs.row(r)) {
-      run.label = row[run.col_begin];
-    }
-  }
-  return used;
+  NoFeatureSink sink;
+  return scan_runs_one_line(slab, runs, eq, sink, options_.connectivity, 0,
+                            slab.rows(), 0, options_.cols, cutoff_);
 }
 
 SlabResult SlabSession::push_slab(ConstImageView slab) {
@@ -189,16 +142,9 @@ SlabResult SlabSession::push_slab(ConstImageView slab) {
   std::span<analysis::FeatureCell> cells;
   if (options_.stats) cells = scratch_.feature_cells(label_space);
   RunBuffer& runs = scratch_.run_buffers(1)[0];
-  const bool want_plane =
-      options_.labels || options_.scan == ShardScan::Pixel;
-  LabelImage plane;
-  if (want_plane) {
-    plane = scratch_.acquire_plane(rows, cols, LabelScratch::PlaneInit::Dirty);
-  }
 
   // 1. Scan the slab into a fresh forest of `used` provisional labels.
-  const Label used =
-      scan_slab(slab, parents, cells, runs, want_plane ? &plane : nullptr);
+  const Label used = scan_slab(slab, parents, cells, runs);
 
   // 2. Embed the carried seam runs as reserved slots above the slab's
   // labels and seam-merge them against the first row. REM roots every
@@ -243,12 +189,14 @@ SlabResult SlabSession::push_slab(ConstImageView slab) {
   // carried seam in visit order — only the min over all runs is safe.
   local_min_key_.assign(static_cast<std::size_t>(local_components) + 1,
                         kNoKey);
-  for (const Run& run : runs.all()) {
-    const Label d = parents[static_cast<std::size_t>(run.label)];
-    const std::int64_t key = first_appearance_key(
-        static_cast<std::int64_t>(global_row_) + run.row, run.col_begin);
-    std::int64_t& mk = local_min_key_[static_cast<std::size_t>(d)];
-    if (key < mk) mk = key;
+  for (Coord r = 0; r < rows; ++r) {
+    const std::int64_t global_r = static_cast<std::int64_t>(global_row_) + r;
+    for (const Run& run : runs.row(r)) {
+      const Label d = parents[static_cast<std::size_t>(run.label)];
+      const std::int64_t key = first_appearance_key(global_r, run.col_begin);
+      std::int64_t& mk = local_min_key_[static_cast<std::size_t>(d)];
+      if (key < mk) mk = key;
+    }
   }
 
   // 4b. Fold the slab into the tracking forest. Two carried runs with
@@ -312,22 +260,12 @@ SlabResult SlabSession::push_slab(ConstImageView slab) {
       dense_root_.begin(),
       dense_root_.begin() + static_cast<std::size_t>(local_components) + 1);
 
-  // Rewrite the output plane to dense local ids.
+  // Expand the runs into the output plane as dense local ids.
+  LabelImage plane;
   if (options_.labels) {
-    if (options_.scan == ShardScan::Runs) {
-      const TileSpec tile{0, rows, 0, cols, 0, used};
-      rewrite_run_labels(runs, parents, tile, MutableImageView(plane));
-    } else {
-      for (Coord r = 0; r < rows; ++r) {
-        Label* row = plane.row(r);
-        for (Coord c = 0; c < cols; ++c) {
-          const Label v = row[c];
-          if (v != 0) row[c] = parents[static_cast<std::size_t>(v)];
-        }
-      }
-    }
-  } else if (want_plane) {
-    scratch_.recycle_plane(std::move(plane));
+    plane = scratch_.acquire_plane(rows, cols, LabelScratch::PlaneInit::Dirty);
+    const TileSpec tile{0, rows, 0, cols, 0, used};
+    rewrite_run_labels(runs, parents, tile, MutableImageView(plane));
   }
 
   // 5. The slab's bottom-row runs become the next carried seam.
@@ -351,9 +289,8 @@ SlabResult SlabSession::push_slab(ConstImageView slab) {
       label_space * sizeof(Label) +
       (options_.stats ? label_space * sizeof(analysis::FeatureCell) : 0) +
       runs.size() * sizeof(Run) +
-      (want_plane ? static_cast<std::size_t>(slab.size()) * sizeof(Label)
-                  : 0) +
-      pixel_binary_.size() * sizeof(std::uint8_t) +
+      (options_.labels ? static_cast<std::size_t>(slab.size()) * sizeof(Label)
+                       : 0) +
       local_min_key_.capacity() * sizeof(std::int64_t) +
       (dense_track_.capacity() + dense_root_.capacity() +
        open_scratch_.capacity()) *

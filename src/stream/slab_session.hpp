@@ -23,7 +23,7 @@
 //
 // Consistency contract (proved by tests/test_stream.cpp differentially
 // against one-shot AremspRle over slab-height sweeps including 1-row
-// slabs, both connectivities, both scan modes): the final component
+// slabs and both connectivities): the final component
 // COUNT, the per-component stats (bit-identical FeatureCell sums), and
 // the composed labeling remap[k][slab k's plane] all equal one-shot
 // labeling of the vertically concatenated image. Final label order is
@@ -75,7 +75,7 @@
 #include "analysis/component_stats.hpp"
 #include "analysis/feature_accumulator.hpp"
 #include "core/label_scratch.hpp"
-#include "core/request.hpp"  // ShardScan
+#include "core/labeling.hpp"  // Backend
 #include "core/runs.hpp"
 #include "image/connectivity.hpp"
 #include "image/raster.hpp"
@@ -92,13 +92,6 @@ struct StreamOptions {
 
   Connectivity connectivity = Connectivity::Eight;
 
-  /// Per-slab scan kernel, same vocabulary as sharded execution:
-  /// Runs scans bit-packed runs directly (both connectivities, fused
-  /// threshold); Pixel runs the AREMSP two-line pixel scan
-  /// (8-connectivity only) and derives the seam runs from the slab
-  /// afterwards.
-  ShardScan scan = ShardScan::Runs;
-
   /// Grayscale fusion, same contract as LabelRequest::threshold: slabs
   /// are grayscale and foreground is pixel > floor(threshold * 255).
   /// Must be within [0, 1].
@@ -112,8 +105,7 @@ struct StreamOptions {
   Backend backend = Backend::UnionFind;
 
   /// Return each slab's label plane from push_slab (local dense ids).
-  /// Off = counting/measuring stream: no plane is materialized in Runs
-  /// mode at all.
+  /// Off = counting/measuring stream: no plane is materialized at all.
   bool labels = true;
 
   /// Accumulate fused per-component features across the stream;
@@ -181,8 +173,8 @@ struct StreamResult {
 /// while pipelining slabs of DIFFERENT sessions across workers).
 class SlabSession {
  public:
-  /// Validates options (cols >= 1, threshold within [0, 1], Pixel scan
-  /// requires 8-connectivity) — throws PreconditionError otherwise.
+  /// Validates options (cols >= 1, threshold within [0, 1], union-find
+  /// backend) — throws PreconditionError otherwise.
   explicit SlabSession(StreamOptions options);
 
   SlabSession(const SlabSession&) = delete;
@@ -239,11 +231,10 @@ class SlabSession {
   /// Allocate a fresh track id (parent = self, key = +inf, empty cell).
   [[nodiscard]] Label track_new();
 
-  /// Scan one slab in the selected mode; returns provisional labels
-  /// issued. Pixel mode labels into *plane; Runs mode ignores it.
+  /// Scan one slab's runs into `parents`, folding fused stats in global
+  /// rows when enabled; returns provisional labels issued.
   Label scan_slab(ConstImageView slab, std::span<Label> parents,
-                  std::span<analysis::FeatureCell> cells, RunBuffer& runs,
-                  LabelImage* plane);
+                  std::span<analysis::FeatureCell> cells, RunBuffer& runs);
 
   StreamOptions options_;
   Coord window_ = 1;   // run_overlap_window(connectivity)
@@ -252,8 +243,7 @@ class SlabSession {
   Coord global_row_ = 0;      // rows consumed so far
   std::size_t slab_index_ = 0;
 
-  LabelScratch scratch_;       // per-slab parents/cells/runs/planes (pooled)
-  BinaryImage pixel_binary_;   // Pixel-mode upfront binarization scratch
+  LabelScratch scratch_;  // per-slab parents/cells/runs/planes (pooled)
 
   // ---- Seam state carried between slabs --------------------------------
   std::vector<Run> carried_runs_;      // bottom-row runs of the last slab

@@ -147,7 +147,7 @@ INSTANTIATE_TEST_SUITE_P(
     FourConnCapable, FourConnAlgorithm,
     ::testing::Values(Algorithm::FloodFill, Algorithm::Suzuki,
                       Algorithm::SuzukiParallel, Algorithm::Ccllrpc,
-                      Algorithm::Cclremsp),
+                      Algorithm::Cclremsp, Algorithm::ParemspTiled),
     [](const auto& pinfo) {
       return std::string(algorithm_info(pinfo.param).name);
     });
@@ -156,7 +156,7 @@ TEST(FourConnRejection, EightOnlyAlgorithmsRefuse) {
   const LabelerOptions opts{.connectivity = Connectivity::Four};
   for (const Algorithm a :
        {Algorithm::Run, Algorithm::Arun, Algorithm::Aremsp,
-        Algorithm::Paremsp, Algorithm::ParemspTiled}) {
+        Algorithm::Paremsp}) {
     EXPECT_THROW((void)make_labeler(a, opts), PreconditionError)
         << algorithm_info(a).name;
   }

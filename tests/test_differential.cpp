@@ -29,7 +29,7 @@
 #include "analysis/validation.hpp"
 #include "common/contracts.hpp"
 #include "common/env.hpp"
-#include "core/paremsp_tiled.hpp"
+#include "core/rle_labelers.hpp"
 #include "core/registry.hpp"
 #include "fixtures.hpp"
 #include "image/ascii.hpp"
@@ -186,7 +186,7 @@ TEST(Differential, FusedStatsAcrossDegenerateTileGeometries) {
         make_labeler(Algorithm::Aremsp)->label_with_stats(image);
     for (const auto& [tr, tc] : geometries) {
       const TiledParemspLabeler tiled(
-          TiledParemspConfig{.tile_rows = tr, .tile_cols = tc});
+          RleConfig{.tile_rows = tr, .tile_cols = tc});
       const LabelingWithStats ws = tiled.label_with_stats(image);
       // Tiled output is bit-identical to AREMSP, so the stats must match
       // the reference's component for component, not only as a multiset.

@@ -65,10 +65,6 @@ TEST_P(ExhaustiveShape, AllAlgorithmsMatchOracleOnEveryImage) {
   fused.push_back(std::make_unique<AremspLabeler>());
   fused.push_back(std::make_unique<ParemspLabeler>(ParemspConfig{2}));
   fused.push_back(std::make_unique<ParemspLabeler>(ParemspConfig{3}));
-  fused.push_back(std::make_unique<TiledParemspLabeler>(
-      TiledParemspConfig{.tile_rows = 1, .tile_cols = 1}));
-  fused.push_back(std::make_unique<TiledParemspLabeler>(
-      TiledParemspConfig{.tile_rows = 2, .tile_cols = 3}));
   // Run-based configurations: degenerate tile grids chop every run down
   // to tile width, so the boundary-run seam merges and the run renumber
   // see maximal fragmentation on every mask configuration.
@@ -77,9 +73,9 @@ TEST_P(ExhaustiveShape, AllAlgorithmsMatchOracleOnEveryImage) {
       std::make_unique<ParemspRleLabeler>(RleConfig{.threads = 2}));
   fused.push_back(
       std::make_unique<ParemspRleLabeler>(RleConfig{.threads = 3}));
-  fused.push_back(std::make_unique<TiledParemspRleLabeler>(
+  fused.push_back(std::make_unique<TiledParemspLabeler>(
       RleConfig{.tile_rows = 1, .tile_cols = 1}));
-  fused.push_back(std::make_unique<TiledParemspRleLabeler>(
+  fused.push_back(std::make_unique<TiledParemspLabeler>(
       RleConfig{.tile_rows = 2, .tile_cols = 3}));
 
   const std::uint64_t total = 1ULL << nbits;

@@ -363,10 +363,9 @@ TEST(ObsCounters, UnionOracleHoldsOnInstrumentedAlgorithms) {
   request.input = image;
 
   // Every algorithm that reports provisional labels must satisfy the
-  // forest-edge identity; these six are instrumented and must report.
+  // forest-edge identity; these five are instrumented and must report.
   const std::set<std::string> instrumented = {
-      "aremsp",     "paremsp",     "paremsp2d",
-      "aremsp_rle", "paremsp_rle", "paremsp2d_rle"};
+      "aremsp", "paremsp", "paremsp2d", "aremsp_rle", "paremsp_rle"};
   std::set<std::string> reported;
   for (const AlgorithmInfo& info : algorithm_catalog()) {
     const auto labeler = make_labeler(info.id);
@@ -375,7 +374,8 @@ TEST(ObsCounters, UnionOracleHoldsOnInstrumentedAlgorithms) {
     if (c.provisional_labels == 0) continue;
     reported.insert(std::string(info.name));
     expect_union_oracle(c, response.num_components, std::string(info.name));
-    if (info.name.find("rle") != std::string_view::npos) {
+    if (info.name.find("rle") != std::string_view::npos ||
+        info.id == Algorithm::ParemspTiled) {
       EXPECT_GT(c.runs_extracted, 0u) << info.name;
     }
     EXPECT_GT(c.tiles, 0u) << info.name;
@@ -390,8 +390,7 @@ TEST(ObsCounters, UnionOracleHoldsAcrossMergeBackends) {
   LabelRequest request;
   request.input = image;
   for (const Algorithm algorithm :
-       {Algorithm::Paremsp, Algorithm::ParemspTiled, Algorithm::ParemspRle,
-        Algorithm::ParemspTiledRle}) {
+       {Algorithm::Paremsp, Algorithm::ParemspTiled, Algorithm::ParemspRle}) {
     for (const MergeBackend backend :
          {MergeBackend::LockedRem, MergeBackend::CasRem,
           MergeBackend::Sequential}) {
@@ -434,28 +433,21 @@ TEST(ObsCounters, UnionOracleHoldsAcrossMergeBackends) {
 TEST(ObsCounters, ShardedRunsFillCountersAndQueueWait) {
   const BinaryImage image = gen::aerial_like(160, 200, 4242);
   LabelingEngine eng({.workers = 3});
-  for (const ShardScan scan : {ShardScan::Pixel, ShardScan::Runs}) {
-    for (const MergeBackend backend :
-         {MergeBackend::LockedRem, MergeBackend::CasRem,
-          MergeBackend::Sequential}) {
-      LabelRequest request;
-      request.input = image;
-      request.shard = ShardOptions{.tile_rows = 64,
-                                   .tile_cols = 64,
-                                   .scan = scan,
-                                   .merge_backend = backend};
-      LabelResponse response = eng.submit(std::move(request)).get();
-      const std::string context =
-          std::string(to_string(scan)) + "/" + to_string(backend);
-      expect_union_oracle(response.timings.counters, response.num_components,
-                          context);
-      EXPECT_GT(response.timings.counters.tiles, 1u) << context;
-      EXPECT_GE(response.timings.queue_wait_ms, 0.0) << context;
-      if (scan == ShardScan::Runs) {
-        EXPECT_GT(response.timings.counters.runs_extracted, 0u) << context;
-      }
-      EXPECT_GT(response.timings.counters.merge_pairs, 0u) << context;
-    }
+  for (const MergeBackend backend :
+       {MergeBackend::LockedRem, MergeBackend::CasRem,
+        MergeBackend::Sequential}) {
+    LabelRequest request;
+    request.input = image;
+    request.shard = ShardOptions{
+        .tile_rows = 64, .tile_cols = 64, .merge_backend = backend};
+    LabelResponse response = eng.submit(std::move(request)).get();
+    const std::string context = to_string(backend);
+    expect_union_oracle(response.timings.counters, response.num_components,
+                        context);
+    EXPECT_GT(response.timings.counters.tiles, 1u) << context;
+    EXPECT_GE(response.timings.queue_wait_ms, 0.0) << context;
+    EXPECT_GT(response.timings.counters.runs_extracted, 0u) << context;
+    EXPECT_GT(response.timings.counters.merge_pairs, 0u) << context;
   }
 }
 
@@ -467,7 +459,7 @@ TEST(ObsCounters, PhaseSumStaysWithinTotal) {
   const BinaryImage image = gen::landcover_like(128, 128, 7);
   LabelRequest request;
   request.input = image;
-  const auto labeler = make_labeler(Algorithm::ParemspTiledRle);
+  const auto labeler = make_labeler(Algorithm::ParemspTiled);
   const LabelResponse response = labeler->run(request);
   EXPECT_GT(response.timings.phase_sum_ms(), 0.0);
   EXPECT_LE(response.timings.phase_sum_ms(),
@@ -497,8 +489,7 @@ TEST(ObsTrace, TracedShardedRleRunShowsAllFourPhases) {
   LabelingEngine eng({.workers = 2});
   LabelRequest request;
   request.input = image;
-  request.shard =
-      ShardOptions{.tile_rows = 48, .tile_cols = 64, .scan = ShardScan::Runs};
+  request.shard = ShardOptions{.tile_rows = 48, .tile_cols = 64};
 
   obs::TraceSession session;
   LabelResponse response = eng.submit(std::move(request)).get();

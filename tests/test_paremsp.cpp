@@ -8,7 +8,7 @@
 #include "analysis/validation.hpp"
 #include "core/aremsp.hpp"
 #include "core/paremsp.hpp"
-#include "core/paremsp_tiled.hpp"
+#include "core/rle_labelers.hpp"
 #include "image/ascii.hpp"
 #include "image/generators.hpp"
 #include "fixtures.hpp"
@@ -162,12 +162,12 @@ TEST_P(ParemspCasPolicy, TiledLabelerBitIdenticalToSequential) {
   // Small tiles maximize seam-merge traffic through the policy under test.
   const auto image = gen::uniform_noise(96, 96, 0.55, 77);
   const TiledParemspLabeler tiled(
-      TiledParemspConfig{.threads = 4,
-                         .tile_rows = 16,
-                         .tile_cols = 16,
-                         .merge_backend = MergeBackend::CasRem,
-                         .cas_find = find,
-                         .cas_splice = splice});
+      RleConfig{.threads = 4,
+                .tile_rows = 16,
+                .tile_cols = 16,
+                .merge_backend = MergeBackend::CasRem,
+                .cas_find = find,
+                .cas_splice = splice});
   EXPECT_EQ(tiled.label(image).labels, seq.label(image).labels);
 }
 

@@ -1,5 +1,6 @@
-// Tests for the 2-D tiled PAREMSP extension: bit-identical output to
-// sequential AREMSP on adversarial tile grids (the canonical renumber in
+// Tests for the 2-D tiled PAREMSP extension (paremsp2d, run-based):
+// bit-identical output to sequential AREMSP (8-conn) and CCLREMSP (4-conn)
+// on adversarial tile grids (the canonical renumber in
 // core/tiled_phases.cpp makes every grid geometry exact, not merely
 // partition-equivalent), determinism, and degenerate tile shapes down to
 // single-pixel tiles.
@@ -9,7 +10,8 @@
 
 #include "analysis/validation.hpp"
 #include "core/aremsp.hpp"
-#include "core/paremsp_tiled.hpp"
+#include "core/cclremsp.hpp"
+#include "core/rle_labelers.hpp"
 #include "fixtures.hpp"
 #include "image/generators.hpp"
 
@@ -17,17 +19,20 @@ namespace paremsp {
 namespace {
 
 TiledParemspLabeler tiled(Coord tile_rows, Coord tile_cols, int threads = 3,
-                          MergeBackend backend = MergeBackend::LockedRem) {
-  return TiledParemspLabeler(TiledParemspConfig{
-      .threads = threads,
-      .tile_rows = tile_rows,
-      .tile_cols = tile_cols,
-      .merge_backend = backend});
+                          MergeBackend backend = MergeBackend::LockedRem,
+                          Connectivity connectivity = Connectivity::Eight) {
+  return TiledParemspLabeler(RleConfig{.threads = threads,
+                                       .tile_rows = tile_rows,
+                                       .tile_cols = tile_cols,
+                                       .merge_backend = backend},
+                             connectivity);
 }
 
-void expect_matches_aremsp(const TiledParemspLabeler& labeler,
-                           const BinaryImage& image,
-                           const std::string& what) {
+/// 8-conn against AREMSP; the 4-conn twin of the same grid against
+/// CCLREMSP.
+void expect_matches_sequential(const TiledParemspLabeler& labeler,
+                               const BinaryImage& image,
+                               const std::string& what) {
   SCOPED_TRACE(what);
   const auto expected = AremspLabeler().label(image);
   const auto got = labeler.label(image);
@@ -36,6 +41,14 @@ void expect_matches_aremsp(const TiledParemspLabeler& labeler,
   const auto v = analysis::validate_labeling(image, got.labels,
                                              got.num_components);
   EXPECT_TRUE(v.ok) << v.error;
+
+  const RleConfig& config = labeler.config();
+  const auto four = tiled(config.tile_rows, config.tile_cols, config.threads,
+                          config.merge_backend, Connectivity::Four)
+                        .label(image);
+  const auto expected4 = CclremspLabeler(Connectivity::Four).label(image);
+  EXPECT_EQ(four.num_components, expected4.num_components);
+  EXPECT_EQ(four.labels, expected4.labels);
 }
 
 class TiledGrid
@@ -45,16 +58,18 @@ TEST_P(TiledGrid, BitIdenticalToAremsp) {
   const auto [tr, tc] = GetParam();
   const auto labeler = tiled(tr, tc);
   for (std::uint64_t seed = 0; seed < 3; ++seed) {
-    expect_matches_aremsp(labeler, gen::landcover_like(70, 90, seed),
-                          "landcover " + std::to_string(seed));
+    expect_matches_sequential(labeler, gen::landcover_like(70, 90, seed),
+                              "landcover " + std::to_string(seed));
   }
-  expect_matches_aremsp(labeler, gen::spiral(70, 90, 2, 3), "spiral");
-  expect_matches_aremsp(labeler, gen::checkerboard(70, 90, 1), "checker");
-  expect_matches_aremsp(labeler, gen::stripes(70, 90, 2, 1, true), "vbars");
-  expect_matches_aremsp(labeler, gen::stripes(70, 90, 2, 1, false), "hbars");
-  expect_matches_aremsp(labeler, BinaryImage(70, 90, 1), "all fg");
-  expect_matches_aremsp(labeler, gen::uniform_noise(70, 90, 0.5, 5),
-                        "noise");
+  expect_matches_sequential(labeler, gen::spiral(70, 90, 2, 3), "spiral");
+  expect_matches_sequential(labeler, gen::checkerboard(70, 90, 1), "checker");
+  expect_matches_sequential(labeler, gen::stripes(70, 90, 2, 1, true),
+                            "vbars");
+  expect_matches_sequential(labeler, gen::stripes(70, 90, 2, 1, false),
+                            "hbars");
+  expect_matches_sequential(labeler, BinaryImage(70, 90, 1), "all fg");
+  expect_matches_sequential(labeler, gen::uniform_noise(70, 90, 0.5, 5),
+                            "noise");
 }
 
 TEST_P(TiledGrid, Fixtures) {
@@ -100,13 +115,10 @@ TEST(TiledParemsp, DeterministicAcrossThreadCounts) {
 
 TEST(TiledParemsp, AllMergeBackends) {
   const auto image = gen::uniform_noise(64, 64, 0.55, 17);
-  const auto expected = AremspLabeler().label(image);
   for (const auto backend : {MergeBackend::LockedRem, MergeBackend::CasRem,
                              MergeBackend::Sequential}) {
-    const auto got = tiled(8, 8, 4, backend).label(image);
-    EXPECT_EQ(got.num_components, expected.num_components)
-        << to_string(backend);
-    EXPECT_EQ(got.labels, expected.labels) << to_string(backend);
+    expect_matches_sequential(tiled(8, 8, 4, backend), image,
+                              to_string(backend));
   }
 }
 
@@ -129,24 +141,24 @@ TEST(TiledParemsp, OddSizedEdgesAndTinyImages) {
         std::pair<Coord, Coord>{17, 23}}) {
     const auto image = gen::uniform_noise(
         rows, cols, 0.5, static_cast<std::uint64_t>(rows * 100 + cols));
-    expect_matches_aremsp(labeler, image,
-                          std::to_string(rows) + "x" + std::to_string(cols));
+    expect_matches_sequential(
+        labeler, image, std::to_string(rows) + "x" + std::to_string(cols));
   }
   EXPECT_EQ(labeler.label(BinaryImage()).num_components, 0);
 }
 
 TEST(TiledParemsp, ConfigValidation) {
-  EXPECT_THROW(TiledParemspLabeler(TiledParemspConfig{.threads = -1}),
+  EXPECT_THROW(TiledParemspLabeler(RleConfig{.threads = -1}),
                PreconditionError);
-  EXPECT_THROW(TiledParemspLabeler(TiledParemspConfig{.tile_rows = 0}),
+  EXPECT_THROW(TiledParemspLabeler(RleConfig{.tile_rows = 0}),
                PreconditionError);
-  EXPECT_THROW(TiledParemspLabeler(TiledParemspConfig{.tile_cols = 0}),
+  EXPECT_THROW(TiledParemspLabeler(RleConfig{.tile_cols = 0}),
                PreconditionError);
-  EXPECT_THROW(TiledParemspLabeler(TiledParemspConfig{.lock_bits = 99}),
+  EXPECT_THROW(TiledParemspLabeler(RleConfig{.lock_bits = 99}),
                PreconditionError);
   // Odd tile heights are legal: the canonical renumber makes any grid
   // geometry bit-identical, so no even-rounding is needed.
-  const TiledParemspLabeler ok(TiledParemspConfig{.tile_rows = 3});
+  const TiledParemspLabeler ok(RleConfig{.tile_rows = 3});
   EXPECT_EQ(ok.config().tile_rows, 3);
   EXPECT_EQ(ok.name(), "paremsp2d");
   EXPECT_TRUE(ok.is_parallel());

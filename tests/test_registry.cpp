@@ -21,7 +21,7 @@ namespace {
 
 TEST(Registry, CatalogIsCompleteAndUnique) {
   const auto catalog = algorithm_catalog();
-  EXPECT_EQ(catalog.size(), 15u);
+  EXPECT_EQ(catalog.size(), 14u);
   std::set<std::string_view> names;
   std::set<Algorithm> ids;
   for (const auto& info : catalog) {
@@ -50,8 +50,7 @@ TEST(Registry, ParallelAlgorithmsAreFlagged) {
   }
   EXPECT_EQ(parallel,
             (std::set<std::string_view>{"paremsp", "paremsp2d", "psuzuki",
-                                        "paremsp_rle", "paremsp2d_rle",
-                                        "propagate_par"}));
+                                        "paremsp_rle", "propagate_par"}));
 }
 
 TEST(Registry, RleAlgorithmsAreCatalogedForTheRegistryDrivenSuites) {
@@ -60,7 +59,7 @@ TEST(Registry, RleAlgorithmsAreCatalogedForTheRegistryDrivenSuites) {
   // opts them into those suites — this test pins that they are present
   // with the flags those suites key off (both connectivities, fused
   // stats, scratch reuse).
-  for (const auto name : {"aremsp_rle", "paremsp_rle", "paremsp2d_rle"}) {
+  for (const auto name : {"aremsp_rle", "paremsp_rle", "paremsp2d"}) {
     const Algorithm id = algorithm_from_name(name);
     const AlgorithmInfo& info = algorithm_info(id);
     EXPECT_TRUE(info.supports_four_connectivity) << name;
@@ -72,7 +71,25 @@ TEST(Registry, RleAlgorithmsAreCatalogedForTheRegistryDrivenSuites) {
   }
   EXPECT_EQ(algorithm_info(Algorithm::AremspRle).parallel, false);
   EXPECT_EQ(algorithm_info(Algorithm::ParemspRle).parallel, true);
-  EXPECT_EQ(algorithm_info(Algorithm::ParemspTiledRle).parallel, true);
+  EXPECT_EQ(algorithm_info(Algorithm::ParemspTiled).parallel, true);
+}
+
+TEST(Registry, Paremsp2dIsTheOneTiledLabeler) {
+  // The 2-D tiled labeler is run-based and has one name: the retired
+  // "_rle" alias no longer resolves, and paremsp2d admits 4-connectivity.
+  const std::string retired_alias = std::string("paremsp2d") + "_rle";
+  EXPECT_THROW((void)algorithm_from_name(retired_alias), PreconditionError);
+  for (const AlgorithmInfo& info : algorithm_catalog()) {
+    if (info.name.starts_with("paremsp2d")) {
+      EXPECT_EQ(info.name, "paremsp2d");
+    }
+  }
+  EXPECT_EQ(algorithm_from_name("paremsp2d"), Algorithm::ParemspTiled);
+  EXPECT_TRUE(algorithm_info(Algorithm::ParemspTiled)
+                  .supports(Connectivity::Four));
+  EXPECT_NO_THROW((void)make_labeler(
+      Algorithm::ParemspTiled,
+      LabelerOptions{.connectivity = Connectivity::Four}));
 }
 
 TEST(Registry, NamesRoundTrip) {

@@ -222,18 +222,23 @@ TEST(LabelRequestApi, ShardedRequestHonorsLabelOutAndRoi) {
   EXPECT_EQ(destination, want.labels);
 }
 
-TEST(LabelRequestApi, ShardedRequestRejectsFourConnectivity) {
+TEST(LabelRequestApi, ShardedRequestShardsFourConnectivity) {
   const BinaryImage image = test_image();
+  const LabelImage want4 =
+      make_labeler(Algorithm::Cclremsp,
+                   LabelerOptions{.connectivity = Connectivity::Four})
+          ->label(image)
+          .labels;
   LabelingEngine eng(EngineConfig{.workers = 1});
   LabelRequest request;
   request.input = image;
   request.connectivity = Connectivity::Four;
   request.shard = ShardOptions{};
-  EXPECT_THROW((void)eng.submit(std::move(request)), PreconditionError);
+  EXPECT_EQ(eng.submit(std::move(request)).get().labels, want4);
 
   // The engine's configured default connectivity applies to sharded
-  // requests exactly like to worker jobs: a 4-connectivity default must
-  // be rejected too, never silently relabeled 8-connected.
+  // requests exactly like to worker jobs: a 4-connectivity default shards
+  // 4-connected, never silently relabeled 8-connected.
   EngineConfig four_config;
   four_config.workers = 1;
   four_config.algorithm = Algorithm::Cclremsp;
@@ -242,9 +247,8 @@ TEST(LabelRequestApi, ShardedRequestRejectsFourConnectivity) {
   LabelRequest defaulted;
   defaulted.input = image;
   defaulted.shard = ShardOptions{};
-  EXPECT_THROW((void)four_eng.submit(std::move(defaulted)),
-               PreconditionError);
-  // An explicit 8-connectivity override on the same engine shards fine.
+  EXPECT_EQ(four_eng.submit(std::move(defaulted)).get().labels, want4);
+  // An explicit 8-connectivity override on the same engine shards 8-conn.
   LabelRequest eight;
   eight.input = image;
   eight.connectivity = Connectivity::Eight;

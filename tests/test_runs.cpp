@@ -1,14 +1,15 @@
 // The run-based scan layer: RowBits word packing, RunBuffer extraction
 // edge cases (cross-checked against a naive per-pixel extractor),
 // pitch-strided ROI subviews, and the rle labelers' bit-identity with
-// their pixel-scan twins — including fused stats and the engine's sharded
-// ShardScan::Runs pipeline.
+// the sequential pixel labelers — including fused stats and the engine's
+// sharded pipeline.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -20,7 +21,6 @@
 #include "core/cclremsp.hpp"
 #include "core/label_scratch.hpp"
 #include "core/paremsp.hpp"
-#include "core/paremsp_tiled.hpp"
 #include "core/registry.hpp"
 #include "core/rle_labelers.hpp"
 #include "core/runs.hpp"
@@ -33,24 +33,32 @@
 namespace paremsp {
 namespace {
 
-/// Naive per-pixel run extractor: the oracle RunBuffer::extract (RowBits
-/// words + countr walking) must reproduce exactly.
-std::vector<Run> naive_runs(ConstImageView image, Coord row_begin,
-                            Coord row_end, Coord col_begin, Coord col_end) {
+/// Naive per-pixel run extractor for one row: the oracle RunBuffer::extract
+/// (RowBits words + countr walking) must reproduce exactly.
+std::vector<Run> naive_row_runs(ConstImageView image, Coord r,
+                                Coord col_begin, Coord col_end) {
   std::vector<Run> runs;
-  for (Coord r = row_begin; r < row_end; ++r) {
-    Coord c = col_begin;
-    while (c < col_end) {
-      if (image(r, c) == 0) {
-        ++c;
-        continue;
-      }
-      const Coord begin = c;
-      while (c < col_end && image(r, c) != 0) ++c;
-      runs.push_back(Run{r, begin, c, 0});
+  Coord c = col_begin;
+  while (c < col_end) {
+    if (image(r, c) == 0) {
+      ++c;
+      continue;
     }
+    const Coord begin = c;
+    while (c < col_end && image(r, c) != 0) ++c;
+    runs.push_back(Run{begin, c, 0});
   }
   return runs;
+}
+
+/// Same column ranges, run by run.
+void expect_same_runs(std::span<const Run> got, std::span<const Run> want,
+                      const std::string& context) {
+  ASSERT_EQ(got.size(), want.size()) << context;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].col_begin, want[i].col_begin) << context << " run " << i;
+    EXPECT_EQ(got[i].col_end, want[i].col_end) << context << " run " << i;
+  }
 }
 
 void expect_extraction_matches_naive(ConstImageView image, Coord row_begin,
@@ -59,24 +67,18 @@ void expect_extraction_matches_naive(ConstImageView image, Coord row_begin,
                                      const std::string& context) {
   RunBuffer buffer;
   buffer.extract(image, row_begin, row_end, col_begin, col_end);
-  const std::vector<Run> want =
-      naive_runs(image, row_begin, row_end, col_begin, col_end);
-  const auto got = buffer.all();
-  ASSERT_EQ(got.size(), want.size()) << context;
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(got[i].row, want[i].row) << context << " run " << i;
-    EXPECT_EQ(got[i].col_begin, want[i].col_begin) << context << " run " << i;
-    EXPECT_EQ(got[i].col_end, want[i].col_end) << context << " run " << i;
-  }
-  // row() slices must partition all() in row order.
+  // row() slices must match the naive rows and partition all() in row
+  // order — the row of a run is only ever implied by its slice.
   std::size_t counted = 0;
   for (Coord r = row_begin; r < row_end; ++r) {
-    for (const Run& run : buffer.row(r)) {
-      EXPECT_EQ(run.row, r) << context;
-      ++counted;
-    }
+    const std::span<const Run> got = buffer.row(r);
+    const std::string where = context + " row " + std::to_string(r);
+    EXPECT_EQ(got.data(), buffer.all().data() + counted) << where;
+    expect_same_runs(got, naive_row_runs(image, r, col_begin, col_end),
+                     where);
+    counted += got.size();
   }
-  EXPECT_EQ(counted, got.size()) << context;
+  EXPECT_EQ(counted, buffer.size()) << context;
 }
 
 TEST(RowBits, Pack8MatchesPerPixel) {
@@ -258,12 +260,10 @@ TEST(Runs, FusedThresholdExtractionMatchesBinarizedOracle) {
     RunBuffer oracle;
     oracle.extract(bw, 3, 37, 5, 166);
     ASSERT_EQ(fused.size(), oracle.size()) << "cutoff " << cutoff;
-    const auto a = fused.all();
-    const auto b = oracle.all();
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].row, b[i].row) << "cutoff " << cutoff;
-      EXPECT_EQ(a[i].col_begin, b[i].col_begin) << "cutoff " << cutoff;
-      EXPECT_EQ(a[i].col_end, b[i].col_end) << "cutoff " << cutoff;
+    for (Coord r = 3; r < 37; ++r) {
+      expect_same_runs(fused.row(r), oracle.row(r),
+                       "cutoff " + std::to_string(cutoff) + " row " +
+                           std::to_string(r));
     }
   }
 }
@@ -333,12 +333,14 @@ TEST(Runs, ExtractionOnPitchStridedSubviews) {
     RunBuffer from_parent;
     from_parent.extract(whole, r0, r0 + nr, c0, c0 + nc);
     ASSERT_EQ(from_roi.size(), from_parent.size());
-    const auto a = from_roi.all();
-    const auto b = from_parent.all();
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].row + r0, b[i].row);
-      EXPECT_EQ(a[i].col_begin + c0, b[i].col_begin);
-      EXPECT_EQ(a[i].col_end + c0, b[i].col_end);
+    for (Coord r = 0; r < nr; ++r) {
+      const auto a = from_roi.row(r);
+      const auto b = from_parent.row(r + r0);
+      ASSERT_EQ(a.size(), b.size()) << "row " << r;
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].col_begin + c0, b[i].col_begin);
+        EXPECT_EQ(a[i].col_end + c0, b[i].col_end);
+      }
     }
   }
 }
@@ -359,7 +361,7 @@ TEST(Runs, BufferReuseAcrossShrinkingImages) {
   EXPECT_EQ(buffer.size(), 2u);
 }
 
-// --- Bit-identity with the pixel-scan twins ---------------------------------
+// --- Bit-identity with the sequential pixel labelers -----------------------
 
 /// All rle labelers under test, by name, with forced multi-chunk /
 /// degenerate-tile configurations (1-core CI hosts would otherwise run
@@ -376,9 +378,9 @@ std::vector<std::pair<std::string, std::unique_ptr<Labeler>>> rle_matrix(
   }
   for (const auto& [tr, tc] :
        std::vector<std::pair<Coord, Coord>>{{1, 1}, {2, 3}, {5, 4}, {64, 64}}) {
-    m.emplace_back("paremsp2d_rle " + std::to_string(tr) + "x" +
+    m.emplace_back("paremsp2d " + std::to_string(tr) + "x" +
                        std::to_string(tc),
-                   std::make_unique<TiledParemspRleLabeler>(
+                   std::make_unique<TiledParemspLabeler>(
                        RleConfig{.tile_rows = tr, .tile_cols = tc},
                        connectivity));
   }
@@ -467,7 +469,7 @@ TEST(Runs, RleLabelIntoReusesScratchAllocationFree) {
   // Same contract as the pixel algorithms' scratch_reuse flag: after the
   // high-water-mark image has been seen once, repeated label_into calls
   // must not grow the scratch again.
-  for (const auto name : {"aremsp_rle", "paremsp_rle", "paremsp2d_rle"}) {
+  for (const auto name : {"aremsp_rle", "paremsp_rle", "paremsp2d"}) {
     const auto labeler = make_labeler(algorithm_from_name(name));
     LabelScratch scratch;
     const BinaryImage image = gen::landcover_like(96, 96, 5);
@@ -535,7 +537,7 @@ TEST(Runs, ThresholdRequestWithStatsMatchesBinarizedOracle) {
                                   "fused threshold stats");
 }
 
-// --- Sharded engine: ShardScan::Runs ----------------------------------------
+// --- Sharded engine ----------------------------------------------------------
 
 TEST(Sharded, RunScanBitIdenticalToAremspAcrossGeometries) {
   const Coord rows = 61, cols = 83;
@@ -549,9 +551,7 @@ TEST(Sharded, RunScanBitIdenticalToAremspAcrossGeometries) {
                     : gen::uniform_noise(rows, cols, 0.5, seed + 7);
       const LabelingResult want = reference.label(image);
       const LabelingResult got = eng.label_sharded(
-          image, engine::ShardOptions{.tile_rows = tr,
-                                      .tile_cols = tc,
-                                      .scan = ShardScan::Runs});
+          image, engine::ShardOptions{.tile_rows = tr, .tile_cols = tc});
       const std::string context = "tiles " + std::to_string(tr) + "x" +
                                   std::to_string(tc) + " seed " +
                                   std::to_string(seed);
@@ -565,9 +565,7 @@ TEST(Sharded, RunScanWithStatsMatchesPostPassOracle) {
   engine::LabelingEngine eng({.workers = 2});
   const BinaryImage image = gen::landcover_like(64, 96, 21);
   const LabelingWithStats got = eng.label_sharded_with_stats(
-      image, engine::ShardOptions{.tile_rows = 16,
-                                  .tile_cols = 16,
-                                  .scan = ShardScan::Runs});
+      image, engine::ShardOptions{.tile_rows = 16, .tile_cols = 16});
   testing::expect_stats_identical(
       got.stats,
       analysis::compute_stats(got.labeling.labels,
@@ -576,50 +574,39 @@ TEST(Sharded, RunScanWithStatsMatchesPostPassOracle) {
 }
 
 TEST(Sharded, RunScanSupportsFourConnectivityViaRequestOverride) {
-  // The pixel sharded pipeline is tiled AREMSP and rejects 4-conn; the
-  // run pipeline is validated against paremsp2d_rle, which admits it.
+  // The sharded pipeline is validated against paremsp2d, which admits
+  // 4-connectivity and numbers components like CCLREMSP.
   engine::LabelingEngine eng({.workers = 2});
   const BinaryImage image = gen::uniform_noise(40, 56, 0.5, 5);
   LabelRequest request;
   request.input = image;
   request.connectivity = Connectivity::Four;
-  request.shard = ShardOptions{.tile_rows = 13,
-                               .tile_cols = 11,
-                               .scan = ShardScan::Runs};
+  request.shard = ShardOptions{.tile_rows = 13, .tile_cols = 11};
   const LabelResponse response = eng.submit(request).get();
   const LabelingResult want =
-      AremspRleLabeler(Connectivity::Four).label(image);
+      CclremspLabeler(Connectivity::Four).label(image);
   EXPECT_EQ(response.num_components, want.num_components);
   EXPECT_EQ(response.labels, want.labels);
   const auto v = analysis::validate_labeling(
       image, response.labels, response.num_components, Connectivity::Four);
   EXPECT_TRUE(v.ok) << v.error;
-
-  // Pixel shards keep rejecting 4-connectivity with the uniform error.
-  LabelRequest pixel = request;
-  pixel.shard = ShardOptions{.tile_rows = 13, .tile_cols = 11};
-  EXPECT_THROW((void)eng.submit(pixel), PreconditionError);
 }
 
-TEST(Sharded, ThresholdRequestMatchesBinarizedOracleBothScanKernels) {
-  // Sharded fusion: ShardScan::Runs threads the cutoff into the per-tile
-  // run scan (no binary plane); ShardScan::Pixel binarizes upfront. Both
-  // must be bit-identical to im2bw + label_sharded.
+TEST(Sharded, ThresholdRequestMatchesBinarizedOracle) {
+  // Sharded fusion threads the cutoff into the per-tile run scan (no
+  // binary plane); it must be bit-identical to im2bw + label_sharded.
   engine::LabelingEngine eng({.workers = 2});
   const GrayImage gray = gen::plasma(45, 77, 3);
   const BinaryImage bw = im2bw(gray, 0.5);
-  for (const ShardScan scan : {ShardScan::Runs, ShardScan::Pixel}) {
-    const engine::ShardOptions opts{
-        .tile_rows = 13, .tile_cols = 20, .scan = scan};
-    const LabelingResult want = eng.label_sharded(bw, opts);
-    LabelRequest request;
-    request.input = gray;
-    request.threshold = 0.5;
-    request.shard = opts;
-    const LabelResponse got = eng.submit(request).get();
-    EXPECT_EQ(got.num_components, want.num_components) << to_string(scan);
-    EXPECT_EQ(got.labels, want.labels) << to_string(scan);
-  }
+  const engine::ShardOptions opts{.tile_rows = 13, .tile_cols = 20};
+  const LabelingResult want = eng.label_sharded(bw, opts);
+  LabelRequest request;
+  request.input = gray;
+  request.threshold = 0.5;
+  request.shard = opts;
+  const LabelResponse got = eng.submit(request).get();
+  EXPECT_EQ(got.num_components, want.num_components);
+  EXPECT_EQ(got.labels, want.labels);
 }
 
 TEST(Sharded, RunScanLabelOutAndDegenerateImages) {
@@ -630,9 +617,7 @@ TEST(Sharded, RunScanLabelOutAndDegenerateImages) {
   LabelRequest request;
   request.input = image;
   request.label_out = MutableImageView(big).subview(2, 3, 24, 30);
-  request.shard = ShardOptions{.tile_rows = 7,
-                               .tile_cols = 8,
-                               .scan = ShardScan::Runs};
+  request.shard = ShardOptions{.tile_rows = 7, .tile_cols = 8};
   const LabelResponse response = eng.submit(request).get();
   EXPECT_TRUE(response.labels.empty());
   const LabelingResult want = AremspLabeler().label(image);
@@ -649,8 +634,8 @@ TEST(Sharded, RunScanLabelOutAndDegenerateImages) {
   for (const auto& [rows, cols] :
        std::vector<std::pair<Coord, Coord>>{{0, 0}, {0, 5}, {5, 0}, {1, 1}}) {
     const BinaryImage degenerate(rows, cols, 1);
-    const LabelingResult got = eng.label_sharded(
-        degenerate, engine::ShardOptions{.scan = ShardScan::Runs});
+    const LabelingResult got =
+        eng.label_sharded(degenerate, engine::ShardOptions{});
     EXPECT_EQ(got.num_components, rows > 0 && cols > 0 ? 1 : 0);
   }
 }

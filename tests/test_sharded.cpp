@@ -1,6 +1,7 @@
 // Sharded huge-image labeling through the engine: bit-identical
-// equivalence with sequential AREMSP across tile geometries and worker
-// counts, async pipelining, shutdown-mid-shard, and degenerate inputs.
+// equivalence with sequential AREMSP (8-conn) and CCLREMSP (4-conn) across
+// tile geometries and worker counts, async pipelining, shutdown-mid-shard,
+// and degenerate inputs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +16,7 @@
 #include "analysis/validation.hpp"
 #include "common/contracts.hpp"
 #include "core/aremsp.hpp"
+#include "core/cclremsp.hpp"
 #include "engine/engine.hpp"
 #include "fixtures.hpp"
 #include "image/generators.hpp"
@@ -47,6 +49,7 @@ void expect_bit_identical(const LabelingResult& got,
 TEST(Sharded, TileGeometryByWorkerCountMatrixIsBitIdenticalToAremsp) {
   const Coord rows = 61, cols = 83;  // odd on purpose: ragged edge tiles
   const AremspLabeler reference;
+  const CclremspLabeler reference4(Connectivity::Four);
 
   const int hw = std::max(1u, std::thread::hardware_concurrency());
   std::vector<std::pair<Coord, Coord>> geometries = {
@@ -65,19 +68,29 @@ TEST(Sharded, TileGeometryByWorkerCountMatrixIsBitIdenticalToAremsp) {
         const LabelingResult want = reference.label(image);
         const LabelingResult got = eng.label_sharded(
             image, ShardOptions{.tile_rows = tr, .tile_cols = tc});
-        expect_bit_identical(
-            got, want,
+        const std::string context =
             "tiles " + std::to_string(tr) + "x" + std::to_string(tc) +
-                " workers " + std::to_string(workers) + " seed " +
-                std::to_string(seed));
+            " workers " + std::to_string(workers) + " seed " +
+            std::to_string(seed);
+        expect_bit_identical(got, want, context);
         const auto v = analysis::validate_labeling(image, got.labels,
                                                    got.num_components);
         EXPECT_TRUE(v.ok) << v.error;
+
+        // The same geometry under 4-connectivity numbers like CCLREMSP.
+        LabelRequest request;
+        request.input = image;
+        request.connectivity = Connectivity::Four;
+        request.shard = ShardOptions{.tile_rows = tr, .tile_cols = tc};
+        const LabelResponse four = eng.submit(request).get();
+        const LabelingResult want4 = reference4.label(image);
+        EXPECT_EQ(four.num_components, want4.num_components) << context;
+        EXPECT_EQ(four.labels, want4.labels) << context << " 4-conn";
       }
     }
     const auto stats = eng.stats();
-    EXPECT_EQ(stats.shards_submitted, geometries.size() * 4);
-    EXPECT_EQ(stats.shards_completed, geometries.size() * 4);
+    EXPECT_EQ(stats.shards_submitted, geometries.size() * 8);
+    EXPECT_EQ(stats.shards_completed, geometries.size() * 8);
     EXPECT_GT(stats.shard_tasks_completed, 0u);
     // Shard jobs must not pollute the per-request latency stats.
     EXPECT_EQ(stats.jobs_submitted, 0u);
@@ -179,29 +192,22 @@ TEST(Sharded, CasPolicyRoutesPerRequestAndStaysBitIdentical) {
   // ShardOptions carries the CasRem find x splice selection per request:
   // the same engine must honor a different combination on every submit
   // (no labeler reconstruction, no cross-request state) and each one
-  // must stay bit-identical to sequential AREMSP — on the pixel and the
-  // run-based shard pipeline alike.
+  // must stay bit-identical to sequential AREMSP.
   const BinaryImage image = gen::uniform_noise(64, 64, 0.55, 17);
   const LabelingResult want = AremspLabeler().label(image);
   LabelingEngine eng({.workers = 3});
-  for (const ShardScan scan : {ShardScan::Pixel, ShardScan::Runs}) {
-    for (const uf::CasFind find :
-         {uf::CasFind::Naive, uf::CasFind::Split, uf::CasFind::Halve}) {
-      for (const uf::CasSplice splice :
-           {uf::CasSplice::Atomic, uf::CasSplice::Simple}) {
-        const LabelingResult got =
-            eng.label_sharded(image, ShardOptions{
-                                         .tile_rows = 8,
-                                         .tile_cols = 8,
-                                         .scan = scan,
-                                         .merge_backend = MergeBackend::CasRem,
-                                         .cas_find = find,
-                                         .cas_splice = splice});
-        expect_bit_identical(
-            got, want,
-            std::string(to_string(scan)) + "/" +
-                merge_backend_label(MergeBackend::CasRem, find, splice));
-      }
+  for (const uf::CasFind find :
+       {uf::CasFind::Naive, uf::CasFind::Split, uf::CasFind::Halve}) {
+    for (const uf::CasSplice splice :
+         {uf::CasSplice::Atomic, uf::CasSplice::Simple}) {
+      const LabelingResult got = eng.label_sharded(
+          image, ShardOptions{.tile_rows = 8,
+                              .tile_cols = 8,
+                              .merge_backend = MergeBackend::CasRem,
+                              .cas_find = find,
+                              .cas_splice = splice});
+      expect_bit_identical(
+          got, want, merge_backend_label(MergeBackend::CasRem, find, splice));
     }
   }
 }

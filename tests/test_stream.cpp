@@ -5,7 +5,7 @@
 // slabs, the whole image as one slab — the session's component count,
 // fused stats (bit-identical), and per-slab planes composed through the
 // finish() remap tables equal the one-shot result exactly, for both
-// connectivities and both scan modes. Randomized cases replay via
+// connectivities. Randomized cases replay via
 // PAREMSP_TEST_SEED:
 //
 //   PAREMSP_TEST_SEED=<seed> ./paremsp_tests --gtest_filter='Stream*'
@@ -144,13 +144,11 @@ void expect_stream_matches(ConstImageView input, StreamOptions opts,
   }
 }
 
-std::string case_name(Connectivity conn, ShardScan scan, Coord rows,
-                      Coord cols, std::uint64_t seed,
-                      const std::vector<Coord>& heights) {
+std::string case_name(Connectivity conn, Coord rows, Coord cols,
+                      std::uint64_t seed, const std::vector<Coord>& heights) {
   std::ostringstream os;
-  os << (conn == Connectivity::Eight ? "8-conn" : "4-conn") << "/"
-     << to_string(scan) << " " << rows << "x" << cols << " seed=" << seed
-     << " heights={";
+  os << (conn == Connectivity::Eight ? "8-conn" : "4-conn") << " " << rows
+     << "x" << cols << " seed=" << seed << " heights={";
   for (std::size_t i = 0; i < heights.size(); ++i) {
     os << (i != 0 ? "," : "") << heights[i];
   }
@@ -158,27 +156,22 @@ std::string case_name(Connectivity conn, ShardScan scan, Coord rows,
   return os.str();
 }
 
-TEST(Stream, SlabHeightSweepMatchesOneShotBothConnectivitiesAndScans) {
+TEST(Stream, SlabHeightSweepMatchesOneShotBothConnectivities) {
   const std::uint64_t seed = env_uint64("PAREMSP_TEST_SEED", 0xfea7);
   const Coord rows = 37, cols = 53;
   for (const Connectivity conn : {Connectivity::Eight, Connectivity::Four}) {
-    for (const ShardScan scan : {ShardScan::Runs, ShardScan::Pixel}) {
-      if (scan == ShardScan::Pixel && conn == Connectivity::Four) continue;
-      for (std::uint64_t variant = 0; variant < 4; ++variant) {
-        const BinaryImage image = stream_image(rows, cols, seed + variant);
-        // 1-row slabs, even/odd heights (odd heights park later slabs on
-        // odd global rows — the two-line pair-straddle case), and the
-        // degenerate single full-image slab.
-        for (const Coord h : {Coord{1}, Coord{2}, Coord{3}, Coord{5},
-                              Coord{16}, rows}) {
-          StreamOptions opts;
-          opts.connectivity = conn;
-          opts.scan = scan;
-          opts.stats = true;
-          expect_stream_matches(
-              ConstImageView(image), opts, {h},
-              case_name(conn, scan, rows, cols, seed + variant, {h}));
-        }
+    for (std::uint64_t variant = 0; variant < 4; ++variant) {
+      const BinaryImage image = stream_image(rows, cols, seed + variant);
+      // 1-row slabs, even/odd heights (odd heights park later slabs on
+      // odd global rows — the two-line pair-straddle case), and the
+      // degenerate single full-image slab.
+      for (const Coord h :
+           {Coord{1}, Coord{2}, Coord{3}, Coord{5}, Coord{16}, rows}) {
+        StreamOptions opts;
+        opts.connectivity = conn;
+        opts.stats = true;
+        expect_stream_matches(ConstImageView(image), opts, {h},
+                              case_name(conn, rows, cols, seed + variant, {h}));
       }
     }
   }
@@ -202,11 +195,10 @@ TEST(Stream, RandomizedRaggedPartitionsMatchOneShot) {
     StreamOptions opts;
     opts.connectivity =
         (rng() & 1) != 0 ? Connectivity::Eight : Connectivity::Four;
-    opts.scan = ShardScan::Runs;
     opts.stats = (rng() & 1) != 0;
-    expect_stream_matches(ConstImageView(image), opts, heights,
-                          case_name(opts.connectivity, opts.scan, rows, cols,
-                                    seed, heights));
+    expect_stream_matches(
+        ConstImageView(image), opts, heights,
+        case_name(opts.connectivity, rows, cols, seed, heights));
   }
 }
 
@@ -214,16 +206,13 @@ TEST(Stream, FusedThresholdStreamingMatchesOneShotGrayscale) {
   const std::uint64_t seed = env_uint64("PAREMSP_TEST_SEED", 0xfea7);
   const Coord rows = 45, cols = 33;
   const GrayImage gray = gray_image(rows, cols, seed);
-  for (const ShardScan scan : {ShardScan::Runs, ShardScan::Pixel}) {
-    for (const double threshold : {0.25, 0.5, 0.75}) {
-      StreamOptions opts;
-      opts.scan = scan;
-      opts.threshold = threshold;
-      opts.stats = true;
-      expect_stream_matches(ConstImageView(gray), opts, {Coord{7}},
-                            case_name(Connectivity::Eight, scan, rows, cols,
-                                      seed, {Coord{7}}));
-    }
+  for (const double threshold : {0.25, 0.5, 0.75}) {
+    StreamOptions opts;
+    opts.threshold = threshold;
+    opts.stats = true;
+    expect_stream_matches(
+        ConstImageView(gray), opts, {Coord{7}},
+        case_name(Connectivity::Eight, rows, cols, seed, {Coord{7}}));
   }
 }
 
@@ -233,7 +222,7 @@ TEST(Stream, StatsOnlySessionNeverMaterializesPlanes) {
   opts.labels = false;
   opts.stats = true;
   expect_stream_matches(ConstImageView(image), opts, {Coord{6}},
-                        "stats-only Runs session");
+                        "stats-only session");
 }
 
 TEST(Stream, AllBackgroundAndAllForegroundStreams) {
@@ -296,14 +285,6 @@ TEST(StreamValidation, RejectsInvalidOptions) {
     StreamOptions opts;
     opts.cols = 8;
     opts.threshold = -0.1;
-    EXPECT_THROW(SlabSession{opts}, PreconditionError);
-  }
-  {
-    // The pixel scan kernel is 8-connectivity only, same as sharding.
-    StreamOptions opts;
-    opts.cols = 8;
-    opts.scan = ShardScan::Pixel;
-    opts.connectivity = Connectivity::Four;
     EXPECT_THROW(SlabSession{opts}, PreconditionError);
   }
 }

@@ -93,7 +93,7 @@ TEST(Stress, TiledParemspRandomGridMatrix) {
     const BinaryImage image = random_workload(rng);
     const auto expected = sequential.label(image);
 
-    const TiledParemspConfig config{
+    const RleConfig config{
         .threads = static_cast<int>(rng.next_in(1, 8)),
         .tile_rows = static_cast<Coord>(rng.next_in(2, 48)),
         .tile_cols = static_cast<Coord>(rng.next_in(2, 48)),
