@@ -109,7 +109,7 @@ std::vector<int> sweep_thread_counts(const std::vector<int>& paper_counts);
 struct DensityCase {
   double density = 0.0;
   BinaryImage image;
-  LabelingResult reference;
+  LabelResponse reference;
 };
 
 /// The density x threads grid the throughput benches sweep: per density

@@ -38,6 +38,7 @@
 #include "core/label_scratch.hpp"
 #include "core/rle_labelers.hpp"
 #include "core/registry.hpp"
+#include "core/request.hpp"
 #include "image/generators.hpp"
 #include "propagate/propagate_labeler.hpp"
 
@@ -172,7 +173,7 @@ int main() {
         const std::unique_ptr<Labeler> labeler = backend.make(threads, tile);
         // Bit-identity gate before any timing: both families must agree
         // with sequential AREMSP exactly (same canonical numbering).
-        const LabelingResult got = labeler->label_into(dc.image, scratch);
+        const LabelResponse got = labeler->run({.input = dc.image}, scratch);
         if (got.num_components != dc.reference.num_components ||
             got.labels != dc.reference.labels) {
           std::cerr << "MISMATCH: " << backend.name << " at density "

@@ -1,12 +1,12 @@
-// Fused connected-component analysis throughput: label_with_stats (features
-// accumulated during the labeling scan) against the two-pass baseline
-// label() + analysis::compute_stats (a full re-read of the label plane),
-// for each fused path — sequential AREMSP, in-process tiled PAREMSP, and
-// the engine's sharded pipeline.
+// Fused connected-component analysis throughput: a stats request
+// (outputs.stats; features accumulated during the labeling scan) against
+// the two-pass baseline — a plain request + analysis::compute_stats (a
+// full re-read of the label plane) — for each fused path: sequential
+// AREMSP, in-process tiled PAREMSP, and the engine's sharded pipeline.
 //
-// Both sides of every comparison run on warm scratch (label_into /
-// label_with_stats_into through one reused LabelScratch; the engine keeps
-// its own arenas), so the measured difference is the fusion itself, not
+// Both sides of every comparison run on warm scratch (run(request,
+// scratch) through one reused LabelScratch; the engine keeps its own
+// arenas), so the measured difference is the fusion itself, not
 // allocation noise. Every fused result is verified value-identical to the
 // post-pass oracle before timing; the process exits nonzero on a mismatch.
 //
@@ -120,7 +120,7 @@ int main() {
   std::vector<CcaRecord> runs;
   Label components = 0;
 
-  TextTable table("label+compute_stats (post-pass) vs label_with_stats "
+  TextTable table("label+compute_stats (post-pass) vs stats request "
                   "(fused)");
   table.set_header(
       {"algorithm", "post-pass Mpx/s", "fused Mpx/s", "fused speedup"});
@@ -138,6 +138,11 @@ int main() {
     runs.push_back(r);
   };
 
+  LabelRequest plain;
+  plain.input = image;
+  LabelRequest with_stats = plain;
+  with_stats.outputs.stats = true;
+
   std::cout << "image: " << side << "x" << side << " ("
             << TextTable::num(mpx, 1) << " Mpx landcover stand-in), best of "
             << reps << " rep(s), " << threads << " thread(s)\n\n";
@@ -147,25 +152,22 @@ int main() {
     const AremspLabeler aremsp;
     LabelScratch scratch;
     // Verification + warmup in one: fused vs post-pass oracle.
-    const LabelingWithStats fused = aremsp.label_with_stats_into(image,
-                                                                 scratch);
-    components = fused.labeling.num_components;
-    if (!stats_identical(fused.stats,
-                         analysis::compute_stats(
-                             fused.labeling.labels,
-                             fused.labeling.num_components))) {
+    const LabelResponse fused = aremsp.run(with_stats, scratch);
+    components = fused.num_components;
+    const auto oracle =
+        analysis::compute_stats(fused.labels, fused.num_components);
+    if (!stats_identical(*fused.stats, oracle)) {
       std::cerr << "MISMATCH: aremsp fused stats differ from post-pass\n";
       ++failures;
     }
     const double postpass_ms = best_ms(reps, [&] {
-      const LabelingResult r = aremsp.label_into(image, scratch);
+      const LabelResponse r = aremsp.run(plain, scratch);
       const auto stats = analysis::compute_stats(r.labels, r.num_components);
       if (stats.count() != components) ++failures;
     });
     const double fused_ms = best_ms(reps, [&] {
-      const LabelingWithStats r = aremsp.label_with_stats_into(image,
-                                                               scratch);
-      if (r.stats.count() != components) ++failures;
+      const LabelResponse r = aremsp.run(with_stats, scratch);
+      if (r.stats->count() != components) ++failures;
     });
     record("aremsp", postpass_ms, fused_ms);
   }
@@ -175,23 +177,21 @@ int main() {
     const TiledParemspLabeler tiled(RleConfig{
         .threads = threads, .tile_rows = 256, .tile_cols = 256});
     LabelScratch scratch;
-    const LabelingWithStats fused = tiled.label_with_stats_into(image,
-                                                                scratch);
-    if (!stats_identical(fused.stats,
-                         analysis::compute_stats(
-                             fused.labeling.labels,
-                             fused.labeling.num_components))) {
+    const LabelResponse fused = tiled.run(with_stats, scratch);
+    const auto oracle =
+        analysis::compute_stats(fused.labels, fused.num_components);
+    if (!stats_identical(*fused.stats, oracle)) {
       std::cerr << "MISMATCH: paremsp2d fused stats differ from post-pass\n";
       ++failures;
     }
     const double postpass_ms = best_ms(reps, [&] {
-      const LabelingResult r = tiled.label_into(image, scratch);
+      const LabelResponse r = tiled.run(plain, scratch);
       const auto stats = analysis::compute_stats(r.labels, r.num_components);
       if (stats.count() != components) ++failures;
     });
     const double fused_ms = best_ms(reps, [&] {
-      const LabelingWithStats r = tiled.label_with_stats_into(image, scratch);
-      if (r.stats.count() != components) ++failures;
+      const LabelResponse r = tiled.run(with_stats, scratch);
+      if (r.stats->count() != components) ++failures;
     });
     record("paremsp2d", postpass_ms, fused_ms);
   }
@@ -199,25 +199,25 @@ int main() {
   // --- Engine sharded pipeline ----------------------------------------------
   {
     engine::LabelingEngine eng({.workers = threads});
-    const engine::ShardOptions options{.tile_rows = 512, .tile_cols = 512};
-    const LabelingWithStats fused =
-        eng.label_sharded_with_stats(image, options);
-    if (!stats_identical(fused.stats,
-                         analysis::compute_stats(
-                             fused.labeling.labels,
-                             fused.labeling.num_components))) {
+    LabelRequest sharded = plain;
+    sharded.shard = engine::ShardOptions{.tile_rows = 512, .tile_cols = 512};
+    LabelRequest sharded_stats = with_stats;
+    sharded_stats.shard = sharded.shard;
+    const LabelResponse fused = eng.submit(sharded_stats).get();
+    const auto oracle =
+        analysis::compute_stats(fused.labels, fused.num_components);
+    if (!stats_identical(*fused.stats, oracle)) {
       std::cerr << "MISMATCH: sharded fused stats differ from post-pass\n";
       ++failures;
     }
     const double postpass_ms = best_ms(reps, [&] {
-      const LabelingResult r = eng.label_sharded(image, options);
+      const LabelResponse r = eng.submit(sharded).get();
       const auto stats = analysis::compute_stats(r.labels, r.num_components);
       if (stats.count() != components) ++failures;
     });
     const double fused_ms = best_ms(reps, [&] {
-      const LabelingWithStats r = eng.label_sharded_with_stats(image,
-                                                               options);
-      if (r.stats.count() != components) ++failures;
+      const LabelResponse r = eng.submit(sharded_stats).get();
+      if (r.stats->count() != components) ++failures;
     });
     record("engine.sharded 512x512", postpass_ms, fused_ms);
   }

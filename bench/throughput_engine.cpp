@@ -2,18 +2,15 @@
 // persistent-worker LabelingEngine vs a naive loop that constructs a
 // labeler and allocates scratch per call, at equal total thread count.
 //
-// Four configurations per algorithm, best of PAREMSP_BENCH_REPS runs:
+// Three configurations per algorithm, best of PAREMSP_BENCH_REPS runs:
 //   naive       make_labeler + label() per image (per-call construction,
 //               per-call scratch allocation) — the engine's baseline;
-//   warm loop   one labeler + one LabelScratch reused sequentially —
-//               isolates the scratch-reuse gain from the threading gain;
-//   engine      LabelingEngine with persistent workers + arenas, clients
-//               recycling label planes (zero-copy submit_view);
-//   engine req  the same stream through the unified submit(LabelRequest)
-//               path (zero-copy view requests) — the API-redesign guard:
-//               the harness asserts the request path costs no measurable
-//               throughput vs the legacy submit_view lane and records
-//               both in BENCH_engine_api.json.
+//   warm loop   one labeler + one LabelScratch reused sequentially through
+//               run(request, scratch) — isolates the scratch-reuse gain
+//               from the threading gain;
+//   engine      LabelingEngine with persistent workers + arenas fed
+//               zero-copy submit(LabelRequest) calls, clients recycling
+//               label planes.
 //
 // Timed loops only verify component counts (a full raster compare per job
 // would dilute every configuration equally); an untimed verification pass
@@ -24,7 +21,6 @@
 // Knobs: PAREMSP_BENCH_SCALE multiplies the job count (default 1200 jobs);
 // PAREMSP_BENCH_MAX_THREADS caps the worker count.
 #include <algorithm>
-#include <cstdio>
 #include <future>
 #include <iostream>
 #include <string>
@@ -86,42 +82,6 @@ RunResult best_of(int reps, int jobs, RunFn&& run) {
   return to_run_result(best_s, jobs);
 }
 
-/// One algorithm's legacy-vs-request comparison for BENCH_engine_api.json.
-struct ApiRecord {
-  std::string algo;
-  double legacy_img_per_s = 0.0;
-  double request_img_per_s = 0.0;
-  [[nodiscard]] double ratio() const {
-    return legacy_img_per_s > 0 ? request_img_per_s / legacy_img_per_s : 0.0;
-  }
-};
-
-void write_api_json(const std::string& path, int jobs, int threads,
-                    const std::vector<ApiRecord>& runs) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::cerr << "cannot write " << path << "\n";
-    return;
-  }
-  std::fprintf(f,
-               "{\n  \"bench\": \"throughput_engine_api\",\n"
-               "  \"stream\": {\"jobs\": %d, \"side\": %lld, "
-               "\"workers\": %d},\n  \"runs\": [\n",
-               jobs, static_cast<long long>(kSide), threads);
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const ApiRecord& r = runs[i];
-    std::fprintf(f,
-                 "    {\"algo\": \"%s\", \"legacy_img_per_s\": %.1f, "
-                 "\"request_img_per_s\": %.1f, "
-                 "\"request_over_legacy\": %.3f}%s\n",
-                 r.algo.c_str(), r.legacy_img_per_s, r.request_img_per_s,
-                 r.ratio(), i + 1 < runs.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::cout << "wrote " << path << "\n";
-}
-
 }  // namespace
 
 int main() {
@@ -141,7 +101,6 @@ int main() {
   }
 
   int failures = 0;
-  std::vector<ApiRecord> api_records;
 
   const Algorithm cases[] = {Algorithm::Paremsp, Algorithm::Aremsp};
 
@@ -152,7 +111,7 @@ int main() {
     LabelerOptions direct_options;
     direct_options.threads = threads;
     const auto reference_labeler = make_labeler(algorithm, direct_options);
-    std::vector<LabelingResult> reference;
+    std::vector<LabelResponse> reference;
     for (const BinaryImage& image : images) {
       reference.push_back(reference_labeler->label(image));
       const auto validation = analysis::validate_labeling(
@@ -176,7 +135,7 @@ int main() {
     const RunResult naive = best_of(reps, jobs, [&] {
       for (std::size_t j = 0; j < static_cast<std::size_t>(jobs); ++j) {
         const auto labeler = make_labeler(algorithm, direct_options);
-        const LabelingResult r = labeler->label(image_of(j));
+        const LabelResponse r = labeler->label(image_of(j));
         if (r.num_components != components_of(j)) ++failures;
       }
     });
@@ -186,7 +145,8 @@ int main() {
     LabelScratch warm_scratch;
     const RunResult warm = best_of(reps, jobs, [&] {
       for (std::size_t j = 0; j < static_cast<std::size_t>(jobs); ++j) {
-        LabelingResult r = warm_labeler->label_into(image_of(j), warm_scratch);
+        LabelResponse r =
+            warm_labeler->run({.input = image_of(j)}, warm_scratch);
         if (r.num_components != components_of(j)) ++failures;
         warm_scratch.recycle_plane(std::move(r.labels));
       }
@@ -202,58 +162,29 @@ int main() {
     config.labeler.threads = 1;  // image-level parallelism instead
     engine::LabelingEngine eng(config);
 
-    std::vector<std::future<LabelingResult>> futures;
+    std::vector<std::future<LabelResponse>> futures;
     futures.reserve(static_cast<std::size_t>(jobs));
     const RunResult engine_run = best_of(reps, jobs, [&] {
       futures.clear();
       for (std::size_t j = 0; j < static_cast<std::size_t>(jobs); ++j) {
-        // submit_view: the corpus outlives the futures, no image copies.
-        futures.push_back(eng.submit_view(image_of(j)));
+        // The request borrows the image: the corpus outlives the futures.
+        futures.push_back(eng.submit({.input = image_of(j)}));
       }
       for (std::size_t j = 0; j < static_cast<std::size_t>(jobs); ++j) {
-        LabelingResult r = futures[j].get();
+        LabelResponse r = futures[j].get();
         if (r.num_components != components_of(j)) ++failures;
         eng.recycle(std::move(r.labels));
       }
     });
     const auto stats = eng.stats();
 
-    // --- engine via submit(LabelRequest): the unified API lane --------------
-    std::vector<std::future<LabelResponse>> request_futures;
-    request_futures.reserve(static_cast<std::size_t>(jobs));
-    const RunResult request_run = best_of(reps, jobs, [&] {
-      request_futures.clear();
-      for (std::size_t j = 0; j < static_cast<std::size_t>(jobs); ++j) {
-        LabelRequest request;
-        request.input = image_of(j);  // zero-copy borrow, like submit_view
-        request_futures.push_back(eng.submit(std::move(request)));
-      }
-      for (std::size_t j = 0; j < static_cast<std::size_t>(jobs); ++j) {
-        LabelResponse r = request_futures[j].get();
-        if (r.num_components != components_of(j)) ++failures;
-        eng.recycle(std::move(r.labels));
-      }
-    });
-    api_records.push_back(ApiRecord{std::string(info.name),
-                                    engine_run.images_per_sec,
-                                    request_run.images_per_sec});
-
     // --- untimed verification: warm engine output is bit-identical ---------
     for (std::size_t i = 0; i < images.size(); ++i) {
-      const LabelingResult got = eng.submit_view(images[i]).get();
+      const LabelResponse got = eng.submit({.input = images[i]}).get();
       if (got.num_components != reference[i].num_components ||
           got.labels != reference[i].labels) {
         std::cerr << "MISMATCH (" << info.name << "): image " << i
                   << " differs from the direct labeling\n";
-        ++failures;
-      }
-      LabelRequest request;
-      request.input = images[i];
-      const LabelResponse via_request = eng.submit(std::move(request)).get();
-      if (via_request.num_components != reference[i].num_components ||
-          via_request.labels != reference[i].labels) {
-        std::cerr << "MISMATCH (" << info.name << "): request-API result "
-                  << i << " differs from the direct labeling\n";
         ++failures;
       }
     }
@@ -274,7 +205,6 @@ int main() {
     add("naive per-call loop", naive, 0, 0);
     add("warm labeler+scratch", warm, 0, 0);
     add("engine", engine_run, stats.latency_p50_ms, stats.latency_p99_ms);
-    add("engine (request API)", request_run, 0, 0);
     std::cout << table.to_string() << "\n";
     std::cout << "engine scratch: " << stats.scratch_reserved_bytes / 1024
               << " KiB reserved, " << stats.scratch_grow_count
@@ -284,21 +214,8 @@ int main() {
     const double speedup = engine_run.images_per_sec / naive.images_per_sec;
     std::cout << "target engine >= 2x naive: "
               << (speedup >= 2.0 ? "PASS" : "MISS") << " ("
-              << TextTable::num(speedup, 2) << "x)\n";
-
-    // API guard: the unified request path must not cost measurable
-    // throughput vs the legacy submit_view lane. Best-of-reps already
-    // filters scheduler noise; 0.90 is far below any real regression a
-    // per-job wrapper could cause and far above run-to-run jitter.
-    const double api_ratio = api_records.back().ratio();
-    std::cout << "guard request >= 0.90x legacy submit: "
-              << (api_ratio >= 0.90 ? "PASS" : "FAIL") << " ("
-              << TextTable::num(api_ratio, 3) << "x)\n\n";
-    if (api_ratio < 0.90) ++failures;
+              << TextTable::num(speedup, 2) << "x)\n\n";
   }
-
-  write_api_json(artifact_path("BENCH_engine_api.json"), jobs, threads,
-                 api_records);
 
   if (failures > 0) {
     std::cerr << failures << " correctness check(s) failed\n";

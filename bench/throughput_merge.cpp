@@ -39,6 +39,7 @@
 #include "core/aremsp.hpp"
 #include "core/label_scratch.hpp"
 #include "core/paremsp.hpp"
+#include "core/request.hpp"
 #include "core/rle_labelers.hpp"
 #include "unionfind/lock_pool.hpp"
 
@@ -153,7 +154,7 @@ int main() {
   for (const DensityCase& dc : matrix.cases) {
     const double density = dc.density;
     const BinaryImage& image = dc.image;
-    const LabelingResult& want = dc.reference;
+    const LabelResponse& want = dc.reference;
     LabelScratch scratch;
 
     TextTable table("merge phase [ms] at density " +
@@ -180,7 +181,7 @@ int main() {
                       .cas_splice = config.splice});
         // Bit-identity gate before any timing: every backend x policy
         // must reproduce sequential AREMSP exactly (DESIGN.md §11).
-        const LabelingResult got = labeler.label_into(image, scratch);
+        const LabelResponse got = labeler.run({.input = image}, scratch);
         if (got.num_components != want.num_components ||
             got.labels != want.labels) {
           std::cerr << "MISMATCH: " << config.name << " at density "

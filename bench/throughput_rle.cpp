@@ -4,7 +4,7 @@
 // 2-D tiled labeler and the engine's sharded path have no pixel twin —
 // they scan runs only — so bench/throughput_sharded.cpp covers them.
 //
-// Both sides of every pair run label_into on one warm LabelScratch
+// Both sides of every pair run run(request, scratch) on one warm LabelScratch
 // (best-of-reps), so the measured difference is the scan layer itself.
 // Before timing, every rle result is verified BIT-IDENTICAL to its pixel
 // twin; the process exits nonzero on any mismatch.
@@ -52,6 +52,7 @@
 #include "core/aremsp.hpp"
 #include "core/label_scratch.hpp"
 #include "core/paremsp.hpp"
+#include "core/request.hpp"
 #include "core/rle_labelers.hpp"
 #include "image/generators.hpp"
 #include "obs/trace.hpp"
@@ -182,8 +183,8 @@ int main() {
     LabelScratch pixel_scratch;
     LabelScratch rle_scratch;
     // Verification + warmup in one: the rle twin must be bit-identical.
-    const LabelingResult want = pixel.label_into(image, pixel_scratch);
-    const LabelingResult got = rle.label_into(image, rle_scratch);
+    const LabelResponse want = pixel.run({.input = image}, pixel_scratch);
+    const LabelResponse got = rle.run({.input = image}, rle_scratch);
     if (got.num_components != want.num_components ||
         got.labels != want.labels) {
       std::cerr << "MISMATCH: " << rle.name() << " differs from "
@@ -192,10 +193,10 @@ int main() {
       return;
     }
     const double pixel_ms = best_ms(reps, [&] {
-      (void)pixel.label_into(image, pixel_scratch);
+      (void)pixel.run({.input = image}, pixel_scratch);
     });
     const double rle_ms = best_ms(reps, [&] {
-      (void)rle.label_into(image, rle_scratch);
+      (void)rle.run({.input = image}, rle_scratch);
     });
     RleRecord r;
     r.pair = pair;
@@ -243,23 +244,24 @@ int main() {
     const TiledParemspLabeler traced_labeler(RleConfig{
         .threads = threads, .tile_rows = 256, .tile_cols = 256});
     LabelScratch scratch;
-    (void)guard_labeler.label_into(image, scratch);  // warm the scratch
+    (void)guard_labeler.run({.input = image}, scratch);  // warm the scratch
     // Each timed sample batches runs to ~25 ms so timer resolution and
     // scheduler slices cannot fake a 1% difference.
     const double single_ms = best_ms(3, [&] {
-      (void)guard_labeler.label_into(image, scratch);
+      (void)guard_labeler.run({.input = image}, scratch);
     });
     const int iters = std::max(1, static_cast<int>(25.0 / single_ms) + 1);
     const int guard_reps = std::max(3 * reps, 9);
     const auto batch = [&] {
       for (int i = 0; i < iters; ++i) {
-        (void)guard_labeler.label_into(image, scratch);
+        (void)guard_labeler.run({.input = image}, scratch);
       }
     };
     double base_ms = best_ms(guard_reps, batch) / iters;
     {
       paremsp::obs::TraceSession session;
-      const LabelingResult traced = traced_labeler.label_into(image, scratch);
+      const LabelResponse traced =
+          traced_labeler.run({.input = image}, scratch);
       obs.timings = traced.timings;
       (void)session.stop();
     }

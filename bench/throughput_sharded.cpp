@@ -1,5 +1,5 @@
-// Sharded huge-image throughput: one large raster through
-// LabelingEngine::label_sharded at several tile geometries and worker
+// Sharded huge-image throughput: one large raster through sharded
+// LabelingEngine::submit requests at several tile geometries and worker
 // counts, against single-thread sequential AREMSP as the speedup baseline
 // and in-process tiled PAREMSP as the OpenMP reference point.
 //
@@ -64,7 +64,7 @@ std::int64_t tile_count(Coord rows, Coord cols, Coord tr, Coord tc) {
 }
 
 /// Latency distribution of `reps` runs of `fn` (each returning a
-/// LabelingResult whose component count is checked against `want`).
+/// LabelResponse whose component count is checked against `want`).
 template <class Fn>
 std::vector<double> sample_latencies(int reps, Label want, Fn&& fn,
                                      int& failures) {
@@ -72,7 +72,7 @@ std::vector<double> sample_latencies(int reps, Label want, Fn&& fn,
   ms.reserve(static_cast<std::size_t>(reps));
   for (int rep = 0; rep < reps; ++rep) {
     const WallTimer timer;
-    const LabelingResult r = fn();
+    const LabelResponse r = fn();
     ms.push_back(timer.elapsed_ms());
     if (r.num_components != want) ++failures;
   }
@@ -133,14 +133,14 @@ int main() {
 
   // --- Baseline: single-thread sequential AREMSP ----------------------------
   const AremspLabeler aremsp;
-  const LabelingResult reference = aremsp.label(image);
+  const LabelResponse reference = aremsp.label(image);
   const auto baseline_ms = sample_latencies(
       reps, reference.num_components, [&] { return aremsp.label(image); },
       failures);
   const double baseline_mpx = mpx / (baseline_ms.front() / 1e3);
 
   std::vector<RunRecord> runs;
-  TextTable table("label_sharded vs single-thread AREMSP (" +
+  TextTable table("sharded requests vs single-thread AREMSP (" +
                   TextTable::num(baseline_mpx, 1) + " Mpx/s baseline)");
   table.set_header({"configuration", "tiles", "threads", "Mpx/s", "tiles/s",
                     "p50 [ms]", "p99 [ms]", "speedup"});
@@ -178,11 +178,13 @@ int main() {
   for (const int workers : worker_counts) {
     engine::LabelingEngine eng({.workers = workers});
     for (const auto& [tr, tc] : geometries) {
-      const engine::ShardOptions options{.tile_rows = tr, .tile_cols = tc};
+      LabelRequest request;
+      request.input = image;
+      request.shard = engine::ShardOptions{.tile_rows = tr, .tile_cols = tc};
 
       // Untimed verification first: bit-identical to sequential AREMSP.
       {
-        const LabelingResult got = eng.label_sharded(image, options);
+        const LabelResponse got = eng.submit(request).get();
         if (got.num_components != reference.num_components ||
             !(got.labels == reference.labels)) {
           std::cerr << "MISMATCH: sharded " << tr << "x" << tc << " @ "
@@ -193,7 +195,7 @@ int main() {
 
       const auto ms = sample_latencies(
           reps, reference.num_components,
-          [&] { return eng.label_sharded(image, options); }, failures);
+          [&] { return eng.submit(request).get(); }, failures);
       RunRecord r;
       r.algo = "engine.sharded";
       r.tile_rows = tr;

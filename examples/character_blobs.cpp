@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
       gen::text_banner(text, cli.get_int("scale"), /*margin=*/3);
 
   const auto labeler = make_labeler(Algorithm::Aremsp);
-  const LabelingResult result = labeler->label(page);
+  const LabelResponse result = labeler->label(page);
   const auto stats =
       analysis::compute_stats(result.labels, result.num_components);
 

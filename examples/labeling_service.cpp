@@ -196,10 +196,13 @@ int main(int argc, char** argv) {
           LabelResponse response = pending.future.get();
           // Spot-check one request per burst against a direct labeling.
           if (pending.index % kBurst == 0) {
-            const auto want = reference->label_with_stats(pending.image);
-            if (want.labeling.num_components != response.num_components ||
+            LabelRequest check;
+            check.input = pending.image;
+            check.outputs.stats = true;
+            const LabelResponse want = reference->run(check);
+            if (want.num_components != response.num_components ||
                 !response.stats.has_value() ||
-                response.stats->components != want.stats.components) {
+                response.stats->components != want.stats->components) {
               wrong_counts.fetch_add(1);
             }
           }

@@ -34,8 +34,8 @@ int main(int argc, char** argv) {
   // Sequential and parallel labelings must agree bit-for-bit.
   const AremspLabeler sequential;
   const ParemspLabeler parallel(ParemspConfig{cli.get_int("threads")});
-  const LabelingResult seq = sequential.label(raster);
-  const LabelingResult par = parallel.label(raster);
+  const LabelResponse seq = sequential.label(raster);
+  const LabelResponse par = parallel.label(raster);
   if (seq.labels != par.labels) {
     std::cerr << "BUG: sequential and parallel labelings differ!\n";
     return 1;

@@ -46,9 +46,11 @@ int main(int argc, char** argv) {
   // per-component features during the labeling scan itself, so the slide
   // is never re-read for analysis (DESIGN.md §6).
   const auto labeler = make_labeler(Algorithm::Paremsp);
-  const LabelingWithStats labeled = labeler->label_with_stats(slide);
-  const LabelingResult& result = labeled.labeling;
-  const analysis::ComponentStats& stats = labeled.stats;
+  LabelRequest request;
+  request.input = slide;
+  request.outputs.stats = true;
+  const LabelResponse result = labeler->run(request);
+  const analysis::ComponentStats& stats = *result.stats;
 
   // A genuine cell is at least a disk of the minimum radius; debris is
   // single pixels and tiny specks.

@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
     const auto labeler =
         make_labeler(algorithm_from_name(cli.get("algorithm")), options);
 
-    const LabelingResult result = labeler->label(image);
+    const LabelResponse result = labeler->label(image);
 
     std::cout << "image: " << image.rows() << "x" << image.cols() << " ("
               << (input.empty() ? cli.get("generate") : input) << ")\n"

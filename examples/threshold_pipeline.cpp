@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
   const BinaryImage binary = im2bw(gray, level);
 
   const auto labeler = make_labeler(Algorithm::Aremsp);
-  const LabelingResult result = labeler->label(binary);
+  const LabelResponse result = labeler->label(binary);
 
   std::int64_t white = 0;
   for (const auto px : binary.pixels()) white += px;

@@ -28,7 +28,7 @@ struct BoundingBox {
 /// as exact integer coordinate sums (order-independent, safe to compare
 /// bit-for-bit across labeling strategies) and as the derived means
 /// (row_sum / area); every producer — the post-pass compute_stats and the
-/// fused label_with_stats paths — computes the doubles from the sums, so
+/// fused stats-request paths — computes the doubles from the sums, so
 /// equal sums guarantee equal centroids.
 struct ComponentInfo {
   Label label = 0;

@@ -5,7 +5,7 @@
 // features, not raw labels. Computing those features as a separate
 // compute_stats() pass re-reads the entire label plane; FeatureCell lets
 // the scan kernels accumulate them DURING the labeling scan instead, so the
-// fused label_with_stats paths never touch the pixels a second time.
+// fused stats-request paths never touch the pixels a second time.
 //
 // The design mirrors the provisional-label machinery of the two-pass
 // algorithms:

@@ -7,14 +7,14 @@
 
 namespace paremsp {
 
-LabelingResult ArunLabeler::run_impl(ConstImageView image,
-                                     Connectivity connectivity,
-                                     LabelScratch& scratch,
-                                     analysis::ComponentStats* stats) const {
+LabelResponse ArunLabeler::run_impl(ConstImageView image,
+                                    Connectivity connectivity,
+                                    LabelScratch& scratch,
+                                    analysis::ComponentStats* stats) const {
   (void)connectivity;  // 8-only; run() rejected anything else
   (void)scratch;       // rtable baseline: per-call equivalence table
   const WallTimer total;
-  LabelingResult result;
+  LabelResponse result;
   result.labels = LabelImage(image.rows(), image.cols());
   if (image.size() == 0) return result;
 

@@ -9,13 +9,13 @@
 
 namespace paremsp {
 
-LabelingResult CcllrpcLabeler::run_impl(ConstImageView image,
-                                        Connectivity connectivity,
-                                        LabelScratch& scratch,
-                                        analysis::ComponentStats* stats)
+LabelResponse CcllrpcLabeler::run_impl(ConstImageView image,
+                                       Connectivity connectivity,
+                                       LabelScratch& scratch,
+                                       analysis::ComponentStats* stats)
     const {
   const WallTimer total;
-  LabelingResult result;
+  LabelResponse result;
   result.labels =
       scratch.acquire_plane(image.rows(), image.cols(),
                             LabelScratch::PlaneInit::Dirty);

@@ -9,13 +9,13 @@
 
 namespace paremsp {
 
-LabelingResult FloodFillLabeler::run_impl(ConstImageView image,
-                                          Connectivity connectivity,
-                                          LabelScratch& scratch,
-                                          analysis::ComponentStats* stats)
+LabelResponse FloodFillLabeler::run_impl(ConstImageView image,
+                                         Connectivity connectivity,
+                                         LabelScratch& scratch,
+                                         analysis::ComponentStats* stats)
     const {
   const WallTimer total;
-  LabelingResult result;
+  LabelResponse result;
   result.labels = scratch.acquire_plane(image.rows(), image.cols());
   if (image.size() == 0) return result;
 

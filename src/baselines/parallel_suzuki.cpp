@@ -30,12 +30,12 @@ ParallelSuzukiLabeler::ParallelSuzukiLabeler(Connectivity connectivity,
   PAREMSP_REQUIRE(threads >= 0, "threads must be >= 0");
 }
 
-LabelingResult ParallelSuzukiLabeler::run_impl(
+LabelResponse ParallelSuzukiLabeler::run_impl(
     ConstImageView image, Connectivity connectivity, LabelScratch& scratch,
     analysis::ComponentStats* stats) const {
   (void)scratch;  // propagation baseline: per-call remap tables
   const WallTimer total;
-  LabelingResult result;
+  LabelResponse result;
   result.labels = LabelImage(image.rows(), image.cols());
   last_iterations_ = 0;
   if (image.size() == 0) return result;

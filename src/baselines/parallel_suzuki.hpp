@@ -34,10 +34,10 @@ class ParallelSuzukiLabeler final : public Labeler {
   }
 
  protected:
-  [[nodiscard]] LabelingResult run_impl(ConstImageView image,
-                                        Connectivity connectivity,
-                                        LabelScratch& scratch,
-                                        analysis::ComponentStats* stats)
+  [[nodiscard]] LabelResponse run_impl(ConstImageView image,
+                                       Connectivity connectivity,
+                                       LabelScratch& scratch,
+                                       analysis::ComponentStats* stats)
       const override;
 
  private:

@@ -20,14 +20,14 @@ struct Run {
 
 }  // namespace
 
-LabelingResult RunLabeler::run_impl(ConstImageView image,
-                                    Connectivity connectivity,
-                                    LabelScratch& scratch,
-                                    analysis::ComponentStats* stats) const {
+LabelResponse RunLabeler::run_impl(ConstImageView image,
+                                   Connectivity connectivity,
+                                   LabelScratch& scratch,
+                                   analysis::ComponentStats* stats) const {
   (void)connectivity;  // 8-only; run() rejected anything else
   (void)scratch;       // run-based baseline: per-call run lists
   const WallTimer total;
-  LabelingResult result;
+  LabelResponse result;
   result.labels = LabelImage(image.rows(), image.cols());
   if (image.size() == 0) return result;
 

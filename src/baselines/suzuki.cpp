@@ -21,14 +21,14 @@ constexpr Offset kBackward4[] = {{1, 0}, {0, 1}};
 
 }  // namespace
 
-LabelingResult SuzukiLabeler::run_impl(ConstImageView image,
-                                       Connectivity connectivity,
-                                       LabelScratch& scratch,
-                                       analysis::ComponentStats* stats)
+LabelResponse SuzukiLabeler::run_impl(ConstImageView image,
+                                      Connectivity connectivity,
+                                      LabelScratch& scratch,
+                                      analysis::ComponentStats* stats)
     const {
   (void)scratch;  // multi-pass baseline: keeps its per-call table
   const WallTimer total;
-  LabelingResult result;
+  LabelResponse result;
   result.labels = LabelImage(image.rows(), image.cols());
   last_scan_count_ = 0;
   if (image.size() == 0) return result;

@@ -28,10 +28,10 @@ class SuzukiLabeler final : public Labeler {
   }
 
  protected:
-  [[nodiscard]] LabelingResult run_impl(ConstImageView image,
-                                        Connectivity connectivity,
-                                        LabelScratch& scratch,
-                                        analysis::ComponentStats* stats)
+  [[nodiscard]] LabelResponse run_impl(ConstImageView image,
+                                       Connectivity connectivity,
+                                       LabelScratch& scratch,
+                                       analysis::ComponentStats* stats)
       const override;
 
  private:

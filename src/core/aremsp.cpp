@@ -12,17 +12,17 @@
 
 namespace paremsp {
 
-LabelingResult AremspLabeler::run_impl(ConstImageView image,
-                                       Connectivity connectivity,
-                                       LabelScratch& scratch,
-                                       analysis::ComponentStats* stats) const {
+LabelResponse AremspLabeler::run_impl(ConstImageView image,
+                                      Connectivity connectivity,
+                                      LabelScratch& scratch,
+                                      analysis::ComponentStats* stats) const {
   (void)connectivity;  // 8-only; run() rejected anything else
   const WallTimer total;
   // The scan timer opens at entry: workspace acquisition (plane +
   // parent-table first touch) is accounted to the scan phase, so the four
   // phase timings partition total_ms — the exporters' reconcile contract.
   WallTimer phase;
-  LabelingResult result;
+  LabelResponse result;
   result.labels =
       scratch.acquire_plane(image.rows(), image.cols(),
                             LabelScratch::PlaneInit::Dirty);

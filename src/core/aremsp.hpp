@@ -25,10 +25,10 @@ class AremspLabeler final : public Labeler {
   /// Fused component analysis when `stats` is requested: features
   /// accumulate inside the two-line scan and reduce through FLATTEN — no
   /// post-pass over the pixels.
-  [[nodiscard]] LabelingResult run_impl(ConstImageView image,
-                                        Connectivity connectivity,
-                                        LabelScratch& scratch,
-                                        analysis::ComponentStats* stats)
+  [[nodiscard]] LabelResponse run_impl(ConstImageView image,
+                                       Connectivity connectivity,
+                                       LabelScratch& scratch,
+                                       analysis::ComponentStats* stats)
       const override;
 };
 

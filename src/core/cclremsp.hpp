@@ -21,10 +21,10 @@ class CclremspLabeler final : public Labeler {
   }
 
  protected:
-  [[nodiscard]] LabelingResult run_impl(ConstImageView image,
-                                        Connectivity connectivity,
-                                        LabelScratch& scratch,
-                                        analysis::ComponentStats* stats)
+  [[nodiscard]] LabelResponse run_impl(ConstImageView image,
+                                       Connectivity connectivity,
+                                       LabelScratch& scratch,
+                                       analysis::ComponentStats* stats)
       const override;
 };
 

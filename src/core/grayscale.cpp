@@ -6,9 +6,9 @@
 
 namespace paremsp {
 
-GrayLabelingResult label_grayscale(const GrayImage& image,
+GrayLabeling label_grayscale(const GrayImage& image,
                                    Connectivity connectivity) {
-  GrayLabelingResult result;
+  GrayLabeling result;
   result.labels = LabelImage(image.rows(), image.cols());
   if (image.size() == 0) return result;
 

@@ -14,13 +14,13 @@
 namespace paremsp {
 
 /// Result of a grayscale labeling (labels cover every pixel).
-struct GrayLabelingResult {
+struct GrayLabeling {
   LabelImage labels;
   Label num_components = 0;
 };
 
 /// Label all equal-valued connected regions of a grayscale image.
-[[nodiscard]] GrayLabelingResult label_grayscale(
+[[nodiscard]] GrayLabeling label_grayscale(
     const GrayImage& image, Connectivity connectivity = Connectivity::Eight);
 
 }  // namespace paremsp

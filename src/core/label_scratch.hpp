@@ -3,7 +3,7 @@
 // Every two-pass labeler needs the same transient storage: a union-find
 // parent array sized by the provisional label space, an output label plane,
 // and (for some algorithms) an auxiliary index buffer. Allocating these per
-// label() call is fine for one-shot use but dominates wall clock when
+// run() call is fine for one-shot use but dominates wall clock when
 // millions of small images stream through — glibc returns >128 KB blocks
 // to the kernel on free, so every call re-faults every page.
 //
@@ -47,7 +47,7 @@ class LabelScratch {
   /// elements (flood fill relies on this to extend a live queue).
   [[nodiscard]] std::span<Label> aux(std::size_t n) { return grown(aux_, n); }
 
-  /// Per-provisional-label feature cells for the fused label_with_stats
+  /// Per-provisional-label feature cells for the fused stats-request
   /// paths, indexed like parents(). Same grow-once contract; contents are
   /// unspecified — FeatureAccumulator::fresh initializes each cell at its
   /// new-label event, so no O(label-space) clear ever runs.
@@ -78,7 +78,7 @@ class LabelScratch {
   };
 
   /// A rows x cols label plane, recycling pooled capacity when available.
-  /// Ownership transfers to the caller (it becomes LabelingResult::labels);
+  /// Ownership transfers to the caller (it becomes LabelResponse::labels);
   /// hand planes back through recycle_plane() to keep the pool warm.
   /// Request PlaneInit::Dirty only when the algorithm overwrites every
   /// pixel (the scan kernels write background zeros themselves); labelers

@@ -1,8 +1,6 @@
-// Labeler base: identity/validation plus the legacy wrappers, each of
-// which builds a LabelRequest and delegates to run() (core/request.cpp).
+// Labeler base: identity/validation, the binarizing run_gray_impl
+// fallback and the label() convenience over run() (core/request.cpp).
 #include "core/labeling.hpp"
-
-#include <utility>
 
 #include "core/label_scratch.hpp"
 #include "core/registry.hpp"
@@ -15,10 +13,10 @@ Labeler::Labeler(Algorithm algorithm, Connectivity connectivity)
   require_supported(algorithm, connectivity);
 }
 
-LabelingResult Labeler::run_gray_impl(ConstImageView gray, std::uint8_t cutoff,
-                                      Connectivity connectivity,
-                                      LabelScratch& scratch,
-                                      analysis::ComponentStats* stats) const {
+LabelResponse Labeler::run_gray_impl(ConstImageView gray, std::uint8_t cutoff,
+                                     Connectivity connectivity,
+                                     LabelScratch& scratch,
+                                     analysis::ComponentStats* stats) const {
   // Fallback for labelers without a fused threshold path: materialize the
   // binarized plane once, then label it as usual.
   BinaryImage binary(gray.rows(), gray.cols());
@@ -32,29 +30,10 @@ LabelingResult Labeler::run_gray_impl(ConstImageView gray, std::uint8_t cutoff,
   return run_impl(binary, connectivity, scratch, stats);
 }
 
-LabelingResult Labeler::label(const BinaryImage& image) const {
-  LabelScratch scratch;
-  return label_into(image, scratch);
-}
-
-LabelingResult Labeler::label_into(const BinaryImage& image,
-                                   LabelScratch& scratch) const {
+LabelResponse Labeler::label(ConstImageView image) const {
   LabelRequest request;
   request.input = image;
-  return to_labeling_result(run(request, scratch));
-}
-
-LabelingWithStats Labeler::label_with_stats(const BinaryImage& image) const {
-  LabelScratch scratch;
-  return label_with_stats_into(image, scratch);
-}
-
-LabelingWithStats Labeler::label_with_stats_into(const BinaryImage& image,
-                                                 LabelScratch& scratch) const {
-  LabelRequest request;
-  request.input = image;
-  request.outputs.stats = true;
-  return to_labeling_with_stats(run(request, scratch));
+  return run(request);
 }
 
 }  // namespace paremsp

@@ -8,16 +8,12 @@
 // (0 = background), optional fused component stats, and per-phase
 // wall-clock timings (exactly the split the paper's Figure 5 plots:
 // Phase-I local scan vs boundary merge vs FLATTEN vs final labeling).
-//
-// The historical method family (label / label_into / label_with_stats /
-// label_with_stats_into) remains as thin non-virtual wrappers that build a
-// LabelRequest and delegate, so results are bit-identical whichever
-// surface a caller uses; the exhaustive/differential/metamorphic suites
-// exercise run() through them on every call.
+// label(view) is the one convenience: run() with a default request.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string_view>
 
 #include "analysis/component_stats.hpp"
@@ -30,7 +26,6 @@ namespace paremsp {
 
 class LabelScratch;   // core/label_scratch.hpp
 struct LabelRequest;  // core/request.hpp
-struct LabelResponse;
 
 /// Every labeling algorithm in the library. (Defined here rather than in
 /// registry.hpp so the Labeler base can carry its own identity; the
@@ -118,21 +113,19 @@ struct PhaseTimings {
   }
 };
 
-/// Output of a labeling run (the legacy result shape; LabelResponse in
-/// core/request.hpp is the request-API equivalent).
-struct LabelingResult {
-  LabelImage labels;          // final labels, 0 = background
-  Label num_components = 0;   // labels used: 1..num_components
+/// Outcome of one labeling request — the only result shape in the library.
+struct LabelResponse {
+  /// Owned label plane (packed), when the request asked for labels and
+  /// did not redirect them into label_out; empty otherwise.
+  LabelImage labels;
+  /// Components found: final labels are 1..num_components, 0 background.
+  Label num_components = 0;
+  /// Per-component features; engaged iff request.outputs.stats. Value-
+  /// identical to analysis::compute_stats(labels, num_components) whether
+  /// fused into the scan or computed by the post-pass fallback.
+  std::optional<analysis::ComponentStats> stats;
+  /// Per-phase wall-clock breakdown of the run.
   PhaseTimings timings;
-};
-
-/// Output of a combined labeling + component-analysis run. `stats` is
-/// value-identical to analysis::compute_stats(labeling.labels,
-/// labeling.num_components) regardless of how it was produced — fused
-/// during the scan or by the generic post-pass fallback.
-struct LabelingWithStats {
-  LabelingResult labeling;
-  analysis::ComponentStats stats;
 };
 
 /// Abstract connected-component labeler.
@@ -173,28 +166,10 @@ class Labeler {
   [[nodiscard]] LabelResponse run(const LabelRequest& request,
                                   LabelScratch& scratch) const;
 
-  // --- Legacy entry points ---------------------------------------------------
-  // Thin wrappers: each builds the equivalent LabelRequest and delegates
-  // to run(), so every call below is bit-for-bit a request-API call.
-
-  /// Label all connected components of `image`.
-  [[nodiscard]] LabelingResult label(const BinaryImage& image) const;
-
-  /// label() through a reusable LabelScratch.
-  [[nodiscard]] LabelingResult label_into(const BinaryImage& image,
-                                          LabelScratch& scratch) const;
-
-  /// Label `image` AND measure every component (area, bbox, exact centroid
-  /// sums) in one call. Algorithms flagged AlgorithmInfo::fused_stats
-  /// accumulate the features during the labeling scan itself; everything
-  /// else falls back to labeling + analysis::compute_stats with
-  /// value-identical results.
-  [[nodiscard]] LabelingWithStats label_with_stats(
-      const BinaryImage& image) const;
-
-  /// label_with_stats through a reusable LabelScratch.
-  [[nodiscard]] LabelingWithStats label_with_stats_into(
-      const BinaryImage& image, LabelScratch& scratch) const;
+  /// Label every connected component of `image` (any view: a raster, an
+  /// ROI, a caller-owned buffer) under the default connectivity — run()
+  /// with a default request.
+  [[nodiscard]] LabelResponse label(ConstImageView image) const;
 
  protected:
   /// Registers identity and validates the default connectivity through
@@ -209,8 +184,9 @@ class Labeler {
   /// analysis::compute_stats on its own output — fused into the scan
   /// where the algorithm supports it, via the post-pass otherwise.
   /// The returned label plane is always packed and owned (run() routes it
-  /// into the caller's label_out view when the request asks).
-  [[nodiscard]] virtual LabelingResult run_impl(
+  /// into the caller's label_out view when the request asks); run() also
+  /// engages the response's stats, so implementations leave it empty.
+  [[nodiscard]] virtual LabelResponse run_impl(
       ConstImageView image, Connectivity connectivity, LabelScratch& scratch,
       analysis::ComponentStats* stats) const = 0;
 
@@ -220,7 +196,7 @@ class Labeler {
   /// plane and delegates to run_impl — value-identical by construction.
   /// The run-based labelers override it to fuse the compare into
   /// bit-packed run extraction, so no intermediate plane ever exists.
-  [[nodiscard]] virtual LabelingResult run_gray_impl(
+  [[nodiscard]] virtual LabelResponse run_gray_impl(
       ConstImageView gray, std::uint8_t cutoff, Connectivity connectivity,
       LabelScratch& scratch, analysis::ComponentStats* stats) const;
 

@@ -91,31 +91,31 @@ ParemspLabeler::ParemspLabeler(ParemspConfig config)
   }
 }
 
-LabelingResult ParemspLabeler::run_impl(ConstImageView image,
-                                        Connectivity connectivity,
-                                        LabelScratch& scratch,
-                                        analysis::ComponentStats* stats)
+LabelResponse ParemspLabeler::run_impl(ConstImageView image,
+                                       Connectivity connectivity,
+                                       LabelScratch& scratch,
+                                       analysis::ComponentStats* stats)
     const {
   (void)connectivity;  // 8-only; run() rejected anything else
   if (stats != nullptr && config_.scan == ScanStrategy::OneLine) {
     // The one-line ablation kernel has no feature hooks: label first,
     // then the generic post-pass (value-identical by construction).
-    LabelingResult result = label_impl(image, scratch, nullptr);
+    LabelResponse result = label_impl(image, scratch, nullptr);
     *stats = analysis::compute_stats(result.labels, result.num_components);
     return result;
   }
   return label_impl(image, scratch, stats);
 }
 
-LabelingResult ParemspLabeler::label_impl(ConstImageView image,
-                                          LabelScratch& scratch,
-                                          analysis::ComponentStats* stats)
+LabelResponse ParemspLabeler::label_impl(ConstImageView image,
+                                         LabelScratch& scratch,
+                                         analysis::ComponentStats* stats)
     const {
   const WallTimer total;
   // Opened at entry so workspace acquisition lands in scan_ms and the four
   // phase timings partition total_ms (the exporters' reconcile contract).
   WallTimer phase;
-  LabelingResult result;
+  LabelResponse result;
   result.labels =
       scratch.acquire_plane(image.rows(), image.cols(),
                             LabelScratch::PlaneInit::Dirty);

@@ -100,19 +100,19 @@ class ParemspLabeler final : public Labeler {
   /// (disjoint cell ranges, no synchronization), and the per-chunk cells
   /// reduce through FLATTEN. The one-line ablation strategy falls back to
   /// the generic post-pass.
-  [[nodiscard]] LabelingResult run_impl(ConstImageView image,
-                                        Connectivity connectivity,
-                                        LabelScratch& scratch,
-                                        analysis::ComponentStats* stats)
+  [[nodiscard]] LabelResponse run_impl(ConstImageView image,
+                                       Connectivity connectivity,
+                                       LabelScratch& scratch,
+                                       analysis::ComponentStats* stats)
       const override;
 
  private:
   /// Shared chunked-scan body; when `stats` is non-null the two-line chunk
   /// scans run with the feature sink fused in and the accumulated cells
   /// reduce through FLATTEN into `stats`.
-  [[nodiscard]] LabelingResult label_impl(ConstImageView image,
-                                          LabelScratch& scratch,
-                                          analysis::ComponentStats* stats)
+  [[nodiscard]] LabelResponse label_impl(ConstImageView image,
+                                         LabelScratch& scratch,
+                                         analysis::ComponentStats* stats)
       const;
 
   ParemspConfig config_;

@@ -25,15 +25,16 @@ struct AlgorithmInfo {
   bool parallel = false;
   bool supports_four_connectivity = false;
   bool proposed_in_paper = false;  // vs baseline / oracle
-  /// True when label_into() reuses a LabelScratch allocation-free; the
-  /// batch engine runs these on recycled per-worker arenas (the rest fall
-  /// back to per-call allocation with identical results).
+  /// True when run(request, scratch) reuses a LabelScratch allocation-
+  /// free; the batch engine runs these on recycled per-worker arenas (the
+  /// rest fall back to per-call allocation with identical results).
   bool scratch_reuse = false;
-  /// True when label_with_stats accumulates component features inside the
-  /// labeling scan itself (one pass over the pixels) in the default
-  /// configuration; the rest fall back to label() + compute_stats with
-  /// value-identical results. (PAREMSP's one-line ScanStrategy ablation is
-  /// the lone config exception — it falls back despite the flag.)
+  /// True when a stats request (outputs.stats) accumulates component
+  /// features inside the labeling scan itself (one pass over the pixels)
+  /// in the default configuration; the rest fall back to labeling +
+  /// compute_stats with value-identical results. (PAREMSP's one-line
+  /// ScanStrategy ablation is the lone config exception — it falls back
+  /// despite the flag.)
   bool fused_stats = false;
   /// Algorithm family (core/labeling.hpp): the dimension
   /// LabelRequest::backend selects on. UnionFind for every two-pass

@@ -45,18 +45,6 @@ Connectivity validate_request(const LabelRequest& request,
   return connectivity;
 }
 
-LabelingResult to_labeling_result(LabelResponse&& response) {
-  return LabelingResult{std::move(response.labels), response.num_components,
-                        response.timings};
-}
-
-LabelingWithStats to_labeling_with_stats(LabelResponse&& response) {
-  LabelingWithStats out;
-  out.stats = std::move(*response.stats);
-  out.labeling = to_labeling_result(std::move(response));
-  return out;
-}
-
 LabelResponse Labeler::run(const LabelRequest& request) const {
   LabelScratch scratch;
   return run(request, scratch);
@@ -78,26 +66,22 @@ LabelResponse Labeler::run(const LabelRequest& request,
       request.outputs.stats ? &stats : nullptr;
   // floor(threshold * 255) truncates exactly for threshold in [0, 1]:
   // pixel > threshold*255 <=> pixel > floor(threshold*255) for uint8.
-  LabelingResult result =
+  LabelResponse response =
       request.threshold.has_value()
           ? run_gray_impl(request.input,
                           static_cast<std::uint8_t>(*request.threshold * 255.0),
                           connectivity, scratch, stats_out)
           : run_impl(request.input, connectivity, scratch, stats_out);
 
-  LabelResponse response;
-  response.num_components = result.num_components;
-  response.timings = result.timings;
   if (request.outputs.stats) response.stats = std::move(stats);
+  // The caller routed the plane into their own (possibly strided)
+  // storage, or did not ask for it: the scratch pool keeps the working
+  // plane for the next run and the response carries none.
   if (request.label_out.has_value()) {
-    // The caller routed the plane into their own (possibly strided)
-    // storage; the scratch pool keeps the working plane for the next run.
-    copy_labels(result.labels, *request.label_out);
-    scratch.recycle_plane(std::move(result.labels));
-  } else if (request.outputs.labels) {
-    response.labels = std::move(result.labels);
-  } else {
-    scratch.recycle_plane(std::move(result.labels));
+    copy_labels(response.labels, *request.label_out);
+  }
+  if (request.label_out.has_value() || !request.outputs.labels) {
+    scratch.recycle_plane(std::exchange(response.labels, LabelImage{}));
   }
   return response;
 }

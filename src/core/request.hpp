@@ -1,8 +1,7 @@
 // Unified request/response labeling API.
 //
-// One parameterized entry point replaces the historical method matrix
-// (label / label_into / label_with_stats / … on Labeler; submit /
-// submit_view / submit_with_stats / submit_sharded / … on the engine):
+// One parameterized entry point on every executor, one result shape
+// (LabelResponse, core/labeling.hpp):
 //
 //   LabelRequest request;
 //   request.input = image;                    // raster, ROI, or raw buffer
@@ -19,10 +18,7 @@
 // Ownership and lifetime: a request BORROWS everything it references.
 // `input` (and `label_out`, when set) must stay alive and unmodified for
 // the duration of run(); for the engine's asynchronous submit(), until the
-// returned future is ready — the same contract the engine's submit_view
-// established. The engine's owning submit(BinaryImage) wrapper keeps the
-// pixels alive inside the job for callers who want fire-and-forget.
-// See DESIGN.md §7 for the dataflow.
+// returned future is ready. See DESIGN.md §7 for the dataflow.
 #pragma once
 
 #include <optional>
@@ -148,8 +144,6 @@ struct LabelRequest {
   CancelToken cancel;
 };
 
-struct LabelResponse;
-
 /// Resolve a request's effective connectivity (the override when set,
 /// `fallback` — the executing labeler's construction default — otherwise)
 /// and validate the request against `algorithm`: the connectivity gate
@@ -159,28 +153,5 @@ struct LabelResponse;
 [[nodiscard]] Connectivity validate_request(const LabelRequest& request,
                                             Algorithm algorithm,
                                             Connectivity fallback);
-
-/// The legacy result shape of a response: labels, count and timings move
-/// over. Shared by every legacy wrapper (Labeler's and the engine's) so
-/// the field mapping lives in exactly one place.
-[[nodiscard]] LabelingResult to_labeling_result(LabelResponse&& response);
-
-/// Legacy pair shape of a stats-carrying response; the response's stats
-/// optional must be engaged (the request asked for stats).
-[[nodiscard]] LabelingWithStats to_labeling_with_stats(
-    LabelResponse&& response);
-
-/// Outcome of one labeling request.
-struct LabelResponse {
-  /// Owned label plane (packed), when the request asked for labels and
-  /// did not redirect them into label_out; empty otherwise.
-  LabelImage labels;
-  /// Components found: final labels are 1..num_components, 0 background.
-  Label num_components = 0;
-  /// Per-component features; engaged iff request.outputs.stats.
-  std::optional<analysis::ComponentStats> stats;
-  /// Per-phase wall-clock breakdown of the run.
-  PhaseTimings timings;
-};
 
 }  // namespace paremsp

@@ -27,18 +27,18 @@ namespace {
 /// non-LockedRem backends. `threshold` >= 0 scans `image` as GRAYSCALE
 /// through the fused pixel > threshold encoder (run_gray_impl); -1 is the
 /// plain binary mode.
-LabelingResult label_runs_impl(ConstImageView image, Connectivity connectivity,
-                               LabelScratch& scratch,
-                               analysis::ComponentStats* stats,
-                               Coord tile_rows, Coord tile_cols, int threads,
-                               MergeBackend merge_backend,
-                               uf::LockPool* locks, uf::CasUniteFn cas_unite,
-                               int threshold = -1) {
+LabelResponse label_runs_impl(ConstImageView image, Connectivity connectivity,
+                              LabelScratch& scratch,
+                              analysis::ComponentStats* stats,
+                              Coord tile_rows, Coord tile_cols, int threads,
+                              MergeBackend merge_backend,
+                              uf::LockPool* locks, uf::CasUniteFn cas_unite,
+                              int threshold = -1) {
   const WallTimer total;
   // Opened at entry so workspace acquisition lands in scan_ms and the four
   // phase timings partition total_ms (the exporters' reconcile contract).
   WallTimer phase;
-  LabelingResult result;
+  LabelResponse result;
   result.labels = scratch.acquire_plane(image.rows(), image.cols(),
                                         LabelScratch::PlaneInit::Dirty);
   if (image.size() == 0) return result;
@@ -190,10 +190,10 @@ Coord band_rows(Coord rows, int threads) {
 
 }  // namespace
 
-LabelingResult AremspRleLabeler::run_impl(ConstImageView image,
-                                          Connectivity connectivity,
-                                          LabelScratch& scratch,
-                                          analysis::ComponentStats* stats)
+LabelResponse AremspRleLabeler::run_impl(ConstImageView image,
+                                         Connectivity connectivity,
+                                         LabelScratch& scratch,
+                                         analysis::ComponentStats* stats)
     const {
   return label_runs_impl(image, connectivity, scratch, stats,
                          std::max<Coord>(image.rows(), 1),
@@ -203,11 +203,11 @@ LabelingResult AremspRleLabeler::run_impl(ConstImageView image,
                                       uf::CasSplice::Atomic));
 }
 
-LabelingResult AremspRleLabeler::run_gray_impl(ConstImageView gray,
-                                               std::uint8_t cutoff,
-                                               Connectivity connectivity,
-                                               LabelScratch& scratch,
-                                               analysis::ComponentStats* stats)
+LabelResponse AremspRleLabeler::run_gray_impl(ConstImageView gray,
+                                              std::uint8_t cutoff,
+                                              Connectivity connectivity,
+                                              LabelScratch& scratch,
+                                              analysis::ComponentStats* stats)
     const {
   return label_runs_impl(gray, connectivity, scratch, stats,
                          std::max<Coord>(gray.rows(), 1),
@@ -229,10 +229,10 @@ ParemspRleLabeler::ParemspRleLabeler(RleConfig config,
   }
 }
 
-LabelingResult ParemspRleLabeler::run_impl(ConstImageView image,
-                                           Connectivity connectivity,
-                                           LabelScratch& scratch,
-                                           analysis::ComponentStats* stats)
+LabelResponse ParemspRleLabeler::run_impl(ConstImageView image,
+                                          Connectivity connectivity,
+                                          LabelScratch& scratch,
+                                          analysis::ComponentStats* stats)
     const {
   const int threads =
       config_.threads > 0 ? config_.threads : omp_get_max_threads();
@@ -243,7 +243,7 @@ LabelingResult ParemspRleLabeler::run_impl(ConstImageView image,
                          cas_unite_fn(config_.cas_find, config_.cas_splice));
 }
 
-LabelingResult ParemspRleLabeler::run_gray_impl(
+LabelResponse ParemspRleLabeler::run_gray_impl(
     ConstImageView gray, std::uint8_t cutoff, Connectivity connectivity,
     LabelScratch& scratch, analysis::ComponentStats* stats) const {
   const int threads =
@@ -269,7 +269,7 @@ TiledParemspLabeler::TiledParemspLabeler(RleConfig config,
   }
 }
 
-LabelingResult TiledParemspLabeler::run_impl(
+LabelResponse TiledParemspLabeler::run_impl(
     ConstImageView image, Connectivity connectivity, LabelScratch& scratch,
     analysis::ComponentStats* stats) const {
   const int threads =
@@ -280,7 +280,7 @@ LabelingResult TiledParemspLabeler::run_impl(
                          cas_unite_fn(config_.cas_find, config_.cas_splice));
 }
 
-LabelingResult TiledParemspLabeler::run_gray_impl(
+LabelResponse TiledParemspLabeler::run_gray_impl(
     ConstImageView gray, std::uint8_t cutoff, Connectivity connectivity,
     LabelScratch& scratch, analysis::ComponentStats* stats) const {
   const int threads =

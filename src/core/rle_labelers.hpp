@@ -67,16 +67,16 @@ class AremspRleLabeler final : public Labeler {
   }
 
  protected:
-  [[nodiscard]] LabelingResult run_impl(ConstImageView image,
-                                        Connectivity connectivity,
-                                        LabelScratch& scratch,
-                                        analysis::ComponentStats* stats)
+  [[nodiscard]] LabelResponse run_impl(ConstImageView image,
+                                       Connectivity connectivity,
+                                       LabelScratch& scratch,
+                                       analysis::ComponentStats* stats)
       const override;
-  [[nodiscard]] LabelingResult run_gray_impl(ConstImageView gray,
-                                             std::uint8_t cutoff,
-                                             Connectivity connectivity,
-                                             LabelScratch& scratch,
-                                             analysis::ComponentStats* stats)
+  [[nodiscard]] LabelResponse run_gray_impl(ConstImageView gray,
+                                            std::uint8_t cutoff,
+                                            Connectivity connectivity,
+                                            LabelScratch& scratch,
+                                            analysis::ComponentStats* stats)
       const override;
 };
 
@@ -94,16 +94,16 @@ class ParemspRleLabeler final : public Labeler {
   [[nodiscard]] const RleConfig& config() const noexcept { return config_; }
 
  protected:
-  [[nodiscard]] LabelingResult run_impl(ConstImageView image,
-                                        Connectivity connectivity,
-                                        LabelScratch& scratch,
-                                        analysis::ComponentStats* stats)
+  [[nodiscard]] LabelResponse run_impl(ConstImageView image,
+                                       Connectivity connectivity,
+                                       LabelScratch& scratch,
+                                       analysis::ComponentStats* stats)
       const override;
-  [[nodiscard]] LabelingResult run_gray_impl(ConstImageView gray,
-                                             std::uint8_t cutoff,
-                                             Connectivity connectivity,
-                                             LabelScratch& scratch,
-                                             analysis::ComponentStats* stats)
+  [[nodiscard]] LabelResponse run_gray_impl(ConstImageView gray,
+                                            std::uint8_t cutoff,
+                                            Connectivity connectivity,
+                                            LabelScratch& scratch,
+                                            analysis::ComponentStats* stats)
       const override;
 
  private:
@@ -125,16 +125,16 @@ class TiledParemspLabeler final : public Labeler {
   [[nodiscard]] const RleConfig& config() const noexcept { return config_; }
 
  protected:
-  [[nodiscard]] LabelingResult run_impl(ConstImageView image,
-                                        Connectivity connectivity,
-                                        LabelScratch& scratch,
-                                        analysis::ComponentStats* stats)
+  [[nodiscard]] LabelResponse run_impl(ConstImageView image,
+                                       Connectivity connectivity,
+                                       LabelScratch& scratch,
+                                       analysis::ComponentStats* stats)
       const override;
-  [[nodiscard]] LabelingResult run_gray_impl(ConstImageView gray,
-                                             std::uint8_t cutoff,
-                                             Connectivity connectivity,
-                                             LabelScratch& scratch,
-                                             analysis::ComponentStats* stats)
+  [[nodiscard]] LabelResponse run_gray_impl(ConstImageView gray,
+                                            std::uint8_t cutoff,
+                                            Connectivity connectivity,
+                                            LabelScratch& scratch,
+                                            analysis::ComponentStats* stats)
       const override;
 
  private:

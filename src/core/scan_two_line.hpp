@@ -44,11 +44,10 @@ struct NoFeatureSink {
   void add_run(Label, Coord, Coord, Coord) noexcept {}
 };
 
-/// Scan Phase of AREMSP/ARUN (paper Algorithm 6) over the rectangle
-/// rows [row_begin, row_end) x cols [col_begin, col_end); pixels outside
-/// the rectangle count as background (row chunking for PAREMSP, full 2-D
-/// tiling for the tiled extension). Returns the number of provisional
-/// labels issued through `eq` (eq.used()).
+/// Scan Phase of AREMSP/ARUN (paper Algorithm 6) over the full-width row
+/// band [row_begin, row_end); rows outside the band count as background
+/// (row chunking for PAREMSP). Returns the number of provisional labels
+/// issued through `eq` (eq.used()).
 ///
 /// `sink` observes the labeling as it happens — sink.fresh(l) at every
 /// new-label event, then sink.add(l, r, c) once per labeled pixel — which
@@ -57,25 +56,22 @@ struct NoFeatureSink {
 /// of the label plane afterwards.
 template <class Equiv, class FeatureSink>
 Label scan_two_line(ConstImageView image, MutableImageView labels, Equiv& eq,
-                    FeatureSink& sink, Coord row_begin, Coord row_end,
-                    Coord col_begin, Coord col_end) {
+                    FeatureSink& sink, Coord row_begin, Coord row_end) {
+  const Coord cols = image.cols();
   for (Coord r = row_begin; r < row_end; r += 2) {
     const bool has_down = r + 1 < row_end;   // odd trailing row has no g/f
     const bool has_up = r > row_begin;       // chunk top: above is masked
-    for (Coord c = col_begin; c < col_end; ++c) {
+    for (Coord c = 0; c < cols; ++c) {
       const bool fg_e = image(r, c) != 0;
       const bool fg_g = has_down && image(r + 1, c) != 0;
 
       if (fg_e) {
-        const bool fg_d = c > col_begin && image(r, c - 1) != 0;
+        const bool fg_d = c > 0 && image(r, c - 1) != 0;
         if (!fg_d) {
           const bool fg_b = has_up && image(r - 1, c) != 0;
-          const bool fg_f =
-              has_down && c > col_begin && image(r + 1, c - 1) != 0;
-          const bool fg_a =
-              has_up && c > col_begin && image(r - 1, c - 1) != 0;
-          const bool fg_c =
-              has_up && c + 1 < col_end && image(r - 1, c + 1) != 0;
+          const bool fg_f = has_down && c > 0 && image(r + 1, c - 1) != 0;
+          const bool fg_a = has_up && c > 0 && image(r - 1, c - 1) != 0;
+          const bool fg_c = has_up && c + 1 < cols && image(r - 1, c + 1) != 0;
           if (fg_b) {
             labels(r, c) = labels(r - 1, c);
             if (fg_f) eq.merge(labels(r, c), labels(r + 1, c - 1));
@@ -99,8 +95,8 @@ Label scan_two_line(ConstImageView image, MutableImageView labels, Equiv& eq,
           labels(r, c) = labels(r, c - 1);
           const bool fg_b = has_up && image(r - 1, c) != 0;
           if (!fg_b) {
-            const bool fg_c = has_up && c + 1 < col_end &&
-                              image(r - 1, c + 1) != 0;
+            const bool fg_c =
+                has_up && c + 1 < cols && image(r - 1, c + 1) != 0;
             if (fg_c) eq.merge(labels(r, c), labels(r - 1, c + 1));
           }
         }
@@ -108,8 +104,8 @@ Label scan_two_line(ConstImageView image, MutableImageView labels, Equiv& eq,
       } else if (fg_g) {
         // e background: g's already-visited neighbors are d (diagonal) and
         // f (left); d-f are vertically adjacent, hence already merged.
-        const bool fg_d = c > col_begin && image(r, c - 1) != 0;
-        const bool fg_f = c > col_begin && image(r + 1, c - 1) != 0;
+        const bool fg_d = c > 0 && image(r, c - 1) != 0;
+        const bool fg_f = c > 0 && image(r + 1, c - 1) != 0;
         if (fg_d) {
           labels(r + 1, c) = labels(r, c - 1);
         } else if (fg_f) {
@@ -129,30 +125,12 @@ Label scan_two_line(ConstImageView image, MutableImageView labels, Equiv& eq,
   return eq.used();
 }
 
-/// Rectangle overload without feature accumulation (plain labeling).
-template <class Equiv>
-Label scan_two_line(ConstImageView image, MutableImageView labels, Equiv& eq,
-                    Coord row_begin, Coord row_end, Coord col_begin,
-                    Coord col_end) {
-  NoFeatureSink sink;
-  return scan_two_line(image, labels, eq, sink, row_begin, row_end, col_begin,
-                       col_end);
-}
-
-/// Row-range overload covering all columns (PAREMSP row chunks, AREMSP).
+/// Overload without feature accumulation (plain labeling).
 template <class Equiv>
 Label scan_two_line(ConstImageView image, MutableImageView labels, Equiv& eq,
                     Coord row_begin, Coord row_end) {
-  return scan_two_line(image, labels, eq, row_begin, row_end, 0,
-                       image.cols());
-}
-
-/// Row-range overload with feature accumulation (fused AREMSP/PAREMSP).
-template <class Equiv, class FeatureSink>
-Label scan_two_line(ConstImageView image, MutableImageView labels, Equiv& eq,
-                    FeatureSink& sink, Coord row_begin, Coord row_end) {
-  return scan_two_line(image, labels, eq, sink, row_begin, row_end, 0,
-                       image.cols());
+  NoFeatureSink sink;
+  return scan_two_line(image, labels, eq, sink, row_begin, row_end);
 }
 
 }  // namespace paremsp

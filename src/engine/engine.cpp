@@ -20,26 +20,6 @@ int resolved_workers(int requested) {
   return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
-/// The one delivery adapter: fail the promise on error, otherwise adapt
-/// the LabelResponse into the promise's result shape. Every submit
-/// wrapper differs ONLY in `adapt`.
-template <class Result, class Adapt>
-std::function<void(std::exception_ptr, LabelResponse&&)> make_deliver(
-    std::shared_ptr<std::promise<Result>> promise, Adapt adapt) {
-  return [promise = std::move(promise), adapt = std::move(adapt)](
-             std::exception_ptr error, LabelResponse&& response) {
-    if (error != nullptr) {
-      promise->set_exception(std::move(error));
-    } else {
-      promise->set_value(adapt(std::move(response)));
-    }
-  };
-}
-
-constexpr auto kAsResponse = [](LabelResponse&& r) { return std::move(r); };
-// to_labeling_result / to_labeling_with_stats (core/request.hpp) are the
-// legacy-shape adapters.
-
 }  // namespace
 
 LabelingEngine::LabelingEngine(EngineConfig config)
@@ -71,117 +51,23 @@ LabelingEngine::LabelingEngine(EngineConfig config)
 
 LabelingEngine::~LabelingEngine() { shutdown(); }
 
-template <class Result, class Adapt>
-std::future<Result> LabelingEngine::submit_as(LabelRequest request,
-                                              BinaryImage owned, Adapt adapt) {
-  auto promise = std::make_shared<std::promise<Result>>();
-  std::future<Result> future = promise->get_future();
-  submit_request(std::move(request), std::move(owned),
-                 make_deliver(std::move(promise), std::move(adapt)));
-  return future;
-}
-
 std::future<LabelResponse> LabelingEngine::submit(LabelRequest request) {
-  return submit_as<LabelResponse>(std::move(request), BinaryImage{},
-                                  kAsResponse);
-}
-
-std::future<LabelingResult> LabelingEngine::submit(BinaryImage image) {
-  LabelRequest request;
-  request.input = image;  // views the heap buffer the job will own
-  return submit_as<LabelingResult>(std::move(request), std::move(image),
-                                   to_labeling_result);
-}
-
-std::future<LabelingResult> LabelingEngine::submit_view(
-    const BinaryImage& image) {
-  LabelRequest request;
-  request.input = image;
-  return submit_as<LabelingResult>(std::move(request), BinaryImage{},
-                                   to_labeling_result);
-}
-
-std::future<LabelingWithStats> LabelingEngine::submit_with_stats(
-    BinaryImage image) {
-  LabelRequest request;
-  request.input = image;
-  request.outputs.stats = true;
-  return submit_as<LabelingWithStats>(std::move(request), std::move(image),
-                                      to_labeling_with_stats);
-}
-
-std::future<LabelingWithStats> LabelingEngine::submit_view_with_stats(
-    const BinaryImage& image) {
-  LabelRequest request;
-  request.input = image;
-  request.outputs.stats = true;
-  return submit_as<LabelingWithStats>(std::move(request), BinaryImage{},
-                                      to_labeling_with_stats);
-}
-
-std::vector<std::future<LabelingResult>> LabelingEngine::submit_batch(
-    std::vector<BinaryImage> images) {
-  std::vector<std::future<LabelingResult>> futures;
-  futures.reserve(images.size());
-  for (BinaryImage& image : images) {
-    futures.push_back(submit(std::move(image)));
-  }
-  return futures;
-}
-
-std::future<LabelingResult> LabelingEngine::submit_sharded(
-    const BinaryImage& image, const ShardOptions& options) {
-  LabelRequest request;
-  request.input = image;
-  request.shard = options;
-  return submit_as<LabelingResult>(std::move(request), BinaryImage{},
-                                   to_labeling_result);
-}
-
-LabelingResult LabelingEngine::label_sharded(const BinaryImage& image,
-                                             const ShardOptions& options) {
-  return submit_sharded(image, options).get();
-}
-
-std::future<LabelingWithStats> LabelingEngine::submit_sharded_with_stats(
-    const BinaryImage& image, const ShardOptions& options) {
-  LabelRequest request;
-  request.input = image;
-  request.outputs.stats = true;
-  request.shard = options;
-  return submit_as<LabelingWithStats>(std::move(request), BinaryImage{},
-                                      to_labeling_with_stats);
-}
-
-LabelingWithStats LabelingEngine::label_sharded_with_stats(
-    const BinaryImage& image, const ShardOptions& options) {
-  return submit_sharded_with_stats(image, options).get();
-}
-
-void LabelingEngine::submit_request(LabelRequest request, BinaryImage owned,
-                                    Deliver deliver) {
+  std::promise<LabelResponse> promise;
+  std::future<LabelResponse> future = promise.get_future();
   if (request.shard.has_value()) {
-    // The sharded pipeline borrows the input; an owned image would die
-    // with this stack frame while tile jobs still read it.
-    PAREMSP_REQUIRE(owned.empty(),
-                    "sharded requests borrow their input (submit the view)");
-    start_sharded(std::move(request), std::move(deliver));
-    return;
+    start_sharded(std::move(request), std::move(promise));
+    return future;
   }
   Job job;
   job.request = std::move(request);
-  job.owned = std::move(owned);
-  job.deliver = std::move(deliver);
+  job.promise = std::move(promise);
   job.submitted_at = EngineStats::Clock::now();
-  push_job(std::move(job));
-}
-
-void LabelingEngine::push_job(Job job) {
   stats_.record_submission(job.submitted_at);
   if (!queue_.push(std::move(job))) {
     stats_.record_submission_aborted();
     throw PreconditionError("LabelingEngine::submit after shutdown");
   }
+  return future;
 }
 
 bool LabelingEngine::enqueue_task(std::function<void(ScratchArena&)> task,
@@ -481,7 +367,11 @@ void LabelingEngine::worker_main(ScratchArena& arena, int index) {
     jobs_metric.increment();
     if (failed) failed_metric.increment();
     pixels_metric.add(failed ? 0 : static_cast<std::uint64_t>(pixels));
-    job->deliver(std::move(error), std::move(response));
+    if (failed) {
+      job->promise.set_exception(std::move(error));
+    } else {
+      job->promise.set_value(std::move(response));
+    }
   }
 }
 

@@ -13,15 +13,12 @@
 // (tests/test_engine.cpp asserts this per algorithm).
 //
 // The single entry point is submit(LabelRequest) — the same request shape
-// Labeler::run executes (core/request.hpp). Every historical submit
-// variant (owned images, borrowed views, with-stats, batches, sharded) is
-// a thin wrapper that builds a request and a result-shape adapter around
-// the one job path. The sharded huge-image pipeline is selected by
-// request.shard.
+// Labeler::run executes (core/request.hpp); the sharded huge-image
+// pipeline is selected by request.shard.
 //
 // Lifecycle: constructor spawns the workers; shutdown() (or destruction)
 // closes the queue, drains every already-accepted job, and joins — every
-// future obtained from any submit is guaranteed to become ready. See
+// future obtained from submit is guaranteed to become ready. See
 // DESIGN.md §4/§7 for the architecture discussion.
 //
 //   LabelingEngine eng({.workers = 8});
@@ -93,68 +90,13 @@ class LabelingEngine {
   /// sharded tile pipeline across the whole worker pool (one huge image)
   /// instead of as a single worker job; the future only becomes ready
   /// once that pipeline has quiesced, so a ready future always means no
-  /// worker still reads the borrowed storage. Blocks while the queue is
-  /// full (backpressure); throws PreconditionError after shutdown().
+  /// worker still reads the borrowed storage; a shard cut short by
+  /// shutdown() fails its future with a PreconditionError. Submit sharded
+  /// requests from producer threads only, never from inside an engine
+  /// job: the initial tile fan-out takes the bounded queue path. Blocks
+  /// while the queue is full (backpressure); throws PreconditionError
+  /// after shutdown().
   [[nodiscard]] std::future<LabelResponse> submit(LabelRequest request);
-
-  // --- Legacy entry points ---------------------------------------------------
-  // Wrappers over submit(LabelRequest): each builds the equivalent
-  // request plus a result-shape adapter. Same queueing/backpressure/
-  // borrow contracts as the request they build.
-
-  /// Owning submit: the engine keeps `image` alive inside the job, so the
-  /// caller may fire and forget.
-  [[nodiscard]] std::future<LabelingResult> submit(BinaryImage image);
-
-  /// Zero-copy submit: the engine only borrows `image`, so the caller must
-  /// keep it alive and unmodified until the returned future is ready
-  /// (batch drivers labeling a fixed corpus skip one image copy per job).
-  [[nodiscard]] std::future<LabelingResult> submit_view(
-      const BinaryImage& image);
-
-  /// Owning submit of a combined labeling + component-analysis request
-  /// (request.outputs.stats). For fused-stats algorithms
-  /// (AlgorithmInfo::fused_stats) the features accumulate inside the
-  /// labeling scan — the worker never re-reads the label plane.
-  [[nodiscard]] std::future<LabelingWithStats> submit_with_stats(
-      BinaryImage image);
-
-  /// Zero-copy submit_with_stats (same borrow contract as submit_view).
-  [[nodiscard]] std::future<LabelingWithStats> submit_view_with_stats(
-      const BinaryImage& image);
-
-  /// Enqueue a batch; futures are index-aligned with `images`.
-  [[nodiscard]] std::vector<std::future<LabelingResult>> submit_batch(
-      std::vector<BinaryImage> images);
-
-  /// Label ONE huge image by sharding it into a tile grid across the
-  /// worker pool (equivalent to submit() with request.shard = options;
-  /// engine/sharded_labeler.hpp has the phase diagram). Borrows `image`
-  /// until the future is ready; bit-identical to sequential AREMSP for
-  /// every tile geometry and worker count. If the engine shuts down
-  /// mid-shard, the future carries a PreconditionError. Call from
-  /// producer threads only (not from inside engine jobs): the initial
-  /// tile fan-out takes the bounded, backpressured queue path.
-  [[nodiscard]] std::future<LabelingResult> submit_sharded(
-      const BinaryImage& image, const ShardOptions& options = {});
-
-  /// Synchronous submit_sharded: blocks until the shard pipeline drains.
-  [[nodiscard]] LabelingResult label_sharded(const BinaryImage& image,
-                                             const ShardOptions& options = {});
-
-  /// Sharded labeling + fused component analysis (request.shard +
-  /// request.outputs.stats): the tile scan jobs accumulate features into
-  /// disjoint per-tile cell ranges, the seam-merge jobs decide (through
-  /// the shared union-find) which cells belong together, and the resolve
-  /// job reduces them — stats for a huge image without any worker
-  /// re-reading pixels. Same borrow/quiesce/failure contract as
-  /// submit_sharded.
-  [[nodiscard]] std::future<LabelingWithStats> submit_sharded_with_stats(
-      const BinaryImage& image, const ShardOptions& options = {});
-
-  /// Synchronous submit_sharded_with_stats.
-  [[nodiscard]] LabelingWithStats label_sharded_with_stats(
-      const BinaryImage& image, const ShardOptions& options = {});
 
   /// Open a streaming slab session (engine/stream_session.hpp): label an
   /// arbitrarily tall image one row-band slab at a time through the
@@ -196,47 +138,22 @@ class LabelingEngine {
   friend class ShardedRun;      // sharded_labeler.cpp: pushes phase jobs
   friend class StreamSession;   // stream_session.cpp: slab job chains
 
-  /// How a finished request leaves the engine: exactly one invocation per
-  /// accepted job, with either the error or the response. The legacy
-  /// wrappers close over a promise of their historical result shape here
-  /// — this one hook is what collapsed the parallel promise plumbing
-  /// (separate LabelingResult/LabelingWithStats promises per Job).
-  using Deliver = std::function<void(std::exception_ptr, LabelResponse&&)>;
-
-  /// The ONE job shape: a request plus optional owned backing pixels plus
-  /// the delivery hook (or, for sharded phase continuations, a task).
+  /// The ONE job shape: a labeling request plus the promise its response
+  /// is delivered through — or, for sharded phase and stream slab
+  /// continuations, a task.
   struct Job {
-    LabelRequest request;  // input may view `owned` or caller storage
-    // Backing storage when the caller handed ownership (submit(BinaryImage)).
-    // request.input views its heap buffer, which is stable as the Job
-    // moves through the queue (vector moves transfer the buffer).
-    BinaryImage owned;
-    Deliver deliver;  // null for task jobs
+    LabelRequest request;  // borrows the caller's storage
+    std::promise<LabelResponse> promise;  // unused by task jobs
     EngineStats::Clock::time_point submitted_at{};
-    // Generic engine task (sharded phase jobs): when set, the worker runs
-    // it with its arena instead of the labeling path. Tasks own their
-    // error handling; `deliver` is unused.
+    // Generic engine task: when set, the worker runs it with its arena
+    // instead of the labeling path. Tasks own their error handling.
     std::function<void(ScratchArena&)> task;
   };
 
-  /// Shared wrapper body: a promise of the legacy `Result` shape whose
-  /// delivery runs `adapt` over the LabelResponse, submitted through the
-  /// one request path. Every public submit differs only in the request it
-  /// builds and the adapter it names (defined in engine.cpp; used only
-  /// there).
-  template <class Result, class Adapt>
-  [[nodiscard]] std::future<Result> submit_as(LabelRequest request,
-                                              BinaryImage owned, Adapt adapt);
-
-  /// Shared submission protocol of every submit wrapper: route sharded
-  /// requests to the tile pipeline, everything else into the bounded
-  /// queue (record, push, undo the record and throw if already closed).
-  void submit_request(LabelRequest request, BinaryImage owned,
-                      Deliver deliver);
   /// Start the sharded pipeline for a request with request.shard set
   /// (validates options/connectivity on the submitting thread).
-  void start_sharded(LabelRequest request, Deliver deliver);
-  void push_job(Job job);
+  void start_sharded(LabelRequest request,
+                     std::promise<LabelResponse> promise);
   /// Enqueue a generic task. Bounded (backpressured) pushes are for
   /// producer threads; workers spawning continuations must pass
   /// bounded = false (see JobQueue::push_unbounded). Returns false once

@@ -67,7 +67,7 @@ struct EngineStatsSnapshot {
   std::uint64_t plane_reuses = 0;
 
   // --- sharded huge-image path ----------------------------------------------
-  std::uint64_t shards_submitted = 0;      // submit_sharded calls accepted
+  std::uint64_t shards_submitted = 0;      // sharded requests accepted
   std::uint64_t shards_completed = 0;      // shard promises fulfilled OK
   std::uint64_t shard_tasks_completed = 0; // tile/seam/rewrite jobs run
 

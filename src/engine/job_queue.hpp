@@ -1,5 +1,5 @@
-// Bounded MPMC queue connecting producers (submit/submit_batch) to the
-// engine's worker pool.
+// Bounded MPMC queue connecting producers (submit) to the engine's worker
+// pool.
 //
 // Deliberately a mutex + two condition variables rather than a lock-free
 // ring: one labeling job costs tens of microseconds to millions of cycles,

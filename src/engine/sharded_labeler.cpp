@@ -19,6 +19,7 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
+#include <future>
 #include <memory>
 #include <optional>
 #include <type_traits>
@@ -45,13 +46,13 @@ namespace paremsp::engine {
 class ShardedRun : public std::enable_shared_from_this<ShardedRun> {
  public:
   ShardedRun(LabelingEngine& engine, LabelRequest request,
-             Connectivity connectivity, LabelingEngine::Deliver deliver)
+             Connectivity connectivity, std::promise<LabelResponse> promise)
       : engine_(engine),
         request_(std::move(request)),
         options_(*request_.shard),
         connectivity_(connectivity),
         cas_unite_(cas_unite_fn(options_.cas_find, options_.cas_splice)),
-        deliver_(std::move(deliver)) {
+        promise_(std::move(promise)) {
     if (options_.merge_backend == MergeBackend::LockedRem) {
       locks_ = std::make_unique<uf::LockPool>(options_.lock_bits);
     }
@@ -87,6 +88,7 @@ class ShardedRun : public std::enable_shared_from_this<ShardedRun> {
   void launch() {
     result_.labels = engine_.take_recycled_plane();
     result_.labels.resize_for_overwrite(image().rows(), image().cols());
+    if (with_stats()) result_.stats.emplace();
     if (image().size() == 0) {
       deliver();
       return;
@@ -273,11 +275,13 @@ class ShardedRun : public std::enable_shared_from_this<ShardedRun> {
           // now, so this fold merges accumulators exactly where labels
           // were unified. O(labels issued) — the label plane itself is
           // only touched again by the rewrite fan-out below.
-          stats_.components.assign(
-              static_cast<std::size_t>(result_.num_components), {});
+          std::vector<analysis::ComponentInfo>& components =
+              result_.stats->components;
+          components.assign(static_cast<std::size_t>(result_.num_components),
+                            {});
           fold_tile_features({cells_.data.get(), parents_size_},
                              {parents_.data.get(), parents_size_}, tiles_,
-                             stats_.components);
+                             components);
         }
       } catch (...) {
         fail(std::current_exception());
@@ -331,26 +335,19 @@ class ShardedRun : public std::enable_shared_from_this<ShardedRun> {
     engine_.return_shard_cells(std::move(cells_));
     engine_.return_run_buffers(std::move(tile_runs_));
     if (failed_.load(std::memory_order_acquire)) {
-      deliver_(error_, LabelResponse{});
+      promise_.set_exception(error_);
       return;
     }
     // Count before fulfilling: a caller returning from future.get() must
     // already observe the completion in stats().
     engine_.shards_completed_.fetch_add(1, std::memory_order_relaxed);
-    LabelResponse response;
-    response.num_components = result_.num_components;
-    response.timings = result_.timings;
-    if (with_stats()) response.stats = std::move(stats_);
-    if (request_.label_out.has_value()) {
-      // Final labels already landed in label_out during the rewrite; the
-      // working plane was never written.
-      engine_.recycle(std::move(result_.labels));
-    } else if (request_.outputs.labels) {
-      response.labels = std::move(result_.labels);
-    } else {
-      engine_.recycle(std::move(result_.labels));
+    // Final labels already landed in label_out during the rewrite (the
+    // working plane was never written), or the request did not ask for
+    // them: the plane goes back to the engine either way.
+    if (request_.label_out.has_value() || !request_.outputs.labels) {
+      engine_.recycle(std::exchange(result_.labels, LabelImage{}));
     }
-    deliver_(nullptr, std::move(response));
+    promise_.set_value(std::move(result_));
   }
 
   // --- Fan-out / fan-in machinery -------------------------------------------
@@ -471,13 +468,12 @@ class ShardedRun : public std::enable_shared_from_this<ShardedRun> {
   const ShardOptions options_;
   const Connectivity connectivity_;  // effective (validated) connectivity
   const uf::CasUniteFn cas_unite_;   // options_'s find × splice combination
-  LabelingEngine::Deliver deliver_;
+  std::promise<LabelResponse> promise_;
   std::unique_ptr<uf::LockPool> locks_;
   int cutoff_ = -1;      // request threshold as an integer cutoff; -1 unset
   std::optional<double> deadline_ms_;  // request deadline vs timer_, if any
 
-  LabelingResult result_;
-  analysis::ComponentStats stats_;       // fused features (outputs.stats)
+  LabelResponse result_;                 // delivered through promise_
   LabelingEngine::ShardBuffer parents_;  // global union-find parents
   std::size_t parents_size_ = 0;         // image.size() + 1
   LabelingEngine::ShardBuffer remap_;    // renumber table (Phase III)
@@ -503,7 +499,8 @@ class ShardedRun : public std::enable_shared_from_this<ShardedRun> {
   WallTimer timer_;
 };
 
-void LabelingEngine::start_sharded(LabelRequest request, Deliver deliver) {
+void LabelingEngine::start_sharded(LabelRequest request,
+                                   std::promise<LabelResponse> promise) {
   const ShardOptions& options = *request.shard;
   PAREMSP_REQUIRE(options.tile_rows >= 1 && options.tile_cols >= 1,
                   "shard tiles must be at least 1x1");
@@ -518,7 +515,7 @@ void LabelingEngine::start_sharded(LabelRequest request, Deliver deliver) {
       request, Algorithm::ParemspTiled, config_.labeler.connectivity);
   shards_submitted_.fetch_add(1, std::memory_order_relaxed);
   std::make_shared<ShardedRun>(*this, std::move(request), connectivity,
-                               std::move(deliver))
+                               std::move(promise))
       ->start();
 }
 

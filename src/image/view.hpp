@@ -13,8 +13,8 @@
 // A view is three words (pointer, dims, pitch) and is passed by value.
 // Lifetime is the caller's problem, exactly like std::span: the viewed
 // storage must outlive every use of the view. For the engine's asynchronous
-// entry points that means "until the returned future is ready" — the same
-// borrow contract submit_view established (see DESIGN.md §7).
+// submit() that means "until the returned future is ready" (see DESIGN.md
+// §7).
 #pragma once
 
 #include <cstdint>

@@ -46,13 +46,13 @@ void launch(int threads, std::int64_t n, std::int64_t grain, Fn&& fn) {
   for (std::thread& th : pool) th.join();
 }
 
-LabelingResult run_propagate(ConstImageView image, Connectivity connectivity,
-                             LabelScratch& scratch,
-                             analysis::ComponentStats* stats,
-                             const PropagateConfig& config, int threads) {
+LabelResponse run_propagate(ConstImageView image, Connectivity connectivity,
+                            LabelScratch& scratch,
+                            analysis::ComponentStats* stats,
+                            const PropagateConfig& config, int threads) {
   const WallTimer total;
   WallTimer phase;
-  LabelingResult result;
+  LabelResponse result;
   result.labels = scratch.acquire_plane(image.rows(), image.cols(),
                                         LabelScratch::PlaneInit::Dirty);
   if (image.size() == 0) {
@@ -187,7 +187,7 @@ PropagateLabeler::PropagateLabeler(PropagateConfig config,
   require_valid(config_);
 }
 
-LabelingResult PropagateLabeler::run_impl(
+LabelResponse PropagateLabeler::run_impl(
     ConstImageView image, Connectivity connectivity, LabelScratch& scratch,
     analysis::ComponentStats* stats) const {
   return run_propagate(image, connectivity, scratch, stats, config_,
@@ -200,7 +200,7 @@ PropagateParLabeler::PropagateParLabeler(PropagateConfig config,
   require_valid(config_);
 }
 
-LabelingResult PropagateParLabeler::run_impl(
+LabelResponse PropagateParLabeler::run_impl(
     ConstImageView image, Connectivity connectivity, LabelScratch& scratch,
     analysis::ComponentStats* stats) const {
   return run_propagate(image, connectivity, scratch, stats, config_,

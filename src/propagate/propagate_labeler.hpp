@@ -43,7 +43,7 @@ class PropagateLabeler : public Labeler {
   }
 
  protected:
-  [[nodiscard]] LabelingResult run_impl(
+  [[nodiscard]] LabelResponse run_impl(
       ConstImageView image, Connectivity connectivity, LabelScratch& scratch,
       analysis::ComponentStats* stats) const override;
 
@@ -66,7 +66,7 @@ class PropagateParLabeler : public Labeler {
   }
 
  protected:
-  [[nodiscard]] LabelingResult run_impl(
+  [[nodiscard]] LabelResponse run_impl(
       ConstImageView image, Connectivity connectivity, LabelScratch& scratch,
       analysis::ComponentStats* stats) const override;
 

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "analysis/component_stats.hpp"
+#include "core/request.hpp"
 #include "image/ascii.hpp"
 #include "image/raster.hpp"
 
@@ -26,6 +27,14 @@ inline void expect_stats_identical(const analysis::ComponentStats& got,
     EXPECT_EQ(got.components[i], want.components[i])
         << context << " component " << i + 1;
   }
+}
+
+/// A request for labels plus fused component stats over `image`.
+inline LabelRequest stats_request(ConstImageView image) {
+  LabelRequest request;
+  request.input = image;
+  request.outputs.stats = true;
+  return request;
 }
 
 /// A fixture image with its known 8-connectivity and 4-connectivity

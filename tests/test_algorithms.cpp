@@ -21,7 +21,7 @@ class EveryAlgorithm : public ::testing::TestWithParam<Algorithm> {
   void expect_correct(const BinaryImage& image, const std::string& what) {
     SCOPED_TRACE(what);
     const auto oracle = FloodFillLabeler(Connectivity::Eight).label(image);
-    const LabelingResult result = labeler()->label(image);
+    const LabelResponse result = labeler()->label(image);
 
     EXPECT_EQ(result.num_components, oracle.num_components);
     const auto v = analysis::validate_labeling(image, result.labels,
@@ -95,7 +95,7 @@ TEST_P(EveryAlgorithm, LabelsAreRasterMinimalPerComponent) {
   // All two-pass algorithms number components consecutively; canonical
   // relabeling must be a no-op up to equivalence.
   const auto image = gen::misc_like(48, 48, 11);
-  LabelingResult result = labeler()->label(image);
+  LabelResponse result = labeler()->label(image);
   LabelImage canonical = result.labels;
   const Label n = analysis::canonical_relabel(canonical);
   EXPECT_EQ(n, result.num_components);

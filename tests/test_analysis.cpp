@@ -15,7 +15,7 @@
 namespace paremsp::analysis {
 namespace {
 
-LabelingResult labeled(const BinaryImage& img) {
+LabelResponse labeled(const BinaryImage& img) {
   return FloodFillLabeler().label(img);
 }
 

@@ -72,7 +72,7 @@ TEST(Determinism, ConcurrentLabelCallsOnOneLabeler) {
   const ParemspLabeler labeler(ParemspConfig{2});
   const auto expected = labeler.label(image);
 
-  std::vector<std::future<LabelingResult>> futures;
+  std::vector<std::future<LabelResponse>> futures;
   futures.reserve(4);
   for (int i = 0; i < 4; ++i) {
     futures.push_back(std::async(std::launch::async, [&] {

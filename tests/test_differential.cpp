@@ -12,11 +12,12 @@
 // (common/env.hpp), so a CI failure replays verbatim:
 //   PAREMSP_TEST_SEED=<seed> ./paremsp_tests --gtest_filter='Differential.*'
 //
-// Besides raw labels, every algorithm's label_with_stats output is
+// Besides raw labels, every algorithm's stats request (outputs.stats) is
 // cross-checked against the post-pass compute_stats oracle on the same
 // plane: the fused accumulate-during-scan paths must be value-identical
 // (exact integers and the centroids derived from them) on every cell of
-// the matrix.
+// the matrix. Stats requests run on one LabelScratch shared across the
+// algorithms of a sweep cell, so they exercise the warm-scratch path.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -29,6 +30,7 @@
 #include "analysis/validation.hpp"
 #include "common/contracts.hpp"
 #include "common/env.hpp"
+#include "core/label_scratch.hpp"
 #include "core/rle_labelers.hpp"
 #include "core/registry.hpp"
 #include "fixtures.hpp"
@@ -63,8 +65,10 @@ std::string dump_case(const BinaryImage& image, std::uint64_t seed,
 
 /// Diff one algorithm against the oracle on one image. Both labelings are
 /// canonically renumbered first; after that they must be equal bit for bit.
+/// The stats request draws its buffers from `scratch`.
 void diff_against_oracle(const AlgorithmInfo& info, const BinaryImage& image,
-                         Connectivity connectivity, const std::string& why) {
+                         Connectivity connectivity, const std::string& why,
+                         LabelScratch& scratch) {
   LabelerOptions options;
   options.connectivity = connectivity;
 
@@ -80,7 +84,7 @@ void diff_against_oracle(const AlgorithmInfo& info, const BinaryImage& image,
   const auto oracle =
       make_labeler(Algorithm::FloodFill, options)->label(image);
   const auto labeler = make_labeler(info.id, options);
-  LabelingResult got = labeler->label(image);
+  LabelResponse got = labeler->label(image);
   EXPECT_EQ(got.num_components, oracle.num_components)
       << info.name << " " << why;
 
@@ -94,28 +98,27 @@ void diff_against_oracle(const AlgorithmInfo& info, const BinaryImage& image,
                                              got.num_components, connectivity);
   EXPECT_TRUE(v.ok) << info.name << " " << why << "\n" << v.error;
 
-  // Fused stats: label_with_stats must label bit-identically to label()
+  // Fused stats: a stats request must label bit-identically to label()
   // and measure value-identically to the post-pass oracle on that plane.
-  const LabelingWithStats ws = labeler->label_with_stats(image);
-  EXPECT_EQ(ws.labeling.num_components, got.num_components)
-      << info.name << " " << why;
-  EXPECT_EQ(ws.labeling.labels, got.labels)
-      << info.name << " label_with_stats diverged from label() " << why;
-  expect_stats_identical(
-      ws.stats,
-      analysis::compute_stats(ws.labeling.labels,
-                              ws.labeling.num_components),
-      std::string(info.name) + " " + why);
+  LabelResponse ws = labeler->run(testing::stats_request(image), scratch);
+  EXPECT_EQ(ws.num_components, got.num_components) << info.name << " " << why;
+  EXPECT_EQ(ws.labels, got.labels)
+      << info.name << " stats request diverged from label() " << why;
+  expect_stats_identical(*ws.stats,
+                         analysis::compute_stats(ws.labels, ws.num_components),
+                         std::string(info.name) + " " + why);
+  scratch.recycle_plane(std::move(ws.labels));
 }
 
 /// One full sweep cell: every algorithm x both connectivities on `image`.
 void diff_all(const BinaryImage& image, std::uint64_t seed, double density) {
+  LabelScratch scratch;  // warm after the first algorithm
   for (const Connectivity connectivity :
        {Connectivity::Eight, Connectivity::Four}) {
     const std::string why = dump_case(image, seed, density, connectivity);
     for (const AlgorithmInfo& info : algorithm_catalog()) {
       if (info.id == Algorithm::FloodFill) continue;  // the oracle itself
-      diff_against_oracle(info, image, connectivity, why);
+      diff_against_oracle(info, image, connectivity, why, scratch);
     }
   }
 }
@@ -176,30 +179,31 @@ TEST(Differential, FusedStatsAcrossDegenerateTileGeometries) {
   };
   const std::uint64_t base = test_seed(0x71e5);
   const AlgorithmInfo& info = algorithm_info(Algorithm::ParemspTiled);
+  LabelScratch scratch;  // shared by every geometry: warm after the first
   for (std::uint64_t i = 0; i < 6; ++i) {
     const std::uint64_t seed = base + i;
     const double density = 0.15 + 0.7 * static_cast<double>(i) / 5.0;
     const BinaryImage image = gen::uniform_noise(13, 19, density, seed);
     const std::string why = dump_case(image, seed, density,
                                       Connectivity::Eight);
-    const auto reference =
-        make_labeler(Algorithm::Aremsp)->label_with_stats(image);
+    const LabelRequest request = testing::stats_request(image);
+    const LabelResponse reference =
+        make_labeler(Algorithm::Aremsp)->run(request);
     for (const auto& [tr, tc] : geometries) {
       const TiledParemspLabeler tiled(
           RleConfig{.tile_rows = tr, .tile_cols = tc});
-      const LabelingWithStats ws = tiled.label_with_stats(image);
+      LabelResponse ws = tiled.run(request, scratch);
       // Tiled output is bit-identical to AREMSP, so the stats must match
       // the reference's component for component, not only as a multiset.
       const std::string context = std::string(info.name) + " tiles " +
                                   std::to_string(tr) + "x" +
                                   std::to_string(tc) + " " + why;
-      EXPECT_EQ(ws.labeling.labels, reference.labeling.labels) << context;
-      expect_stats_identical(ws.stats, reference.stats, context);
+      EXPECT_EQ(ws.labels, reference.labels) << context;
+      expect_stats_identical(*ws.stats, *reference.stats, context);
       expect_stats_identical(
-          ws.stats,
-          analysis::compute_stats(ws.labeling.labels,
-                                  ws.labeling.num_components),
+          *ws.stats, analysis::compute_stats(ws.labels, ws.num_components),
           context);
+      scratch.recycle_plane(std::move(ws.labels));
     }
   }
 }

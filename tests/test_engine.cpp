@@ -37,7 +37,7 @@ BinaryImage stream_image(int stream, int index, Coord rows = 64,
   }
 }
 
-void expect_same_result(const LabelingResult& got, const LabelingResult& want,
+void expect_same_result(const LabelResponse& got, const LabelResponse& want,
                         const std::string& context) {
   EXPECT_EQ(got.num_components, want.num_components) << context;
   EXPECT_EQ(got.labels, want.labels) << context;
@@ -103,7 +103,7 @@ TEST(LabelScratch, GrowsOnceAcrossDifferentlySizedImages) {
   // Run one image through the warm-scratch path, recycling the output
   // plane the way the engine's clients do.
   const auto run = [&](const BinaryImage& image) {
-    LabelingResult r = labeler.label_into(image, scratch);
+    LabelResponse r = labeler.run({.input = image}, scratch);
     expect_same_result(r, labeler.label(image), "scratch run");
     scratch.recycle_plane(std::move(r.labels));
   };
@@ -133,21 +133,21 @@ TEST(LabelScratch, RecycledPlanesAreReusedAndZeroed) {
   const FloodFillLabeler labeler;  // relies on a zeroed plane internally
   LabelScratch scratch;
   const BinaryImage image = gen::texture_like(40, 56, 3);
-  const LabelingResult want = labeler.label(image);
+  const LabelResponse want = labeler.label(image);
 
-  LabelingResult r = labeler.label_into(image, scratch);
+  LabelResponse r = labeler.run({.input = image}, scratch);
   expect_same_result(r, want, "before recycling");
   const std::uint64_t reuses = scratch.plane_reuse_count();
   scratch.recycle_plane(std::move(r.labels));
 
   // The recycled plane is full of stale labels; acquire must hand it back
   // zeroed or flood fill would see every pixel as already visited.
-  const LabelingResult again = labeler.label_into(image, scratch);
+  const LabelResponse again = labeler.run({.input = image}, scratch);
   expect_same_result(again, want, "after recycling");
   EXPECT_GT(scratch.plane_reuse_count(), reuses);
 }
 
-TEST(LabelScratch, LabelIntoMatchesLabelForEveryAlgorithm) {
+TEST(LabelScratch, ScratchRunMatchesLabelForEveryAlgorithm) {
   const BinaryImage a = gen::misc_like(33, 47, 21);
   const BinaryImage b = gen::landcover_like(50, 41, 22);
   for (const AlgorithmInfo& info : algorithm_catalog()) {
@@ -155,18 +155,18 @@ TEST(LabelScratch, LabelIntoMatchesLabelForEveryAlgorithm) {
     const auto labeler = make_labeler(info.id);
     LabelScratch scratch;
     // Two calls on one scratch: the second runs on warm buffers.
-    expect_same_result(labeler->label_into(a, scratch), labeler->label(a),
+    expect_same_result(labeler->run({.input = a}, scratch), labeler->label(a),
                        "image a");
-    expect_same_result(labeler->label_into(b, scratch), labeler->label(b),
+    expect_same_result(labeler->run({.input = b}, scratch), labeler->label(b),
                        "image b");
 
     // The catalog's scratch_reuse flag must reflect reality: algorithms
     // carrying it run allocation-free once the scratch is warm.
     if (info.scratch_reuse) {
-      LabelingResult warmup = labeler->label_into(b, scratch);
+      LabelResponse warmup = labeler->run({.input = b}, scratch);
       scratch.recycle_plane(std::move(warmup.labels));
       const std::uint64_t grows = scratch.grow_count();
-      LabelingResult warm = labeler->label_into(b, scratch);
+      LabelResponse warm = labeler->run({.input = b}, scratch);
       EXPECT_EQ(scratch.grow_count(), grows)
           << "scratch_reuse algorithm allocated on a warm scratch";
       scratch.recycle_plane(std::move(warm.labels));
@@ -189,13 +189,13 @@ TEST(LabelingEngine, BatchMatchesDirectCallsBitForBit) {
     images.push_back(BinaryImage());  // empty image rides along
 
     LabelingEngine eng({.workers = 3, .algorithm = algorithm});
-    // submit_batch takes the vector by value; passing the lvalue copies,
-    // keeping `images` usable for the reference labelings below.
-    auto futures = eng.submit_batch(images);
-    ASSERT_EQ(futures.size(), images.size());
+    std::vector<std::future<LabelResponse>> futures;
+    for (const BinaryImage& image : images) {
+      futures.push_back(eng.submit({.input = image}));
+    }
     for (std::size_t i = 0; i < futures.size(); ++i) {
-      const LabelingResult got = futures[i].get();
-      const LabelingResult want = direct->label(images[i]);
+      const LabelResponse got = futures[i].get();
+      const LabelResponse want = direct->label(images[i]);
       expect_same_result(got, want, "image " + std::to_string(i));
       const auto validation = analysis::validate_labeling(
           images[i], got.labels, got.num_components);
@@ -220,17 +220,17 @@ TEST(LabelingEngine, SubmitWithStatsMatchesDirectFusedAndFallbackPaths) {
     images.push_back(BinaryImage());  // empty image rides along
 
     LabelingEngine eng({.workers = 3, .algorithm = algorithm});
-    std::vector<std::future<LabelingWithStats>> futures;
+    std::vector<std::future<LabelResponse>> futures;
     for (const BinaryImage& image : images) {
-      futures.push_back(eng.submit_view_with_stats(image));
+      futures.push_back(eng.submit(testing::stats_request(image)));
     }
     for (std::size_t i = 0; i < futures.size(); ++i) {
-      const LabelingWithStats got = futures[i].get();
-      const LabelingResult want = direct->label(images[i]);
-      expect_same_result(got.labeling, want, "image " + std::to_string(i));
-      const auto oracle = analysis::compute_stats(
-          got.labeling.labels, got.labeling.num_components);
-      testing::expect_stats_identical(got.stats, oracle,
+      const LabelResponse got = futures[i].get();
+      const LabelResponse want = direct->label(images[i]);
+      expect_same_result(got, want, "image " + std::to_string(i));
+      const auto oracle =
+          analysis::compute_stats(got.labels, got.num_components);
+      testing::expect_stats_identical(*got.stats, oracle,
                                       "image " + std::to_string(i));
     }
     const auto stats = eng.stats();
@@ -244,13 +244,13 @@ TEST(LabelingEngine, WithStatsKeepsArenasAllocationFree) {
   LabelingEngine eng({.workers = 1, .algorithm = Algorithm::Aremsp});
   const BinaryImage image = gen::texture_like(64, 64, 5);
   for (int i = 0; i < 3; ++i) {  // warm every buffer incl. the cells
-    auto r = eng.submit_with_stats(image).get();
-    eng.recycle(std::move(r.labeling.labels));
+    auto r = eng.submit(testing::stats_request(image)).get();
+    eng.recycle(std::move(r.labels));
   }
   const auto warm = eng.stats();
   for (int i = 0; i < 5; ++i) {
-    auto r = eng.submit_with_stats(image).get();
-    eng.recycle(std::move(r.labeling.labels));
+    auto r = eng.submit(testing::stats_request(image)).get();
+    eng.recycle(std::move(r.labels));
   }
   const auto after = eng.stats();
   EXPECT_EQ(after.scratch_grow_count, warm.scratch_grow_count)
@@ -262,13 +262,20 @@ TEST(LabelingEngine, ConcurrentProducersGetDeterministicResults) {
   constexpr int kPerProducer = 20;
   LabelingEngine eng({.workers = 2, .queue_capacity = 8});
 
-  std::vector<std::vector<std::future<LabelingResult>>> futures(kProducers);
+  // Requests borrow their input: every image outlives its future.
+  std::vector<std::vector<BinaryImage>> images(kProducers);
+  for (int t = 0; t < kProducers; ++t) {
+    for (int i = 0; i < kPerProducer; ++i) {
+      images[static_cast<std::size_t>(t)].push_back(stream_image(t, i));
+    }
+  }
+  std::vector<std::vector<std::future<LabelResponse>>> futures(kProducers);
   std::vector<std::thread> producers;
   for (int t = 0; t < kProducers; ++t) {
-    producers.emplace_back([&eng, &futures, t] {
-      for (int i = 0; i < kPerProducer; ++i) {
+    producers.emplace_back([&eng, &images, &futures, t] {
+      for (const BinaryImage& image : images[static_cast<std::size_t>(t)]) {
         futures[static_cast<std::size_t>(t)].push_back(
-            eng.submit(stream_image(t, i)));
+            eng.submit({.input = image}));
       }
     });
   }
@@ -277,10 +284,10 @@ TEST(LabelingEngine, ConcurrentProducersGetDeterministicResults) {
   const AremspLabeler reference;
   for (int t = 0; t < kProducers; ++t) {
     for (int i = 0; i < kPerProducer; ++i) {
-      const LabelingResult got =
+      const LabelResponse got =
           futures[static_cast<std::size_t>(t)][static_cast<std::size_t>(i)]
               .get();
-      const LabelingResult want = reference.label(stream_image(t, i));
+      const LabelResponse want = reference.label(stream_image(t, i));
       expect_same_result(got, want,
                          "producer " + std::to_string(t) + " image " +
                              std::to_string(i));
@@ -294,14 +301,16 @@ TEST(LabelingEngine, ConcurrentProducersGetDeterministicResults) {
 }
 
 TEST(LabelingEngine, ShutdownDrainsInFlightJobs) {
-  std::vector<std::future<LabelingResult>> futures;
+  std::vector<std::future<LabelResponse>> futures;
   const BinaryImage image = gen::landcover_like(64, 64, 5);
-  const LabelingResult want = AremspLabeler().label(image);
+  const LabelResponse want = AremspLabeler().label(image);
   {
     LabelingEngine eng({.workers = 2, .queue_capacity = 4});
-    for (int i = 0; i < 16; ++i) futures.push_back(eng.submit(image));
+    for (int i = 0; i < 16; ++i) {
+      futures.push_back(eng.submit({.input = image}));
+    }
     eng.shutdown();  // explicit; destructor path covered on scope exit too
-    EXPECT_THROW((void)eng.submit(BinaryImage(4, 4)), PreconditionError);
+    EXPECT_THROW((void)eng.submit({.input = image}), PreconditionError);
     EXPECT_EQ(eng.stats().jobs_completed, 16u);
   }
   // The engine is gone; every accepted job's future still yields a result.
@@ -314,17 +323,17 @@ TEST(LabelingEngine, RecyclingKeepsArenasAllocationFree) {
   LabelingEngine eng({.workers = 1, .queue_capacity = 4});
   const Coord rows = 72, cols = 72;
 
-  // Warm-up: let the single worker see the image size once.
-  for (int i = 0; i < 4; ++i) {
-    LabelingResult r = eng.submit(stream_image(9, i, rows, cols)).get();
+  const auto label_recycled = [&](int i) {
+    const BinaryImage image = stream_image(9, i, rows, cols);
+    LabelResponse r = eng.submit({.input = image}).get();
     eng.recycle(std::move(r.labels));
-  }
+  };
+
+  // Warm-up: let the single worker see the image size once.
+  for (int i = 0; i < 4; ++i) label_recycled(i);
   const auto warm = eng.stats();
 
-  for (int i = 4; i < 24; ++i) {
-    LabelingResult r = eng.submit(stream_image(9, i, rows, cols)).get();
-    eng.recycle(std::move(r.labels));
-  }
+  for (int i = 4; i < 24; ++i) label_recycled(i);
   const auto done = eng.stats();
 
   // Steady state: zero new allocations, planes served from the pool.
@@ -337,7 +346,11 @@ TEST(LabelingEngine, StatsReportThroughputAndLatency) {
   LabelingEngine eng({.workers = 2});
   std::vector<BinaryImage> images;
   for (int i = 0; i < 10; ++i) images.push_back(stream_image(3, i));
-  for (auto& f : eng.submit_batch(std::move(images))) (void)f.get();
+  std::vector<std::future<LabelResponse>> futures;
+  for (const BinaryImage& image : images) {
+    futures.push_back(eng.submit({.input = image}));
+  }
+  for (auto& f : futures) (void)f.get();
 
   const auto s = eng.stats();
   EXPECT_EQ(s.jobs_submitted, 10u);

@@ -4,8 +4,9 @@
 // decision-tree branches and two-line-scan cases; the rectangular shapes
 // catch row/column boundary handling.
 //
-// The fused-stats algorithms additionally run label_with_stats on every
-// image, cross-checked against the post-pass compute_stats oracle — an
+// The fused-stats algorithms additionally run a stats request on every
+// image (all on one warm LabelScratch, so the scratch-reuse path is swept
+// too), cross-checked against the post-pass compute_stats oracle — an
 // exhaustive proof that the accumulate-during-scan hooks fire on every
 // branch of the two-line mask (including forced multi-chunk PAREMSP and
 // degenerate 1-pixel tiled grids, where all merging happens at seams).
@@ -78,6 +79,7 @@ TEST_P(ExhaustiveShape, AllAlgorithmsMatchOracleOnEveryImage) {
   fused.push_back(std::make_unique<TiledParemspLabeler>(
       RleConfig{.tile_rows = 2, .tile_cols = 3}));
 
+  LabelScratch scratch;  // shared by every stats request below
   const std::uint64_t total = 1ULL << nbits;
   for (std::uint64_t bits = 0; bits < total; bits += stride) {
     const BinaryImage img =
@@ -92,26 +94,27 @@ TEST_P(ExhaustiveShape, AllAlgorithmsMatchOracleOnEveryImage) {
                << to_ascii(img);
       }
     }
+    const LabelRequest stats_request = testing::stats_request(img);
     for (const auto& labeler : fused) {
-      const LabelingWithStats ws = labeler->label_with_stats(img);
-      if (ws.labeling.num_components != expected.num_components ||
-          !analysis::equivalent_labelings(ws.labeling.labels,
-                                          expected.labels)) {
-        FAIL() << labeler->name() << " label_with_stats mislabeled "
+      LabelResponse ws = labeler->run(stats_request, scratch);
+      if (ws.num_components != expected.num_components ||
+          !analysis::equivalent_labelings(ws.labels, expected.labels)) {
+        FAIL() << labeler->name() << " stats request mislabeled "
                << rows << "x" << cols << " bits=" << bits << "\n"
                << to_ascii(img);
       }
-      const auto oracle_stats = analysis::compute_stats(
-          ws.labeling.labels, ws.labeling.num_components);
+      const auto oracle_stats =
+          analysis::compute_stats(ws.labels, ws.num_components);
       // Cheap pre-check keeps the 65536-image hot loop free of failure
       // message construction; the shared helper reports on mismatch.
-      if (ws.stats.components != oracle_stats.components) {
+      if (ws.stats->components != oracle_stats.components) {
         testing::expect_stats_identical(
-            ws.stats, oracle_stats,
+            *ws.stats, oracle_stats,
             std::string(labeler->name()) + " " + std::to_string(rows) + "x" +
                 std::to_string(cols) + " bits=" + std::to_string(bits) +
                 "\n" + to_ascii(img));
       }
+      scratch.recycle_plane(std::move(ws.labels));
     }
   }
 }

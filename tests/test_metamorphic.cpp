@@ -29,7 +29,9 @@
 #include "analysis/component_stats.hpp"
 #include "common/env.hpp"
 #include "common/prng.hpp"
+#include "core/label_scratch.hpp"
 #include "core/registry.hpp"
+#include "fixtures.hpp"
 #include "image/ascii.hpp"
 #include "image/generators.hpp"
 
@@ -140,13 +142,23 @@ void check_invariants(const AlgorithmInfo& info, const BinaryImage& image,
   const auto labeler = make_labeler(info.id, options);
   const std::string why = dump_case(info, image, connectivity, source);
 
-  const LabelingWithStats base = labeler->label_with_stats(image);
-  const std::vector<FeatureKey> expected = sorted_features(base.stats);
+  // Every stats request below draws from one scratch, warm after the
+  // first.
+  LabelScratch scratch;
+  const LabelResponse base =
+      labeler->run(testing::stats_request(image), scratch);
+  const std::vector<FeatureKey> expected = sorted_features(*base.stats);
+  const auto stats_of = [&](const BinaryImage& input) {
+    LabelResponse response =
+        labeler->run(testing::stats_request(input), scratch);
+    scratch.recycle_plane(std::move(response.labels));
+    return std::move(*response.stats);
+  };
 
   // Horizontal flip: same components, columns reflected.
   {
-    const auto flipped = labeler->label_with_stats(hflip(image));
-    EXPECT_EQ(mapped_back(flipped.stats,
+    const auto flipped = stats_of(hflip(image));
+    EXPECT_EQ(mapped_back(flipped,
                           [&](const FeatureKey& k) {
                             return unflip_h(k, image.cols());
                           }),
@@ -156,8 +168,8 @@ void check_invariants(const AlgorithmInfo& info, const BinaryImage& image,
 
   // Vertical flip: rows reflected.
   {
-    const auto flipped = labeler->label_with_stats(vflip(image));
-    EXPECT_EQ(mapped_back(flipped.stats,
+    const auto flipped = stats_of(vflip(image));
+    EXPECT_EQ(mapped_back(flipped,
                           [&](const FeatureKey& k) {
                             return unflip_v(k, image.rows());
                           }),
@@ -168,8 +180,8 @@ void check_invariants(const AlgorithmInfo& info, const BinaryImage& image,
   // Transpose: rows and columns exchange roles (8- and 4-connectivity are
   // both symmetric under it).
   {
-    const auto t = labeler->label_with_stats(transpose(image));
-    EXPECT_EQ(mapped_back(t.stats,
+    const auto t = stats_of(transpose(image));
+    EXPECT_EQ(mapped_back(t,
                           [](const FeatureKey& k) { return untranspose(k); }),
               expected)
         << "transpose invariance broken: " << why;
@@ -177,8 +189,8 @@ void check_invariants(const AlgorithmInfo& info, const BinaryImage& image,
 
   // Label permutation: shuffling the final label values (a relabeling of
   // the OUTPUT) must not change the feature multiset.
-  if (base.labeling.num_components > 1) {
-    const Label k = base.labeling.num_components;
+  if (base.num_components > 1) {
+    const Label k = base.num_components;
     std::vector<Label> perm(static_cast<std::size_t>(k) + 1);
     std::iota(perm.begin(), perm.end(), Label{0});
     Xoshiro256 rng(0x9e3779b97f4a7c15ULL ^
@@ -187,7 +199,7 @@ void check_invariants(const AlgorithmInfo& info, const BinaryImage& image,
       const std::size_t j = 1 + static_cast<std::size_t>(rng() % i);
       std::swap(perm[i], perm[j]);
     }
-    LabelImage permuted = base.labeling.labels;
+    LabelImage permuted = base.labels;
     for (Label& l : permuted.pixels()) l = perm[static_cast<std::size_t>(l)];
     const auto permuted_stats = analysis::compute_stats(permuted, k);
     EXPECT_EQ(sorted_features(permuted_stats), expected)

@@ -530,12 +530,12 @@ TEST(ObsQueue, HighWaterTracksDeepestBacklog) {
 TEST(ObsQueue, EngineSnapshotExposesQueueFields) {
   LabelingEngine eng({.workers = 2, .queue_capacity = 64});
   std::vector<BinaryImage> images;
-  std::vector<std::future<LabelingResult>> futures;
+  std::vector<std::future<LabelResponse>> futures;
   for (int i = 0; i < 8; ++i) {
     images.push_back(gen::texture_like(48, 48, 100 + i));
   }
   for (const BinaryImage& image : images) {
-    futures.push_back(eng.submit_view(image));
+    futures.push_back(eng.submit({.input = image}));
   }
   for (auto& f : futures) (void)f.get();
   const engine::EngineStatsSnapshot s = eng.stats();
@@ -576,8 +576,8 @@ TEST(ObsMetrics, EnginePublishesSnapshotGauges) {
   obs::reset_metrics_for_test();
   const BinaryImage image = gen::landcover_like(40, 56, 3);
   LabelingEngine eng({.workers = 2});
-  (void)eng.submit_view(image).get();
-  (void)eng.submit_view(image).get();
+  (void)eng.submit({.input = image}).get();
+  (void)eng.submit({.input = image}).get();
   eng.publish_metrics();
   const obs::MetricsSnapshot snap = obs::metrics_snapshot();
   double completed = -1.0;

@@ -37,15 +37,15 @@ using propagate::PropagateGrid;
 
 /// The union-find reference the backend must be bit-identical to:
 /// sequential AREMSP for 8-connectivity, CCLREMSP for 4.
-LabelingResult reference_labeling(const BinaryImage& image,
-                                  Connectivity connectivity) {
+LabelResponse reference_labeling(const BinaryImage& image,
+                                 Connectivity connectivity) {
   if (connectivity == Connectivity::Eight) {
     return AremspLabeler(Connectivity::Eight).label(image);
   }
   return CclremspLabeler(Connectivity::Four).label(image);
 }
 
-void expect_bit_identical(const LabelingResult& got, const LabelingResult& want,
+void expect_bit_identical(const LabelResponse& got, const LabelResponse& want,
                           const std::string& context) {
   ASSERT_EQ(got.num_components, want.num_components) << context;
   ASSERT_TRUE(std::ranges::equal(got.labels.pixels(), want.labels.pixels()))
@@ -217,7 +217,7 @@ TEST(PropagateConvergence, PassCountBoundedByClassGraphDiameter) {
                                            config.block_rows,
                                            config.block_cols);
     const std::int64_t diameter = class_graph_diameter(g);
-    const LabelingResult result =
+    const LabelResponse result =
         PropagateLabeler(config).label(oc.image);
     const std::uint64_t passes = result.timings.counters.propagate_passes;
     EXPECT_GE(passes, 1u) << oc.name;
@@ -243,7 +243,7 @@ TEST(PropagateConvergence, SpiralWorstCaseIsLogarithmic) {
                                          config.block_rows, config.block_cols);
   const std::int64_t diameter = class_graph_diameter(g);
   ASSERT_GE(diameter, 64) << "spiral should build a long class path";
-  const LabelingResult result = PropagateLabeler(config).label(image);
+  const LabelResponse result = PropagateLabeler(config).label(image);
   const std::uint64_t passes = result.timings.counters.propagate_passes;
   const std::uint64_t log_bound = static_cast<std::uint64_t>(
       std::ceil(std::log2(static_cast<double>(std::max<std::int64_t>(
@@ -269,7 +269,7 @@ TEST(PropagateIdentity, BitIdenticalAcrossBlockGeometriesAndThreads) {
   };
   for (const Connectivity conn : {Connectivity::Four, Connectivity::Eight}) {
     for (std::size_t i = 0; i < images.size(); ++i) {
-      const LabelingResult want = reference_labeling(images[i], conn);
+      const LabelResponse want = reference_labeling(images[i], conn);
       for (const auto& [br, bc] : geometries) {
         const PropagateConfig config{.block_rows = br, .block_cols = bc};
         const std::string context =
@@ -295,7 +295,7 @@ TEST(PropagateIdentity, ParallelKernelsRaceOnLargeSeams) {
   // the scanning kernel's atomic-min contention and the labeling
   // kernel's double-refresh at seam crossings.
   const BinaryImage image = gen::uniform_noise(256, 256, 0.6, 31);
-  const LabelingResult want = reference_labeling(image, Connectivity::Eight);
+  const LabelResponse want = reference_labeling(image, Connectivity::Eight);
   const PropagateConfig config{.block_rows = 2, .block_cols = 2, .threads = 8};
   for (int round = 0; round < 3; ++round) {
     expect_bit_identical(PropagateParLabeler(config).label(image), want,
@@ -336,7 +336,7 @@ TEST(PropagateIdentity, CountersSatisfyTheUnionOracle) {
     for (const bool parallel : {false, true}) {
       const auto labeler = make_labeler(
           parallel ? Algorithm::PropagatePar : Algorithm::Propagate);
-      const LabelingResult result = labeler->label(oc.image);
+      const LabelResponse result = labeler->label(oc.image);
       const PhaseCounters& counters = result.timings.counters;
       ASSERT_GT(counters.provisional_labels, 0) << oc.name;
       EXPECT_EQ(counters.total_unions(),
@@ -371,9 +371,9 @@ TEST(PropagateRouting, DirectRunEnforcesTheFamilyGate) {
 
 TEST(PropagateRouting, EngineRoutesBackendRequestsToTheMatchingFamily) {
   const BinaryImage image = gen::uniform_noise(64, 64, 0.5, 52);
-  const LabelingResult want_propagate =
+  const LabelResponse want_propagate =
       PropagateLabeler().label(image);
-  const LabelingResult want_unionfind =
+  const LabelResponse want_unionfind =
       AremspLabeler(Connectivity::Eight).label(image);
 
   engine::EngineConfig config;

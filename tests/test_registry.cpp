@@ -212,18 +212,16 @@ TEST(Registry, CatalogCapabilityFlagsAreHonest) {
       const LabelerOptions options{.connectivity = conn};
       const auto labeler = make_labeler(info.id, options);
       const auto oracle = FloodFillLabeler(conn).label(image);
-      const LabelingResult result = labeler->label(image);
+      const LabelResponse result = labeler->label(image);
       EXPECT_EQ(result.num_components, oracle.num_components)
           << info.name << " under " << to_string(conn);
 
-      // fused_stats honesty: fused or fallback, label_with_stats must be
+      // fused_stats honesty: fused or fallback, a stats request must be
       // value-identical to label() + the post-pass oracle.
-      const LabelingWithStats ws = labeler->label_with_stats(image);
-      EXPECT_EQ(ws.labeling.num_components, result.num_components);
+      const LabelResponse ws = labeler->run(testing::stats_request(image));
+      EXPECT_EQ(ws.num_components, result.num_components);
       testing::expect_stats_identical(
-          ws.stats,
-          analysis::compute_stats(ws.labeling.labels,
-                                  ws.labeling.num_components),
+          *ws.stats, analysis::compute_stats(ws.labels, ws.num_components),
           std::string(info.name));
 
       // scratch_reuse honesty: a warm LabelScratch (result plane handed
@@ -231,12 +229,12 @@ TEST(Registry, CatalogCapabilityFlagsAreHonest) {
       // same image allocation-free, with identical output.
       if (info.scratch_reuse) {
         LabelScratch scratch;
-        LabelingResult first = labeler->label_into(image, scratch);
+        LabelResponse first = labeler->run({.input = image}, scratch);
         const std::vector<Label> expected(first.labels.pixels().begin(),
                                           first.labels.pixels().end());
         scratch.recycle_plane(std::move(first.labels));
         const std::uint64_t warm_grows = scratch.grow_count();
-        const LabelingResult second = labeler->label_into(image, scratch);
+        const LabelResponse second = labeler->run({.input = image}, scratch);
         EXPECT_EQ(scratch.grow_count(), warm_grows)
             << info.name << " grew a warm scratch";
         EXPECT_TRUE(std::ranges::equal(expected, second.labels.pixels()))

@@ -1,13 +1,14 @@
-// Unified request/response API: Labeler::run and LabelingEngine::submit
-// subsume the legacy method matrix bit-for-bit, per-request connectivity
-// is validated like construction, and OutputSet/label_out/shard route
-// outputs as documented.
+// Unified request/response API: Labeler::run, its label() convenience and
+// LabelingEngine::submit agree bit-for-bit, per-request connectivity is
+// validated like construction, and OutputSet/label_out/shard route outputs
+// as documented.
 #include <gtest/gtest.h>
 
 #include <future>
 #include <string>
 #include <vector>
 
+#include "analysis/component_stats.hpp"
 #include "common/contracts.hpp"
 #include "core/label_scratch.hpp"
 #include "core/registry.hpp"
@@ -27,29 +28,51 @@ BinaryImage test_image(Coord rows = 48, Coord cols = 64,
   return gen::landcover_like(rows, cols, seed);
 }
 
-// --- Labeler::run equals every legacy entry point ----------------------------
+// --- label(view) is run() with a default request ----------------------------
 
-TEST(LabelRequestApi, RunMatchesLegacyWrappersForEveryAlgorithm) {
+TEST(LabelRequestApi, LabelMatchesRunForEveryAlgorithm) {
   const BinaryImage image = test_image();
   for (const auto& info : algorithm_catalog()) {
+    for (const Connectivity connectivity :
+         {Connectivity::Eight, Connectivity::Four}) {
+      if (!info.supports(connectivity)) continue;
+      const std::string context =
+          std::string(info.name) + " " + to_string(connectivity);
+      const auto labeler =
+          make_labeler(info.id, LabelerOptions{.connectivity = connectivity});
+      const LabelResponse via_label = labeler->label(image);
+      const LabelResponse via_run = labeler->run({.input = image});
+      EXPECT_EQ(via_label.labels, via_run.labels) << context;
+      EXPECT_EQ(via_label.num_components, via_run.num_components) << context;
+      EXPECT_FALSE(via_label.stats.has_value()) << context;
+
+      // A stats request labels identically and measures like the
+      // post-pass over those labels.
+      const LabelResponse with_stats =
+          labeler->run(testing::stats_request(image));
+      EXPECT_EQ(with_stats.labels, via_label.labels) << context;
+      ASSERT_TRUE(with_stats.stats.has_value()) << context;
+      paremsp::testing::expect_stats_identical(
+          *with_stats.stats,
+          analysis::compute_stats(via_label.labels, via_label.num_components),
+          context);
+    }
+  }
+}
+
+TEST(LabelRequestApi, LabelTakesAStridedRoi) {
+  // label() takes a view: an ROI of a larger raster (pitch > cols) labels
+  // in place, exactly like its materialized copy.
+  const BinaryImage parent = gen::texture_like(80, 120, 8);
+  const ConstImageView roi = ConstImageView(parent).subview(8, 12, 64, 96);
+  ASSERT_GT(roi.pitch(), roi.cols());
+  const BinaryImage copy = materialize(roi);
+  for (const auto& info : algorithm_catalog()) {
     const auto labeler = make_labeler(info.id);
-    const LabelingResult via_label = labeler->label(image);
-    const LabelingWithStats via_stats = labeler->label_with_stats(image);
-
-    LabelRequest plain;
-    plain.input = image;
-    const LabelResponse r1 = labeler->run(plain);
-    EXPECT_EQ(r1.labels, via_label.labels) << info.name;
-    EXPECT_EQ(r1.num_components, via_label.num_components) << info.name;
-    EXPECT_FALSE(r1.stats.has_value()) << info.name;
-
-    LabelRequest with_stats = plain;
-    with_stats.outputs.stats = true;
-    const LabelResponse r2 = labeler->run(with_stats);
-    EXPECT_EQ(r2.labels, via_stats.labeling.labels) << info.name;
-    ASSERT_TRUE(r2.stats.has_value()) << info.name;
-    paremsp::testing::expect_stats_identical(*r2.stats, via_stats.stats,
-                                             std::string(info.name));
+    const LabelResponse got = labeler->label(roi);
+    const LabelResponse want = labeler->label(copy);
+    EXPECT_EQ(got.labels, want.labels) << info.name;
+    EXPECT_EQ(got.num_components, want.num_components) << info.name;
   }
 }
 
@@ -75,7 +98,7 @@ TEST(LabelRequestApi, WarmScratchRunIsBitIdentical) {
 TEST(LabelRequestApi, StatsOnlyRequestSkipsThePlane) {
   const BinaryImage image = test_image();
   const auto labeler = make_labeler(Algorithm::Aremsp);
-  const LabelingWithStats want = labeler->label_with_stats(image);
+  const LabelResponse want = labeler->run(testing::stats_request(image));
 
   LabelRequest request;
   request.input = image;
@@ -83,8 +106,8 @@ TEST(LabelRequestApi, StatsOnlyRequestSkipsThePlane) {
   request.outputs.stats = true;
   const LabelResponse response = labeler->run(request);
   EXPECT_TRUE(response.labels.empty());
-  EXPECT_EQ(response.num_components, want.labeling.num_components);
-  paremsp::testing::expect_stats_identical(*response.stats, want.stats,
+  EXPECT_EQ(response.num_components, want.num_components);
+  paremsp::testing::expect_stats_identical(*response.stats, *want.stats,
                                            "stats-only");
 }
 
@@ -102,7 +125,7 @@ TEST(LabelRequestApi, ConnectivityOverrideMatchesDedicatedLabeler) {
 
   const auto four = make_labeler(
       Algorithm::Cclremsp, LabelerOptions{.connectivity = Connectivity::Four});
-  const LabelingResult want = four->label(image);
+  const LabelResponse want = four->label(image);
   EXPECT_EQ(got.labels, want.labels);
   EXPECT_EQ(got.num_components, want.num_components);
 
@@ -113,7 +136,7 @@ TEST(LabelRequestApi, ConnectivityOverrideMatchesDedicatedLabeler) {
             labeler->label(image).num_components);
 }
 
-// --- Engine: submit(LabelRequest) subsumes the matrix ------------------------
+// --- Engine: submit(LabelRequest) matches a direct run ----------------------
 
 TEST(LabelRequestApi, EngineSubmitRequestMatchesDirectRun) {
   const std::vector<BinaryImage> images = {
@@ -132,10 +155,11 @@ TEST(LabelRequestApi, EngineSubmitRequestMatchesDirectRun) {
   }
   for (std::size_t i = 0; i < images.size(); ++i) {
     LabelResponse got = futures[i].get();
-    const LabelingWithStats want = reference->label_with_stats(images[i]);
-    EXPECT_EQ(got.labels, want.labeling.labels) << "image " << i;
-    EXPECT_EQ(got.num_components, want.labeling.num_components);
-    paremsp::testing::expect_stats_identical(*got.stats, want.stats,
+    const LabelResponse want =
+        reference->run(testing::stats_request(images[i]));
+    EXPECT_EQ(got.labels, want.labels) << "image " << i;
+    EXPECT_EQ(got.num_components, want.num_components);
+    paremsp::testing::expect_stats_identical(*got.stats, *want.stats,
                                              "engine request " +
                                                  std::to_string(i));
   }
@@ -144,7 +168,7 @@ TEST(LabelRequestApi, EngineSubmitRequestMatchesDirectRun) {
 TEST(LabelRequestApi, EngineSubmitRequestWithLabelOut) {
   const BinaryImage image = test_image();
   const auto reference = make_labeler(Algorithm::Aremsp);
-  const LabelingResult want = reference->label(image);
+  const LabelResponse want = reference->label(image);
 
   LabelingEngine eng(EngineConfig{.workers = 2});
   LabelImage destination(image.rows(), image.cols(), -1);
@@ -179,7 +203,7 @@ TEST(LabelRequestApi, EngineConnectivityOverridePerJob) {
   bad.connectivity = Connectivity::Four;  // aremsp is 8-only
   auto failed = aremsp_eng.submit(std::move(bad));
   EXPECT_THROW((void)failed.get(), PreconditionError);
-  EXPECT_EQ(aremsp_eng.submit_view(image).get().labels,
+  EXPECT_EQ(aremsp_eng.submit({.input = image}).get().labels,
             make_labeler(Algorithm::Aremsp)->label(image).labels);
 }
 
@@ -187,8 +211,8 @@ TEST(LabelRequestApi, EngineConnectivityOverridePerJob) {
 
 TEST(LabelRequestApi, ShardedRequestMatchesSequentialAremsp) {
   const BinaryImage image = test_image(96, 128, 21);
-  const LabelingWithStats want =
-      make_labeler(Algorithm::Aremsp)->label_with_stats(image);
+  const LabelResponse want =
+      make_labeler(Algorithm::Aremsp)->run(testing::stats_request(image));
 
   LabelingEngine eng(EngineConfig{.workers = 2});
   LabelRequest request;
@@ -196,9 +220,9 @@ TEST(LabelRequestApi, ShardedRequestMatchesSequentialAremsp) {
   request.outputs.stats = true;
   request.shard = ShardOptions{.tile_rows = 24, .tile_cols = 32};
   LabelResponse got = eng.submit(std::move(request)).get();
-  EXPECT_EQ(got.labels, want.labeling.labels);
-  EXPECT_EQ(got.num_components, want.labeling.num_components);
-  paremsp::testing::expect_stats_identical(*got.stats, want.stats,
+  EXPECT_EQ(got.labels, want.labels);
+  EXPECT_EQ(got.num_components, want.num_components);
+  paremsp::testing::expect_stats_identical(*got.stats, *want.stats,
                                            "sharded request");
 }
 
@@ -207,7 +231,7 @@ TEST(LabelRequestApi, ShardedRequestHonorsLabelOutAndRoi) {
   // the full zero-copy request path through the tile pipeline.
   const BinaryImage parent = gen::texture_like(80, 120, 8);
   const ConstImageView roi = ConstImageView(parent).subview(8, 12, 64, 96);
-  const LabelingResult want =
+  const LabelResponse want =
       make_labeler(Algorithm::Aremsp)->label(materialize(roi));
 
   LabelingEngine eng(EngineConfig{.workers = 2});

@@ -391,10 +391,10 @@ TEST(Runs, EightConnRleBitIdenticalToAremspOnFixtures) {
   const AremspLabeler reference;
   const auto matrix = rle_matrix(Connectivity::Eight);
   for (const auto& fixture : testing::fixtures()) {
-    const LabelingResult want = reference.label(fixture.image);
+    const LabelResponse want = reference.label(fixture.image);
     ASSERT_EQ(want.num_components, fixture.components8) << fixture.name;
     for (const auto& [name, labeler] : matrix) {
-      const LabelingResult got = labeler->label(fixture.image);
+      const LabelResponse got = labeler->label(fixture.image);
       EXPECT_EQ(got.num_components, want.num_components)
           << name << " on " << fixture.name;
       EXPECT_EQ(got.labels, want.labels) << name << " on " << fixture.name;
@@ -411,9 +411,9 @@ TEST(Runs, EightConnRleBitIdenticalToAremspOnRandomMatrix) {
       const BinaryImage image =
           gen::uniform_noise(rows, cols, density,
                              static_cast<std::uint64_t>(rows * 1000 + cols));
-      const LabelingResult want = reference.label(image);
+      const LabelResponse want = reference.label(image);
       for (const auto& [name, labeler] : matrix) {
-        const LabelingResult got = labeler->label(image);
+        const LabelResponse got = labeler->label(image);
         const std::string context = name + " " + std::to_string(rows) + "x" +
                                     std::to_string(cols) + " d" +
                                     std::to_string(density);
@@ -431,10 +431,10 @@ TEST(Runs, FourConnRleBitIdenticalToCclremsp) {
   const CclremspLabeler reference(Connectivity::Four);
   const auto matrix = rle_matrix(Connectivity::Four);
   for (const auto& fixture : testing::fixtures()) {
-    const LabelingResult want = reference.label(fixture.image);
+    const LabelResponse want = reference.label(fixture.image);
     ASSERT_EQ(want.num_components, fixture.components4) << fixture.name;
     for (const auto& [name, labeler] : matrix) {
-      const LabelingResult got = labeler->label(fixture.image);
+      const LabelResponse got = labeler->label(fixture.image);
       EXPECT_EQ(got.labels, want.labels) << name << " on " << fixture.name;
       EXPECT_EQ(got.num_components, want.num_components)
           << name << " on " << fixture.name;
@@ -449,35 +449,33 @@ TEST(Runs, FusedStatsMatchPostPassOracleAcrossConfigurations) {
     for (const std::uint64_t seed : {11ULL, 12ULL}) {
       const BinaryImage image = gen::uniform_noise(29, 70, 0.55, seed);
       for (const auto& [name, labeler] : matrix) {
-        const LabelingWithStats ws = labeler->label_with_stats(image);
-        const LabelingResult plain = labeler->label(image);
+        const LabelResponse ws = labeler->run(testing::stats_request(image));
+        const LabelResponse plain = labeler->label(image);
         const std::string context =
             name + " " + to_string(connectivity) + " seed " +
             std::to_string(seed);
-        EXPECT_EQ(ws.labeling.labels, plain.labels) << context;
+        EXPECT_EQ(ws.labels, plain.labels) << context;
         testing::expect_stats_identical(
-            ws.stats,
-            analysis::compute_stats(ws.labeling.labels,
-                                    ws.labeling.num_components),
+            *ws.stats, analysis::compute_stats(ws.labels, ws.num_components),
             context);
       }
     }
   }
 }
 
-TEST(Runs, RleLabelIntoReusesScratchAllocationFree) {
+TEST(Runs, RleScratchRunStaysAllocationFree) {
   // Same contract as the pixel algorithms' scratch_reuse flag: after the
-  // high-water-mark image has been seen once, repeated label_into calls
-  // must not grow the scratch again.
+  // high-water-mark image has been seen once, repeated run(request,
+  // scratch) calls must not grow the scratch again.
   for (const auto name : {"aremsp_rle", "paremsp_rle", "paremsp2d"}) {
     const auto labeler = make_labeler(algorithm_from_name(name));
     LabelScratch scratch;
     const BinaryImage image = gen::landcover_like(96, 96, 5);
-    LabelingResult first = labeler->label_into(image, scratch);
+    LabelResponse first = labeler->run({.input = image}, scratch);
     scratch.recycle_plane(std::move(first.labels));
     const auto grows_after_warmup = scratch.grow_count();
     for (int i = 0; i < 3; ++i) {
-      LabelingResult again = labeler->label_into(image, scratch);
+      LabelResponse again = labeler->run({.input = image}, scratch);
       scratch.recycle_plane(std::move(again.labels));
     }
     EXPECT_EQ(scratch.grow_count(), grows_after_warmup) << name;
@@ -501,7 +499,7 @@ TEST(Runs, ThresholdRequestBitIdenticalToIm2bwPlusLabel) {
     for (const double level : {0.0, 0.35, 0.5, 1.0}) {
       const BinaryImage bw = im2bw(gray, level);
       for (const auto& [name, labeler] : matrix) {
-        const LabelingResult want = labeler->label(bw);
+        const LabelResponse want = labeler->label(bw);
         LabelRequest request;
         request.input = gray;
         request.threshold = level;
@@ -530,10 +528,10 @@ TEST(Runs, ThresholdRequestWithStatsMatchesBinarizedOracle) {
   request.threshold = 0.5;
   request.outputs.stats = true;
   const LabelResponse got = labeler.run(request);
-  const LabelingWithStats want = labeler.label_with_stats(bw);
-  EXPECT_EQ(got.labels, want.labeling.labels);
+  const LabelResponse want = labeler.run(testing::stats_request(bw));
+  EXPECT_EQ(got.labels, want.labels);
   ASSERT_TRUE(got.stats.has_value());
-  testing::expect_stats_identical(*got.stats, want.stats,
+  testing::expect_stats_identical(*got.stats, *want.stats,
                                   "fused threshold stats");
 }
 
@@ -549,9 +547,11 @@ TEST(Sharded, RunScanBitIdenticalToAremspAcrossGeometries) {
       const BinaryImage image =
           seed == 1 ? gen::spiral(rows, cols, 2, 3)
                     : gen::uniform_noise(rows, cols, 0.5, seed + 7);
-      const LabelingResult want = reference.label(image);
-      const LabelingResult got = eng.label_sharded(
-          image, engine::ShardOptions{.tile_rows = tr, .tile_cols = tc});
+      const LabelResponse want = reference.label(image);
+      LabelRequest request;
+      request.input = image;
+      request.shard = ShardOptions{.tile_rows = tr, .tile_cols = tc};
+      const LabelResponse got = eng.submit(request).get();
       const std::string context = "tiles " + std::to_string(tr) + "x" +
                                   std::to_string(tc) + " seed " +
                                   std::to_string(seed);
@@ -564,12 +564,11 @@ TEST(Sharded, RunScanBitIdenticalToAremspAcrossGeometries) {
 TEST(Sharded, RunScanWithStatsMatchesPostPassOracle) {
   engine::LabelingEngine eng({.workers = 2});
   const BinaryImage image = gen::landcover_like(64, 96, 21);
-  const LabelingWithStats got = eng.label_sharded_with_stats(
-      image, engine::ShardOptions{.tile_rows = 16, .tile_cols = 16});
+  LabelRequest request = testing::stats_request(image);
+  request.shard = ShardOptions{.tile_rows = 16, .tile_cols = 16};
+  const LabelResponse got = eng.submit(request).get();
   testing::expect_stats_identical(
-      got.stats,
-      analysis::compute_stats(got.labeling.labels,
-                              got.labeling.num_components),
+      *got.stats, analysis::compute_stats(got.labels, got.num_components),
       "sharded runs with stats");
 }
 
@@ -583,7 +582,7 @@ TEST(Sharded, RunScanSupportsFourConnectivityViaRequestOverride) {
   request.connectivity = Connectivity::Four;
   request.shard = ShardOptions{.tile_rows = 13, .tile_cols = 11};
   const LabelResponse response = eng.submit(request).get();
-  const LabelingResult want =
+  const LabelResponse want =
       CclremspLabeler(Connectivity::Four).label(image);
   EXPECT_EQ(response.num_components, want.num_components);
   EXPECT_EQ(response.labels, want.labels);
@@ -594,16 +593,17 @@ TEST(Sharded, RunScanSupportsFourConnectivityViaRequestOverride) {
 
 TEST(Sharded, ThresholdRequestMatchesBinarizedOracle) {
   // Sharded fusion threads the cutoff into the per-tile run scan (no
-  // binary plane); it must be bit-identical to im2bw + label_sharded.
+  // binary plane); it must be bit-identical to sharding im2bw's output.
   engine::LabelingEngine eng({.workers = 2});
   const GrayImage gray = gen::plasma(45, 77, 3);
   const BinaryImage bw = im2bw(gray, 0.5);
   const engine::ShardOptions opts{.tile_rows = 13, .tile_cols = 20};
-  const LabelingResult want = eng.label_sharded(bw, opts);
   LabelRequest request;
+  request.input = bw;
+  request.shard = opts;
+  const LabelResponse want = eng.submit(request).get();
   request.input = gray;
   request.threshold = 0.5;
-  request.shard = opts;
   const LabelResponse got = eng.submit(request).get();
   EXPECT_EQ(got.num_components, want.num_components);
   EXPECT_EQ(got.labels, want.labels);
@@ -620,7 +620,7 @@ TEST(Sharded, RunScanLabelOutAndDegenerateImages) {
   request.shard = ShardOptions{.tile_rows = 7, .tile_cols = 8};
   const LabelResponse response = eng.submit(request).get();
   EXPECT_TRUE(response.labels.empty());
-  const LabelingResult want = AremspLabeler().label(image);
+  const LabelResponse want = AremspLabeler().label(image);
   for (Coord r = 0; r < 24; ++r) {
     for (Coord c = 0; c < 30; ++c) {
       ASSERT_EQ(big(r + 2, c + 3), want.labels(r, c)) << r << "," << c;
@@ -634,8 +634,10 @@ TEST(Sharded, RunScanLabelOutAndDegenerateImages) {
   for (const auto& [rows, cols] :
        std::vector<std::pair<Coord, Coord>>{{0, 0}, {0, 5}, {5, 0}, {1, 1}}) {
     const BinaryImage degenerate(rows, cols, 1);
-    const LabelingResult got =
-        eng.label_sharded(degenerate, engine::ShardOptions{});
+    LabelRequest degenerate_request;
+    degenerate_request.input = degenerate;
+    degenerate_request.shard = ShardOptions{};
+    const LabelResponse got = eng.submit(degenerate_request).get();
     EXPECT_EQ(got.num_components, rows > 0 && cols > 0 ? 1 : 0);
   }
 }

@@ -39,8 +39,24 @@ BinaryImage shard_image(Coord rows, Coord cols, std::uint64_t seed) {
   }
 }
 
-void expect_bit_identical(const LabelingResult& got,
-                          const LabelingResult& want,
+/// A request that shards `image` with `options`; the engine borrows the
+/// pixels until the returned future is ready.
+LabelRequest sharded(ConstImageView image, ShardOptions options = {}) {
+  LabelRequest request;
+  request.input = image;
+  request.shard = options;
+  return request;
+}
+
+/// sharded() plus fused component stats.
+LabelRequest sharded_stats(ConstImageView image, ShardOptions options) {
+  LabelRequest request = sharded(image, options);
+  request.outputs.stats = true;
+  return request;
+}
+
+void expect_bit_identical(const LabelResponse& got,
+                          const LabelResponse& want,
                           const std::string& context) {
   EXPECT_EQ(got.num_components, want.num_components) << context;
   EXPECT_EQ(got.labels, want.labels) << context;
@@ -65,9 +81,10 @@ TEST(Sharded, TileGeometryByWorkerCountMatrixIsBitIdenticalToAremsp) {
     for (const auto& [tr, tc] : geometries) {
       for (std::uint64_t seed = 0; seed < 4; ++seed) {
         const BinaryImage image = shard_image(rows, cols, seed);
-        const LabelingResult want = reference.label(image);
-        const LabelingResult got = eng.label_sharded(
-            image, ShardOptions{.tile_rows = tr, .tile_cols = tc});
+        const LabelResponse want = reference.label(image);
+        const LabelResponse got =
+            eng.submit(sharded(image, {.tile_rows = tr, .tile_cols = tc}))
+                .get();
         const std::string context =
             "tiles " + std::to_string(tr) + "x" + std::to_string(tc) +
             " workers " + std::to_string(workers) + " seed " +
@@ -83,7 +100,7 @@ TEST(Sharded, TileGeometryByWorkerCountMatrixIsBitIdenticalToAremsp) {
         request.connectivity = Connectivity::Four;
         request.shard = ShardOptions{.tile_rows = tr, .tile_cols = tc};
         const LabelResponse four = eng.submit(request).get();
-        const LabelingResult want4 = reference4.label(image);
+        const LabelResponse want4 = reference4.label(image);
         EXPECT_EQ(four.num_components, want4.num_components) << context;
         EXPECT_EQ(four.labels, want4.labels) << context << " 4-conn";
       }
@@ -114,17 +131,19 @@ TEST(Sharded, WithStatsMatchesPostPassOracleAcrossGeometryWorkerMatrix) {
     for (const auto& [tr, tc] : geometries) {
       for (std::uint64_t seed = 0; seed < 4; ++seed) {
         const BinaryImage image = shard_image(rows, cols, seed);
-        const LabelingResult want = reference.label(image);
-        const LabelingWithStats got = eng.label_sharded_with_stats(
-            image, ShardOptions{.tile_rows = tr, .tile_cols = tc});
+        const LabelResponse want = reference.label(image);
+        const LabelResponse got =
+            eng.submit(
+                   sharded_stats(image, {.tile_rows = tr, .tile_cols = tc}))
+                .get();
         const std::string context =
             "tiles " + std::to_string(tr) + "x" + std::to_string(tc) +
             " workers " + std::to_string(workers) + " seed " +
             std::to_string(seed);
-        expect_bit_identical(got.labeling, want, context);
-        const auto oracle = analysis::compute_stats(
-            got.labeling.labels, got.labeling.num_components);
-        testing::expect_stats_identical(got.stats, oracle, context);
+        expect_bit_identical(got, want, context);
+        const auto oracle =
+            analysis::compute_stats(got.labels, got.num_components);
+        testing::expect_stats_identical(*got.stats, oracle, context);
       }
     }
   }
@@ -135,20 +154,21 @@ TEST(Sharded, WithStatsPipelinesConcurrentlyAndFailsCleanlyOnShutdown) {
   // runs interrupted by shutdown carry PreconditionError, completed ones
   // carry correct stats; nothing deadlocks or leaks a latch.
   const BinaryImage image = shard_image(48, 48, 1);
-  const auto oracle = AremspLabeler().label_with_stats(image);
+  const LabelResponse oracle =
+      AremspLabeler().run(testing::stats_request(image));
   auto eng = std::make_unique<LabelingEngine>(EngineConfig{.workers = 3});
-  std::vector<std::future<LabelingWithStats>> futures;
+  std::vector<std::future<LabelResponse>> futures;
   for (int i = 0; i < 5; ++i) {
-    futures.push_back(eng->submit_sharded_with_stats(
-        image, ShardOptions{.tile_rows = 8, .tile_cols = 8}));
+    futures.push_back(
+        eng->submit(sharded_stats(image, {.tile_rows = 8, .tile_cols = 8})));
   }
   eng->shutdown();
   int completed = 0;
   for (auto& f : futures) {
     try {
-      const LabelingWithStats got = f.get();
-      EXPECT_EQ(got.labeling.labels, oracle.labeling.labels);
-      testing::expect_stats_identical(got.stats, oracle.stats,
+      const LabelResponse got = f.get();
+      EXPECT_EQ(got.labels, oracle.labels);
+      testing::expect_stats_identical(*got.stats, *oracle.stats,
                                       "shutdown race survivor");
       ++completed;
     } catch (const PreconditionError&) {
@@ -165,25 +185,29 @@ TEST(Sharded, WithStatsEmptyAndDegenerateImages) {
   for (const BinaryImage& image :
        {BinaryImage(), BinaryImage(0, 9), BinaryImage(9, 0),
         BinaryImage(1, 1, 1), BinaryImage(3, 5, 1)}) {
-    const LabelingWithStats got = eng.label_sharded_with_stats(
-        image, ShardOptions{.tile_rows = 2, .tile_cols = 2});
-    const auto want = AremspLabeler().label_with_stats(image);
-    EXPECT_EQ(got.labeling.labels, want.labeling.labels);
+    const LabelResponse got =
+        eng.submit(sharded_stats(image, {.tile_rows = 2, .tile_cols = 2}))
+            .get();
+    const LabelResponse want =
+        AremspLabeler().run(testing::stats_request(image));
+    EXPECT_EQ(got.labels, want.labels);
     testing::expect_stats_identical(
-        got.stats, want.stats,
+        *got.stats, *want.stats,
         std::to_string(image.rows()) + "x" + std::to_string(image.cols()));
   }
 }
 
 TEST(Sharded, AllMergeBackendsMatch) {
   const BinaryImage image = gen::uniform_noise(64, 64, 0.55, 17);
-  const LabelingResult want = AremspLabeler().label(image);
+  const LabelResponse want = AremspLabeler().label(image);
   LabelingEngine eng({.workers = 3});
   for (const auto backend : {MergeBackend::LockedRem, MergeBackend::CasRem,
                              MergeBackend::Sequential}) {
-    const LabelingResult got = eng.label_sharded(
-        image, ShardOptions{
-                   .tile_rows = 8, .tile_cols = 8, .merge_backend = backend});
+    const LabelResponse got =
+        eng.submit(sharded(image, {.tile_rows = 8,
+                                   .tile_cols = 8,
+                                   .merge_backend = backend}))
+            .get();
     expect_bit_identical(got, want, to_string(backend));
   }
 }
@@ -194,18 +218,19 @@ TEST(Sharded, CasPolicyRoutesPerRequestAndStaysBitIdentical) {
   // (no labeler reconstruction, no cross-request state) and each one
   // must stay bit-identical to sequential AREMSP.
   const BinaryImage image = gen::uniform_noise(64, 64, 0.55, 17);
-  const LabelingResult want = AremspLabeler().label(image);
+  const LabelResponse want = AremspLabeler().label(image);
   LabelingEngine eng({.workers = 3});
   for (const uf::CasFind find :
        {uf::CasFind::Naive, uf::CasFind::Split, uf::CasFind::Halve}) {
     for (const uf::CasSplice splice :
          {uf::CasSplice::Atomic, uf::CasSplice::Simple}) {
-      const LabelingResult got = eng.label_sharded(
-          image, ShardOptions{.tile_rows = 8,
-                              .tile_cols = 8,
-                              .merge_backend = MergeBackend::CasRem,
-                              .cas_find = find,
-                              .cas_splice = splice});
+      const LabelResponse got =
+          eng.submit(sharded(image, {.tile_rows = 8,
+                                     .tile_cols = 8,
+                                     .merge_backend = MergeBackend::CasRem,
+                                     .cas_find = find,
+                                     .cas_splice = splice}))
+              .get();
       expect_bit_identical(
           got, want, merge_backend_label(MergeBackend::CasRem, find, splice));
     }
@@ -218,15 +243,14 @@ TEST(Sharded, ManyShardsPipelineConcurrently) {
   LabelingEngine eng({.workers = 4});
   constexpr int kShards = 6;
   std::vector<BinaryImage> images;
-  std::vector<std::future<LabelingResult>> futures;
+  std::vector<std::future<LabelResponse>> futures;
   for (int i = 0; i < kShards; ++i) {
     images.push_back(shard_image(48 + 3 * i, 52 + 5 * i,
                                  static_cast<std::uint64_t>(i)));
   }
   for (int i = 0; i < kShards; ++i) {
-    futures.push_back(eng.submit_sharded(
-        images[static_cast<std::size_t>(i)],
-        ShardOptions{.tile_rows = 13, .tile_cols = 11}));
+    futures.push_back(eng.submit(sharded(images[static_cast<std::size_t>(i)],
+                                         {.tile_rows = 13, .tile_cols = 11})));
   }
   const AremspLabeler reference;
   for (int i = 0; i < kShards; ++i) {
@@ -243,13 +267,15 @@ TEST(Sharded, MixesWithSmallImageTraffic) {
   const BinaryImage small = gen::texture_like(24, 24, 6);
 
   auto shard_future =
-      eng.submit_sharded(big, ShardOptions{.tile_rows = 16, .tile_cols = 16});
-  std::vector<std::future<LabelingResult>> small_futures;
-  for (int i = 0; i < 20; ++i) small_futures.push_back(eng.submit(small));
+      eng.submit(sharded(big, {.tile_rows = 16, .tile_cols = 16}));
+  std::vector<std::future<LabelResponse>> small_futures;
+  for (int i = 0; i < 20; ++i) {
+    small_futures.push_back(eng.submit({.input = small}));
+  }
 
   const AremspLabeler reference;
   expect_bit_identical(shard_future.get(), reference.label(big), "shard");
-  const LabelingResult small_want = reference.label(small);
+  const LabelResponse small_want = reference.label(small);
   for (auto& f : small_futures) {
     expect_bit_identical(f.get(), small_want, "small job");
   }
@@ -258,7 +284,7 @@ TEST(Sharded, MixesWithSmallImageTraffic) {
 TEST(Sharded, EmptyAndDegenerateImages) {
   LabelingEngine eng({.workers = 2});
   // Zero-size image: immediately-ready future, no jobs scheduled.
-  const LabelingResult empty = eng.label_sharded(BinaryImage());
+  const LabelResponse empty = eng.submit(sharded(BinaryImage())).get();
   EXPECT_EQ(empty.num_components, 0);
   EXPECT_EQ(empty.labels.size(), 0);
 
@@ -269,18 +295,20 @@ TEST(Sharded, EmptyAndDegenerateImages) {
     const BinaryImage image = gen::uniform_noise(
         rows, cols, 0.6, static_cast<std::uint64_t>(rows * 131 + cols));
     expect_bit_identical(
-        eng.label_sharded(image, ShardOptions{.tile_rows = 4, .tile_cols = 4}),
+        eng.submit(sharded(image, {.tile_rows = 4, .tile_cols = 4})).get(),
         reference.label(image),
         std::to_string(rows) + "x" + std::to_string(cols));
   }
   // All-foreground and all-background planes.
   expect_bit_identical(
-      eng.label_sharded(BinaryImage(33, 29, 1),
-                        ShardOptions{.tile_rows = 8, .tile_cols = 8}),
+      eng.submit(sharded(BinaryImage(33, 29, 1),
+                         {.tile_rows = 8, .tile_cols = 8}))
+          .get(),
       reference.label(BinaryImage(33, 29, 1)), "all foreground");
   expect_bit_identical(
-      eng.label_sharded(BinaryImage(33, 29, 0),
-                        ShardOptions{.tile_rows = 8, .tile_cols = 8}),
+      eng.submit(sharded(BinaryImage(33, 29, 0),
+                         {.tile_rows = 8, .tile_cols = 8}))
+          .get(),
       reference.label(BinaryImage(33, 29, 0)), "all background");
 }
 
@@ -288,7 +316,7 @@ TEST(Sharded, SubmitAfterShutdownFailsTheFuture) {
   LabelingEngine eng({.workers = 2});
   const BinaryImage image = gen::landcover_like(40, 40, 9);
   eng.shutdown();
-  auto future = eng.submit_sharded(image);
+  auto future = eng.submit(sharded(image));
   EXPECT_THROW((void)future.get(), PreconditionError);
 }
 
@@ -298,13 +326,13 @@ TEST(Sharded, ShutdownMidShardEitherCompletesOrFailsCleanly) {
   // jobs drained in time) or the shutdown PreconditionError — never a
   // hang, never a wrong labeling.
   const BinaryImage image = gen::landcover_like(80, 80, 11);
-  const LabelingResult want = AremspLabeler().label(image);
+  const LabelResponse want = AremspLabeler().label(image);
   for (int round = 0; round < 8; ++round) {
     LabelingEngine eng({.workers = 2});
-    std::vector<std::future<LabelingResult>> futures;
+    std::vector<std::future<LabelResponse>> futures;
     for (int i = 0; i < 4; ++i) {
-      futures.push_back(eng.submit_sharded(
-          image, ShardOptions{.tile_rows = 8, .tile_cols = 8}));
+      futures.push_back(
+          eng.submit(sharded(image, {.tile_rows = 8, .tile_cols = 8})));
     }
     eng.shutdown();
     int completed = 0, failed = 0;
@@ -323,25 +351,25 @@ TEST(Sharded, ShutdownMidShardEitherCompletesOrFailsCleanly) {
 TEST(Sharded, RejectsInvalidOptions) {
   LabelingEngine eng({.workers = 1});
   const BinaryImage image(8, 8, 1);
-  EXPECT_THROW((void)eng.submit_sharded(image, ShardOptions{.tile_rows = 0}),
+  EXPECT_THROW((void)eng.submit(sharded(image, {.tile_rows = 0})),
                PreconditionError);
-  EXPECT_THROW((void)eng.submit_sharded(image, ShardOptions{.tile_cols = 0}),
+  EXPECT_THROW((void)eng.submit(sharded(image, {.tile_cols = 0})),
                PreconditionError);
-  EXPECT_THROW((void)eng.submit_sharded(image, ShardOptions{.lock_bits = 99}),
+  EXPECT_THROW((void)eng.submit(sharded(image, {.lock_bits = 99})),
                PreconditionError);
 }
 
 TEST(Sharded, ReusesRecycledPlanes) {
   LabelingEngine eng({.workers = 2});
   const BinaryImage image = gen::landcover_like(64, 64, 21);
-  LabelingResult first = eng.label_sharded(
-      image, ShardOptions{.tile_rows = 16, .tile_cols = 16});
+  LabelResponse first =
+      eng.submit(sharded(image, {.tile_rows = 16, .tile_cols = 16})).get();
   const Label* storage = first.labels.pixels().data();
   eng.recycle(std::move(first.labels));
   // The next shard adopts the recycled plane instead of allocating: same
   // backing storage, bit-identical contents.
-  LabelingResult second = eng.label_sharded(
-      image, ShardOptions{.tile_rows = 16, .tile_cols = 16});
+  LabelResponse second =
+      eng.submit(sharded(image, {.tile_rows = 16, .tile_cols = 16})).get();
   EXPECT_EQ(second.labels.pixels().data(), storage);
   expect_bit_identical(second, AremspLabeler().label(image), "recycled");
 }

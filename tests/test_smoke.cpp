@@ -16,7 +16,7 @@ TEST(Smoke, AllAlgorithmsLabelLandcover) {
   for (const AlgorithmInfo& info : algorithm_catalog()) {
     SCOPED_TRACE(std::string(info.name));
     const auto labeler = make_labeler(info.id);
-    const LabelingResult result = labeler->label(image);
+    const LabelResponse result = labeler->label(image);
     EXPECT_EQ(result.num_components, oracle.num_components);
     const auto validation = analysis::validate_labeling(
         image, result.labels, result.num_components);

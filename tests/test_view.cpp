@@ -17,22 +17,18 @@
 namespace paremsp {
 namespace {
 
-/// Run `request` and the equivalent legacy call on the materialized crop;
-/// assert bit-identical labels, counts, and (when requested) stats.
+/// Run a stats request on `view` and on its materialized crop; assert
+/// bit-identical labels, counts, and stats.
 void expect_view_matches_crop(const Labeler& labeler, ConstImageView view,
                               const std::string& context) {
   const BinaryImage crop = materialize(view);
-  const LabelingWithStats want = labeler.label_with_stats(crop);
+  const LabelResponse want = labeler.run(testing::stats_request(crop));
+  const LabelResponse got = labeler.run(testing::stats_request(view));
 
-  LabelRequest request;
-  request.input = view;
-  request.outputs.stats = true;
-  const LabelResponse got = labeler.run(request);
-
-  EXPECT_EQ(got.num_components, want.labeling.num_components) << context;
-  EXPECT_EQ(got.labels, want.labeling.labels) << context;
+  EXPECT_EQ(got.num_components, want.num_components) << context;
+  EXPECT_EQ(got.labels, want.labels) << context;
   ASSERT_TRUE(got.stats.has_value()) << context;
-  paremsp::testing::expect_stats_identical(*got.stats, want.stats, context);
+  paremsp::testing::expect_stats_identical(*got.stats, *want.stats, context);
 }
 
 // --- StridedView basics ------------------------------------------------------
@@ -157,7 +153,7 @@ TEST(ViewLabeling, LabelOutWritesExactlyTheRoi) {
 
   for (const auto& info : algorithm_catalog()) {
     const auto labeler = make_labeler(info.id);
-    const LabelingResult want = labeler->label(crop);
+    const LabelResponse want = labeler->label(crop);
 
     // Destination: a larger strided label plane pre-filled with sentinels.
     constexpr std::int64_t kOutPitch = 40;
