@@ -69,7 +69,7 @@ int main() {
       << "halves row traversals); paremsp2d tracks paremsp closely (tiling\n"
       << "pays off only beyond row-count-limited thread counts); all\n"
       << "two-pass variants beat psuzuki by a wide margin on the spiral,\n"
-      << "whose snaking component forces many propagation iterations — the\n"
+      << "whose snaking component forces many min-label sweeps — the\n"
       << "multi-pass pathology that motivates two-pass labeling (paper\n"
       << "§I-II).\n";
   return 0;

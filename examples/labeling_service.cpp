@@ -90,9 +90,6 @@ int main(int argc, char** argv) {
   cli.add_option("workers", "0", "engine workers (0 = hardware)");
   cli.add_option("queue", "64", "job-queue capacity (backpressure bound)");
   cli.add_option("algorithm", "aremsp", "registry algorithm to serve with");
-  cli.add_option("backend", "",
-                 "route every request to an algorithm family: union-find, "
-                 "propagation, or any algorithm name (routes to its family)");
   cli.add_flag("list-algorithms",
                "print the algorithm catalog with capability flags and exit");
   cli.add_option("trace", "", "write a Chrome trace JSON of the run here");
@@ -106,11 +103,10 @@ int main(int argc, char** argv) {
 
   if (cli.get_flag("list-algorithms")) {
     TextTable table("algorithm catalog");
-    table.set_header({"name", "backend", "parallel", "4-conn", "fused stats",
+    table.set_header({"name", "parallel", "4-conn", "fused stats",
                       "scratch reuse", "description"});
     for (const auto& info : algorithm_catalog()) {
-      table.add_row({std::string(info.name), to_string(info.backend),
-                     info.parallel ? "yes" : "-",
+      table.add_row({std::string(info.name), info.parallel ? "yes" : "-",
                      info.supports_four_connectivity ? "yes" : "-",
                      info.fused_stats ? "yes" : "-",
                      info.scratch_reuse ? "yes" : "-",
@@ -118,22 +114,6 @@ int main(int argc, char** argv) {
     }
     std::cout << table.to_string();
     return 0;
-  }
-
-  // --backend accepts a family name directly, or any cataloged algorithm
-  // name as shorthand for that algorithm's family (the request API routes
-  // by family, not by algorithm — `--backend propagate` means "serve my
-  // requests with the propagation backend", and the engine picks the
-  // family's reference for the worker's connectivity).
-  std::optional<Backend> backend_selector;
-  if (const std::string name = cli.get("backend"); !name.empty()) {
-    if (name == to_string(Backend::UnionFind)) {
-      backend_selector = Backend::UnionFind;
-    } else if (name == to_string(Backend::Propagation)) {
-      backend_selector = Backend::Propagation;
-    } else {
-      backend_selector = algorithm_info(algorithm_from_name(name)).backend;
-    }
   }
 
   const int producers = cli.get_int("producers");
@@ -152,12 +132,7 @@ int main(int argc, char** argv) {
   engine::LabelingEngine eng(config);
   std::cout << "engine: " << eng.workers() << " worker(s), queue capacity "
             << config.queue_capacity << ", algorithm "
-            << algorithm_info(config.algorithm).name;
-  if (backend_selector.has_value()) {
-    std::cout << ", requests routed to the " << to_string(*backend_selector)
-              << " backend";
-  }
-  std::cout << "\n";
+            << algorithm_info(config.algorithm).name << "\n";
 
   // The session (when asked for) covers the flood, the sharded request
   // and the reconcile request, so every span lands in one trace file.
@@ -184,7 +159,6 @@ int main(int argc, char** argv) {
           pending.image = make_request_image(p, next);
           LabelRequest request;
           request.input = pending.image;  // zero-copy borrow
-          request.backend = backend_selector;
           // Sample fused stats on one request per burst: same job, the
           // features accumulate inside the labeling scan.
           request.outputs.stats = (next % kBurst == 0);
@@ -334,7 +308,6 @@ int main(int argc, char** argv) {
     for (int attempt = 0; attempt < 3 && best_error > 0.05; ++attempt) {
       LabelRequest request;
       request.input = big;
-      request.backend = backend_selector;
       LabelResponse response = eng.submit(std::move(request)).get();
       if (response.timings.counters.provisional_labels == 0) break;
       instrumented = true;

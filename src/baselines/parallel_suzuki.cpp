@@ -33,7 +33,7 @@ ParallelSuzukiLabeler::ParallelSuzukiLabeler(Connectivity connectivity,
 LabelResponse ParallelSuzukiLabeler::run_impl(
     ConstImageView image, Connectivity connectivity, LabelScratch& scratch,
     analysis::ComponentStats* stats) const {
-  (void)scratch;  // propagation baseline: per-call remap tables
+  (void)scratch;  // multi-pass baseline: per-call remap tables
   const WallTimer total;
   LabelResponse result;
   result.labels = LabelImage(image.rows(), image.cols());
@@ -68,7 +68,7 @@ LabelResponse ParallelSuzukiLabeler::run_impl(
     }
   }
 
-  // Min-propagation sweeps until a full iteration changes nothing.
+  // Min-label sweeps until a full iteration changes nothing.
   const auto relax = [&](Coord r, Coord c) -> bool {
     const std::int64_t idx = static_cast<std::int64_t>(r) * cols + c;
     Label m = load(lp, idx);

@@ -3,13 +3,13 @@
 // paper's related work cites (max speedup 2.5 on 4 threads).
 //
 // The image is divided row-wise among threads; every global iteration each
-// thread runs a forward then a backward min-propagation sweep over its
+// thread runs a forward then a backward min-label sweep over its
 // chunk (reading neighbor rows of adjacent chunks through relaxed atomics
 // — labels only decrease, so stale reads merely delay convergence), and
 // the loop repeats until one full iteration changes nothing. [42] shares
 // Suzuki's 1-D connection table between threads; sharing it serializes on
 // synchronization, which is precisely why that approach scales poorly —
-// here the table is omitted (pure label propagation), giving the same
+// here the table is omitted (pure min-label sweeps), giving the same
 // multi-pass bottleneck PAREMSP's two-pass design eliminates: the bench
 // ablation shows iteration counts, not constants, dominating.
 #pragma once

@@ -89,7 +89,7 @@ LabelResponse SuzukiLabeler::run_impl(ConstImageView image,
   }
   int scans = 1;
 
-  // --- Alternating propagation scans until stable --------------------------
+  // --- Alternating min-label scans until stable ----------------------------
   bool changed = true;
   while (changed) {
     changed = false;

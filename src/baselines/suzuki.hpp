@@ -1,7 +1,7 @@
 // Suzuki baseline — Suzuki, Horiba & Sugie 2003 (paper reference [10]).
 //
 // The linear-time *multi-pass* algorithm the two-pass family improves on:
-// alternating forward/backward raster scans propagate label equivalences
+// alternating forward/backward raster scans spread label equivalences
 // through a 1-D label connection table until a scan makes no change.
 // Suzuki et al. prove four scans suffice for "ordinary" images; pathological
 // spirals need more. Included because the paper's related work measures a

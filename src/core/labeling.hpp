@@ -43,25 +43,7 @@ enum class Algorithm {
   ParemspTiled,    // extension: 2-D tiled PAREMSP over runs
   AremspRle,       // extension: run-based AREMSP (bit-packed rows)
   ParemspRle,      // extension: run-based PAREMSP (row bands)
-  Propagate,       // extension: coarse-to-fine label propagation (seq ref)
-  PropagatePar,    // extension: label propagation, std::thread kernels
 };
-
-/// Algorithm family, the capability a request can select on. Every scan +
-/// union-find descendant of the paper is UnionFind; the coarse-to-fine
-/// label-propagation kernels (src/propagate/, after Komura and the
-/// coarse-to-fine GPU strategy) are Propagation. The engine routes
-/// LabelRequest::backend to a labeler of the matching family; executors
-/// without a propagation story (sharded, streaming) reject the request
-/// synchronously instead of silently falling back (DESIGN.md §13).
-enum class Backend {
-  UnionFind,    // two-pass scan + equivalence resolution
-  Propagation,  // iterated data-parallel min-label propagation
-};
-
-[[nodiscard]] constexpr const char* to_string(Backend b) noexcept {
-  return b == Backend::UnionFind ? "union-find" : "propagation";
-}
 
 /// Work counters accompanying the phase timings — how much each phase
 /// DID, not just how long it took, so a perf regression decomposes into
@@ -79,8 +61,6 @@ struct PhaseCounters {
                                      // contention; 0 for Sequential)
   std::uint64_t runs_extracted = 0;  // maximal runs (rle pipelines only)
   std::uint64_t tiles = 0;           // tiles / chunks / shards scanned
-  std::uint64_t propagate_passes = 0;  // scan/analysis/label rounds until the
-                                       // boundary fixpoint (propagation only)
 
   [[nodiscard]] std::uint64_t total_unions() const noexcept {
     return scan_unions + merge_unions;

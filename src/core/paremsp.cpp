@@ -54,7 +54,7 @@ std::vector<Chunk> make_chunks(Coord rows, Coord cols, int nchunks) {
 }
 
 /// Phase II: merge each chunk's top row with the row above (Algorithm 7
-/// lines 10-21). `unite` is one of the backends in parallel_rem.hpp.
+/// lines 10-21). `unite` feeds one SeamMerger.
 template <class UniteFn>
 void merge_boundary_row(const LabelImage& labels, Coord row, UniteFn&& unite) {
   const Coord cols = labels.cols();
@@ -82,13 +82,10 @@ void merge_boundary_row(const LabelImage& labels, Coord row, UniteFn&& unite) {
 }  // namespace
 
 ParemspLabeler::ParemspLabeler(ParemspConfig config)
-    : Labeler(Algorithm::Paremsp, Connectivity::Eight), config_(config) {
+    : Labeler(Algorithm::Paremsp, Connectivity::Eight),
+      config_(config),
+      merger_(config_) {
   PAREMSP_REQUIRE(config_.threads >= 0, "threads must be >= 0");
-  PAREMSP_REQUIRE(config_.lock_bits >= 0 && config_.lock_bits <= 24,
-                  "lock_bits out of range");
-  if (config_.merge_backend == MergeBackend::LockedRem) {
-    locks_ = std::make_unique<uf::LockPool>(config_.lock_bits);
-  }
 }
 
 LabelResponse ParemspLabeler::run_impl(ConstImageView image,
@@ -174,63 +171,25 @@ LabelResponse ParemspLabeler::label_impl(ConstImageView image,
   std::uint64_t merge_pairs = 0;
   std::uint64_t merge_unions = 0;
   std::uint64_t merge_retries = 0;
-  switch (config_.merge_backend) {
-    case MergeBackend::LockedRem: {
-      uf::LockPool& locks = *locks_;
-#pragma omp parallel for schedule(static, 1) num_threads(nchunks)
-      for (int t = 1; t < nchunks; ++t) {
-        obs::Span span("paremsp.merge.boundary", "tile");
-        std::uint64_t pairs = 0;
-        uf::UniteStats us;
-        merge_boundary_row(
-            labels, chunks[static_cast<std::size_t>(t)].row_begin,
-            [&](Label x, Label y) {
-              ++pairs;
-              uf::locked_unite(p.data(), locks, x, y, &us);
-            });
+  // The Sequential backend runs the same loop on one thread: its plain
+  // rem_unite must not run concurrently.
+#pragma omp parallel for schedule(static, 1) num_threads(nchunks) \
+    if (merger_.concurrent())
+  for (int t = 1; t < nchunks; ++t) {
+    obs::Span span("paremsp.merge.boundary", "tile");
+    std::uint64_t pairs = 0;
+    uf::UniteStats us;
+    merge_boundary_row(labels, chunks[static_cast<std::size_t>(t)].row_begin,
+                       [&](Label x, Label y) {
+                         ++pairs;
+                         merger_.unite(p.data(), x, y, us);
+                       });
 #pragma omp atomic
-        merge_pairs += pairs;
+    merge_pairs += pairs;
 #pragma omp atomic
-        merge_unions += us.joins;
+    merge_unions += us.joins;
 #pragma omp atomic
-        merge_retries += us.retries;
-      }
-      break;
-    }
-    case MergeBackend::CasRem: {
-      const uf::CasUniteFn unite =
-          cas_unite_fn(config_.cas_find, config_.cas_splice);
-#pragma omp parallel for schedule(static, 1) num_threads(nchunks)
-      for (int t = 1; t < nchunks; ++t) {
-        obs::Span span("paremsp.merge.boundary", "tile");
-        std::uint64_t pairs = 0;
-        uf::UniteStats us;
-        merge_boundary_row(
-            labels, chunks[static_cast<std::size_t>(t)].row_begin,
-            [&](Label x, Label y) {
-              ++pairs;
-              unite(p.data(), x, y, &us);
-            });
-#pragma omp atomic
-        merge_pairs += pairs;
-#pragma omp atomic
-        merge_unions += us.joins;
-#pragma omp atomic
-        merge_retries += us.retries;
-      }
-      break;
-    }
-    case MergeBackend::Sequential: {
-      for (int t = 1; t < nchunks; ++t) {
-        merge_boundary_row(
-            labels, chunks[static_cast<std::size_t>(t)].row_begin,
-            [&](Label x, Label y) {
-              ++merge_pairs;
-              uf::rem_unite(p.data(), x, y, &merge_unions);
-            });
-      }
-      break;
-    }
+    merge_retries += us.retries;
   }
   result.timings.merge_ms = phase.elapsed_ms();
   result.timings.counters.merge_pairs = merge_pairs;

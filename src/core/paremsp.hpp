@@ -14,41 +14,11 @@
 // chunking (see DESIGN.md §3); the test suite asserts this bit-for-bit.
 #pragma once
 
-#include <memory>
-#include <string>
-
+#include "core/equiv_policies.hpp"
 #include "core/labeling.hpp"
 #include "unionfind/lock_pool.hpp"
-#include "unionfind/parallel_rem.hpp"
 
 namespace paremsp {
-
-/// How Phase II applies the boundary equivalences.
-enum class MergeBackend {
-  LockedRem,   // Algorithm 8: striped locks, unlocked splices (default)
-  CasRem,      // lock-free compare-and-swap variant (ablation)
-  Sequential,  // serialized rem_unite (ablation lower bound)
-};
-
-[[nodiscard]] constexpr const char* to_string(MergeBackend b) noexcept {
-  switch (b) {
-    case MergeBackend::LockedRem: return "locked";
-    case MergeBackend::CasRem: return "cas";
-    case MergeBackend::Sequential: return "sequential";
-  }
-  return "?";
-}
-
-/// Display name of a fully resolved merge-backend choice: the CAS backend
-/// is a find × splice matrix ("cas/split+simple"), the others are flat.
-/// Benches, tables and test SCOPED_TRACEs all label configurations with
-/// this so the ablation rows read identically everywhere.
-[[nodiscard]] inline std::string merge_backend_label(
-    MergeBackend b, uf::CasFind find = uf::CasFind::Naive,
-    uf::CasSplice splice = uf::CasSplice::Atomic) {
-  if (b != MergeBackend::CasRem) return to_string(b);
-  return std::string("cas/") + to_string(find) + "+" + to_string(splice);
-}
 
 /// Which scan kernel each chunk runs in Phase I. The paper uses the
 /// two-line ARUN mask; the one-line decision tree is provided for the
@@ -116,9 +86,9 @@ class ParemspLabeler final : public Labeler {
       const;
 
   ParemspConfig config_;
-  // Created once per labeler (lock init is not free); label() is safe to
-  // call concurrently — the stripes only serialize root updates.
-  std::unique_ptr<uf::LockPool> locks_;
+  // label() is safe to call concurrently — the lock stripes only
+  // serialize root updates.
+  SeamMerger merger_;
 };
 
 }  // namespace paremsp

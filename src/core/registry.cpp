@@ -14,13 +14,12 @@
 #include "core/cclremsp.hpp"
 #include "core/paremsp.hpp"
 #include "core/rle_labelers.hpp"
-#include "propagate/propagate_labeler.hpp"
 
 namespace paremsp {
 
 namespace {
 
-constexpr std::array<AlgorithmInfo, 14> kCatalog{{
+constexpr std::array<AlgorithmInfo, 12> kCatalog{{
     {Algorithm::FloodFill, "floodfill",
      "BFS flood fill (ground-truth oracle)", false, true, false, true},
     {Algorithm::Suzuki, "suzuki",
@@ -53,12 +52,6 @@ constexpr std::array<AlgorithmInfo, 14> kCatalog{{
     {Algorithm::ParemspRle, "paremsp_rle",
      "extension: run-based PAREMSP (row bands, boundary-run merge)", true,
      true, false, true, true},
-    {Algorithm::Propagate, "propagate",
-     "extension: coarse-to-fine label propagation (sequential reference)",
-     false, true, false, true, false, Backend::Propagation},
-    {Algorithm::PropagatePar, "propagate_par",
-     "extension: coarse-to-fine label propagation (std::thread kernels)",
-     true, true, false, true, false, Backend::Propagation},
 }};
 
 }  // namespace
@@ -86,14 +79,6 @@ void require_supported(Algorithm algorithm, Connectivity connectivity) {
   PAREMSP_REQUIRE(info.supports(connectivity),
                   std::string(info.name) + " does not support " +
                       to_string(connectivity));
-}
-
-Algorithm default_algorithm_for(Backend backend, Connectivity connectivity) {
-  if (backend == Backend::Propagation) return Algorithm::Propagate;
-  // AREMSP's two-line mask is inherently 8-connected; the paper's one-line
-  // decision tree is the 4-connectivity-capable sequential reference.
-  return connectivity == Connectivity::Four ? Algorithm::Cclremsp
-                                            : Algorithm::Aremsp;
 }
 
 std::unique_ptr<Labeler> make_labeler(Algorithm algorithm,
@@ -138,12 +123,6 @@ std::unique_ptr<Labeler> make_labeler(Algorithm algorithm,
     case Algorithm::ParemspTiled:
       return std::make_unique<TiledParemspLabeler>(rle_config,
                                                    options.connectivity);
-    case Algorithm::Propagate:
-      return std::make_unique<PropagateLabeler>(PropagateConfig{},
-                                                options.connectivity);
-    case Algorithm::PropagatePar:
-      return std::make_unique<PropagateParLabeler>(
-          PropagateConfig{.threads = options.threads}, options.connectivity);
   }
   throw PreconditionError("unknown algorithm id");
 }

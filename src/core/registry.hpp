@@ -36,11 +36,6 @@ struct AlgorithmInfo {
   /// ScanStrategy ablation is the lone config exception — it falls back
   /// despite the flag.)
   bool fused_stats = false;
-  /// Algorithm family (core/labeling.hpp): the dimension
-  /// LabelRequest::backend selects on. UnionFind for every two-pass
-  /// scan + equivalence algorithm, Propagation for the coarse-to-fine
-  /// label-propagation kernels.
-  Backend backend = Backend::UnionFind;
 
   /// Whether this algorithm can label under `connectivity`. The single
   /// source of truth for connectivity support: make_labeler and the
@@ -69,9 +64,14 @@ struct LabelerOptions {
   /// LabelRequest::connectivity run under this; a request may override it
   /// per call (validated through require_supported either way).
   Connectivity connectivity = Connectivity::Eight;
-  int threads = 0;                                    // PAREMSP only
-  MergeBackend merge_backend = MergeBackend::LockedRem;  // PAREMSP only
-  int lock_bits = 12;                                 // PAREMSP only
+  /// Worker threads (0 = OpenMP default) of the parallel labelers:
+  /// paremsp, paremsp_rle, paremsp2d and psuzuki.
+  int threads = 0;
+  /// The merge fields below configure the seam merges of paremsp,
+  /// paremsp_rle and paremsp2d (one SeamMerger each).
+  MergeBackend merge_backend = MergeBackend::LockedRem;
+  /// log2 of the striped lock-pool size (LockedRem only).
+  int lock_bits = uf::LockPool::kDefaultBits;
   /// CAS backend find × splice policy (CasRem only; see ParemspConfig).
   uf::CasFind cas_find = uf::CasFind::Naive;
   uf::CasSplice cas_splice = uf::CasSplice::Atomic;
@@ -82,14 +82,6 @@ struct LabelerOptions {
 /// constructors call this instead of rolling their own checks so direct
 /// construction and make_labeler reject identically.
 void require_supported(Algorithm algorithm, Connectivity connectivity);
-
-/// The algorithm the engine instantiates when a request selects `backend`
-/// and the worker's configured labeler is of the other family: the
-/// family's sequential reference that supports `connectivity` (engine
-/// parallelism is across jobs, so the per-job labeler stays sequential —
-/// the same rationale as the Aremsp default).
-[[nodiscard]] Algorithm default_algorithm_for(Backend backend,
-                                              Connectivity connectivity);
 
 /// Construct a labeler.
 [[nodiscard]] std::unique_ptr<Labeler> make_labeler(

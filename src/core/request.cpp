@@ -16,19 +16,6 @@ Connectivity validate_request(const LabelRequest& request,
   // Same gate as construction and make_labeler: one uniform
   // PreconditionError for an unsupported algorithm/connectivity pair.
   require_supported(algorithm, connectivity);
-  if (request.backend.has_value()) {
-    // Family gate: the executor resolved `algorithm` for this request; a
-    // mismatching backend selector is a routing error, not a fallback.
-    // The engine's one-shot path swaps in a matching labeler BEFORE this
-    // gate; the sharded path (whose tile pipeline is union-find only)
-    // validates here synchronously and so rejects propagation cleanly.
-    const AlgorithmInfo& info = algorithm_info(algorithm);
-    PAREMSP_REQUIRE(info.backend == *request.backend,
-                    std::string(info.name) + " is a " +
-                        to_string(info.backend) +
-                        " labeler; request.backend asked for " +
-                        to_string(*request.backend));
-  }
   if (request.threshold.has_value()) {
     PAREMSP_REQUIRE(*request.threshold >= 0.0 && *request.threshold <= 1.0,
                     "threshold must be within [0, 1]");

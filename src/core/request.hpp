@@ -24,8 +24,8 @@
 #include <optional>
 
 #include "analysis/component_stats.hpp"
+#include "core/equiv_policies.hpp"  // MergeBackend
 #include "core/labeling.hpp"
-#include "core/paremsp.hpp"  // MergeBackend
 #include "core/qos.hpp"
 #include "image/connectivity.hpp"
 #include "image/view.hpp"
@@ -101,15 +101,6 @@ struct LabelRequest {
   /// remaining labelers binarize internally with identical results.
   /// Must be within [0.0, 1.0].
   std::optional<double> threshold;
-
-  /// Algorithm-family selector: when set, the request must execute on a
-  /// labeler of this family (registry AlgorithmInfo::backend). The engine
-  /// routes a mismatching one-shot request to the family's reference
-  /// labeler on the worker; direct Labeler::run and the executors without
-  /// a propagation story — sharded and streaming — reject a mismatch
-  /// synchronously with a PreconditionError, never silently fall back.
-  /// nullopt = run on whatever the executor was configured with.
-  std::optional<Backend> backend;
 
   /// What to compute.
   OutputSet outputs;

@@ -23,17 +23,14 @@ namespace {
 /// The one run-based pipeline all three rle labelers share: cut a tile
 /// grid, scan runs per tile, merge boundary runs, resolve + canonically
 /// renumber, and expand the resolved labels back to the raster. `threads`
-/// <= 1 serializes every phase (aremsp_rle); `locks` may be null for the
-/// non-LockedRem backends. `threshold` >= 0 scans `image` as GRAYSCALE
-/// through the fused pixel > threshold encoder (run_gray_impl); -1 is the
-/// plain binary mode.
+/// <= 1 serializes every phase (aremsp_rle). `threshold` >= 0 scans
+/// `image` as GRAYSCALE through the fused pixel > threshold encoder
+/// (run_gray_impl); -1 is the plain binary mode.
 LabelResponse label_runs_impl(ConstImageView image, Connectivity connectivity,
                               LabelScratch& scratch,
                               analysis::ComponentStats* stats,
                               Coord tile_rows, Coord tile_cols, int threads,
-                              MergeBackend merge_backend,
-                              uf::LockPool* locks, uf::CasUniteFn cas_unite,
-                              int threshold = -1) {
+                              const SeamMerger& merger, int threshold = -1) {
   const WallTimer total;
   // Opened at entry so workspace acquisition lands in scan_ms and the four
   // phase timings partition total_ms (the exporters' reconcile contract).
@@ -85,58 +82,25 @@ LabelResponse label_runs_impl(ConstImageView image, Connectivity connectivity,
   std::uint64_t merge_pairs = 0;
   std::uint64_t merge_unions = 0;
   std::uint64_t merge_retries = 0;
-  switch (merge_backend) {
-    case MergeBackend::LockedRem: {
-      uf::LockPool& pool = *locks;
-#pragma omp parallel for schedule(dynamic, 1) num_threads(threads)
-      for (int t = 0; t < ntiles; ++t) {
-        obs::Span span("rle.merge.tile", "tile");
-        std::uint64_t pairs = 0;
-        uf::UniteStats us;
-        merge_run_seams(tiles, tile_runs, static_cast<std::size_t>(t), grid,
-                        connectivity, [&](Label x, Label y) {
-                          ++pairs;
-                          uf::locked_unite(p.data(), pool, x, y, &us);
-                        });
+  // The Sequential backend runs the same loop on one thread: its plain
+  // rem_unite must not run concurrently.
+#pragma omp parallel for schedule(dynamic, 1) num_threads(threads) \
+    if (merger.concurrent())
+  for (int t = 0; t < ntiles; ++t) {
+    obs::Span span("rle.merge.tile", "tile");
+    std::uint64_t pairs = 0;
+    uf::UniteStats us;
+    merge_run_seams(tiles, tile_runs, static_cast<std::size_t>(t), grid,
+                    connectivity, [&](Label x, Label y) {
+                      ++pairs;
+                      merger.unite(p.data(), x, y, us);
+                    });
 #pragma omp atomic
-        merge_pairs += pairs;
+    merge_pairs += pairs;
 #pragma omp atomic
-        merge_unions += us.joins;
+    merge_unions += us.joins;
 #pragma omp atomic
-        merge_retries += us.retries;
-      }
-      break;
-    }
-    case MergeBackend::CasRem: {
-#pragma omp parallel for schedule(dynamic, 1) num_threads(threads)
-      for (int t = 0; t < ntiles; ++t) {
-        obs::Span span("rle.merge.tile", "tile");
-        std::uint64_t pairs = 0;
-        uf::UniteStats us;
-        merge_run_seams(tiles, tile_runs, static_cast<std::size_t>(t), grid,
-                        connectivity, [&](Label x, Label y) {
-                          ++pairs;
-                          cas_unite(p.data(), x, y, &us);
-                        });
-#pragma omp atomic
-        merge_pairs += pairs;
-#pragma omp atomic
-        merge_unions += us.joins;
-#pragma omp atomic
-        merge_retries += us.retries;
-      }
-      break;
-    }
-    case MergeBackend::Sequential: {
-      for (int t = 0; t < ntiles; ++t) {
-        merge_run_seams(tiles, tile_runs, static_cast<std::size_t>(t), grid,
-                        connectivity, [&](Label x, Label y) {
-                          ++merge_pairs;
-                          uf::rem_unite(p.data(), x, y, &merge_unions);
-                        });
-      }
-      break;
-    }
+    merge_retries += us.retries;
   }
   result.timings.merge_ms = phase.elapsed_ms();
   result.timings.counters.merge_pairs = merge_pairs;
@@ -175,6 +139,9 @@ LabelResponse label_runs_impl(ConstImageView image, Connectivity connectivity,
   return result;
 }
 
+/// aremsp_rle's merger: one thread, so the plain serial rem_unite.
+const SeamMerger kSerialMerger{MergeBackend::Sequential};
+
 /// Full-width row bands for paremsp_rle: about one band per thread,
 /// clamped so every band has at least one row, then rounded UP to even so
 /// every band starts on an even row — the 8-connected scan's pair order
@@ -198,9 +165,7 @@ LabelResponse AremspRleLabeler::run_impl(ConstImageView image,
   return label_runs_impl(image, connectivity, scratch, stats,
                          std::max<Coord>(image.rows(), 1),
                          std::max<Coord>(image.cols(), 1), /*threads=*/1,
-                         MergeBackend::Sequential, nullptr,
-                         cas_unite_fn(uf::CasFind::Naive,
-                                      uf::CasSplice::Atomic));
+                         kSerialMerger);
 }
 
 LabelResponse AremspRleLabeler::run_gray_impl(ConstImageView gray,
@@ -212,21 +177,15 @@ LabelResponse AremspRleLabeler::run_gray_impl(ConstImageView gray,
   return label_runs_impl(gray, connectivity, scratch, stats,
                          std::max<Coord>(gray.rows(), 1),
                          std::max<Coord>(gray.cols(), 1), /*threads=*/1,
-                         MergeBackend::Sequential, nullptr,
-                         cas_unite_fn(uf::CasFind::Naive,
-                                      uf::CasSplice::Atomic),
-                         cutoff);
+                         kSerialMerger, cutoff);
 }
 
 ParemspRleLabeler::ParemspRleLabeler(RleConfig config,
                                      Connectivity connectivity)
-    : Labeler(Algorithm::ParemspRle, connectivity), config_(config) {
+    : Labeler(Algorithm::ParemspRle, connectivity),
+      config_(config),
+      merger_(config_) {
   PAREMSP_REQUIRE(config_.threads >= 0, "threads must be >= 0");
-  PAREMSP_REQUIRE(config_.lock_bits >= 0 && config_.lock_bits <= 24,
-                  "lock_bits out of range");
-  if (config_.merge_backend == MergeBackend::LockedRem) {
-    locks_ = std::make_unique<uf::LockPool>(config_.lock_bits);
-  }
 }
 
 LabelResponse ParemspRleLabeler::run_impl(ConstImageView image,
@@ -239,8 +198,7 @@ LabelResponse ParemspRleLabeler::run_impl(ConstImageView image,
   return label_runs_impl(image, connectivity, scratch, stats,
                          band_rows(image.rows(), threads),
                          std::max<Coord>(image.cols(), 1), threads,
-                         config_.merge_backend, locks_.get(),
-                         cas_unite_fn(config_.cas_find, config_.cas_splice));
+                         merger_);
 }
 
 LabelResponse ParemspRleLabeler::run_gray_impl(
@@ -251,22 +209,17 @@ LabelResponse ParemspRleLabeler::run_gray_impl(
   return label_runs_impl(gray, connectivity, scratch, stats,
                          band_rows(gray.rows(), threads),
                          std::max<Coord>(gray.cols(), 1), threads,
-                         config_.merge_backend, locks_.get(),
-                         cas_unite_fn(config_.cas_find, config_.cas_splice),
-                         cutoff);
+                         merger_, cutoff);
 }
 
 TiledParemspLabeler::TiledParemspLabeler(RleConfig config,
                                          Connectivity connectivity)
-    : Labeler(Algorithm::ParemspTiled, connectivity), config_(config) {
+    : Labeler(Algorithm::ParemspTiled, connectivity),
+      config_(config),
+      merger_(config_) {
   PAREMSP_REQUIRE(config_.threads >= 0, "threads must be >= 0");
   PAREMSP_REQUIRE(config_.tile_rows >= 1 && config_.tile_cols >= 1,
                   "tiles must be at least 1x1");
-  PAREMSP_REQUIRE(config_.lock_bits >= 0 && config_.lock_bits <= 24,
-                  "lock_bits out of range");
-  if (config_.merge_backend == MergeBackend::LockedRem) {
-    locks_ = std::make_unique<uf::LockPool>(config_.lock_bits);
-  }
 }
 
 LabelResponse TiledParemspLabeler::run_impl(
@@ -276,8 +229,7 @@ LabelResponse TiledParemspLabeler::run_impl(
       config_.threads > 0 ? config_.threads : omp_get_max_threads();
   return label_runs_impl(image, connectivity, scratch, stats,
                          config_.tile_rows, config_.tile_cols, threads,
-                         config_.merge_backend, locks_.get(),
-                         cas_unite_fn(config_.cas_find, config_.cas_splice));
+                         merger_);
 }
 
 LabelResponse TiledParemspLabeler::run_gray_impl(
@@ -287,9 +239,7 @@ LabelResponse TiledParemspLabeler::run_gray_impl(
       config_.threads > 0 ? config_.threads : omp_get_max_threads();
   return label_runs_impl(gray, connectivity, scratch, stats,
                          config_.tile_rows, config_.tile_cols, threads,
-                         config_.merge_backend, locks_.get(),
-                         cas_unite_fn(config_.cas_find, config_.cas_splice),
-                         cutoff);
+                         merger_, cutoff);
 }
 
 }  // namespace paremsp

@@ -29,8 +29,7 @@
 // window is the only place connectivity enters.
 #pragma once
 
-#include <memory>
-
+#include "core/equiv_policies.hpp"
 #include "core/labeling.hpp"
 #include "core/paremsp.hpp"
 #include "unionfind/lock_pool.hpp"
@@ -108,7 +107,7 @@ class ParemspRleLabeler final : public Labeler {
 
  private:
   RleConfig config_;
-  std::unique_ptr<uf::LockPool> locks_;
+  SeamMerger merger_;
 };
 
 /// 2-D tiled parallel PAREMSP over runs.
@@ -139,7 +138,7 @@ class TiledParemspLabeler final : public Labeler {
 
  private:
   RleConfig config_;
-  std::unique_ptr<uf::LockPool> locks_;
+  SeamMerger merger_;
 };
 
 }  // namespace paremsp

@@ -270,12 +270,6 @@ void LabelingEngine::worker_main(ScratchArena& arena, int index) {
   // engine exists to amortize.
   const std::unique_ptr<Labeler> labeler =
       make_labeler(config_.algorithm, config_.labeler);
-  // Lazily-built second labeler for requests whose `backend` selector
-  // names the OTHER algorithm family (one-shot jobs only: the sharded and
-  // streaming paths reject a family mismatch synchronously at submit).
-  // The family's sequential reference is the right shape here — engine
-  // parallelism is across jobs, the same rationale as the Aremsp default.
-  std::unique_ptr<Labeler> family_override;
   obs::Counter& jobs_metric = obs::counter("engine_jobs_total");
   obs::Counter& failed_metric = obs::counter("engine_jobs_failed_total");
   obs::Counter& pixels_metric = obs::counter("engine_pixels_total");
@@ -329,26 +323,7 @@ void LabelingEngine::worker_main(ScratchArena& arena, int index) {
     } else {
       obs::Span span("job.execute", "engine");
       try {
-        const Labeler* executor = labeler.get();
-        if (job->request.backend.has_value() &&
-            algorithm_info(labeler->algorithm()).backend !=
-                *job->request.backend) {
-          const Connectivity effective = job->request.connectivity.value_or(
-              config_.labeler.connectivity);
-          const Algorithm routed =
-              default_algorithm_for(*job->request.backend, effective);
-          if (family_override == nullptr ||
-              family_override->algorithm() != routed) {
-            // The override's DEFAULT connectivity must be the request's
-            // effective one (Aremsp would reject construction under a
-            // 4-connectivity worker default it never labels with).
-            LabelerOptions options = config_.labeler;
-            options.connectivity = effective;
-            family_override = make_labeler(routed, options);
-          }
-          executor = family_override.get();
-        }
-        response = executor->run(job->request, arena.scratch());
+        response = labeler->run(job->request, arena.scratch());
       } catch (...) {
         error = std::current_exception();
       }

@@ -37,7 +37,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "unionfind/parallel_rem.hpp"
-#include "unionfind/rem.hpp"
 
 namespace paremsp::engine {
 
@@ -51,11 +50,8 @@ class ShardedRun : public std::enable_shared_from_this<ShardedRun> {
         request_(std::move(request)),
         options_(*request_.shard),
         connectivity_(connectivity),
-        cas_unite_(cas_unite_fn(options_.cas_find, options_.cas_splice)),
+        merger_(options_),
         promise_(std::move(promise)) {
-    if (options_.merge_backend == MergeBackend::LockedRem) {
-      locks_ = std::make_unique<uf::LockPool>(options_.lock_bits);
-    }
     if (request_.threshold.has_value()) {
       // Exact integer form of im2bw's compare (see LabelRequest).
       cutoff_ = static_cast<int>(*request_.threshold * 255.0);
@@ -172,63 +168,36 @@ class ShardedRun : public std::enable_shared_from_this<ShardedRun> {
       deliver();
       return;
     }
-    if (tiles_.size() == 1 || options_.merge_backend == MergeBackend::Sequential) {
+    if (tiles_.size() == 1 || !merger_.concurrent()) {
       // One merge job: a single tile has no seams to merge, and the
       // Sequential ablation backend must not run unions concurrently.
       fan_out(1, [](const std::shared_ptr<ShardedRun>& self) {
-        self->run_merge_all();
+        self->run_merge(0, self->tiles_.size());
       });
       return;
     }
     fan_out(tiles_.size(), [](const std::shared_ptr<ShardedRun>& self,
-                              std::size_t t) { self->run_merge(t); });
+                              std::size_t t) { self->run_merge(t, t + 1); });
   }
 
-  void run_merge(std::size_t t) {
+  /// Merge the seams owned by tiles [begin, end); the job's counters land
+  /// in slot `begin`.
+  void run_merge(std::size_t begin, std::size_t end) {
     if (!failed_.load(std::memory_order_acquire)) {
       try {
         obs::Span span("shard.merge", "shard");
         Label* p = parents_.data.get();
         std::uint64_t pairs = 0;
         uf::UniteStats us;
-        if (options_.merge_backend == MergeBackend::LockedRem) {
+        for (std::size_t t = begin; t < end; ++t) {
           merge_run_seams(tiles_, runs(), t, grid_, connectivity_,
                           [&](Label x, Label y) {
                             ++pairs;
-                            uf::locked_unite(p, *locks_, x, y, &us);
-                          });
-        } else {
-          merge_run_seams(tiles_, runs(), t, grid_, connectivity_,
-                          [&](Label x, Label y) {
-                            ++pairs;
-                            cas_unite_(p, x, y, &us);
+                            merger_.unite(p, x, y, us);
                           });
         }
-        merge_pair_slots_[t] = pairs;
-        merge_stat_slots_[t] = us;
-      } catch (...) {
-        fail(std::current_exception());
-      }
-    }
-    finish_phase(1, &ShardedRun::resolve);
-  }
-
-  void run_merge_all() {
-    if (!failed_.load(std::memory_order_acquire)) {
-      try {
-        obs::Span span("shard.merge", "shard");
-        Label* p = parents_.data.get();
-        std::uint64_t pairs = 0;
-        std::uint64_t joins = 0;
-        for (std::size_t t = 0; t < tiles_.size(); ++t) {
-          merge_run_seams(tiles_, runs(), t, grid_, connectivity_,
-                          [&](Label x, Label y) {
-                            ++pairs;
-                            uf::rem_unite(p, x, y, &joins);
-                          });
-        }
-        merge_pair_slots_[0] = pairs;
-        merge_stat_slots_[0].joins = joins;
+        merge_pair_slots_[begin] = pairs;
+        merge_stat_slots_[begin] = us;
       } catch (...) {
         fail(std::current_exception());
       }
@@ -467,9 +436,8 @@ class ShardedRun : public std::enable_shared_from_this<ShardedRun> {
   const LabelRequest request_;  // borrowed views; shard engaged
   const ShardOptions options_;
   const Connectivity connectivity_;  // effective (validated) connectivity
-  const uf::CasUniteFn cas_unite_;   // options_'s find × splice combination
+  const SeamMerger merger_;           // options_'s validated merge backend
   std::promise<LabelResponse> promise_;
-  std::unique_ptr<uf::LockPool> locks_;
   int cutoff_ = -1;      // request threshold as an integer cutoff; -1 unset
   std::optional<double> deadline_ms_;  // request deadline vs timer_, if any
 
@@ -504,8 +472,6 @@ void LabelingEngine::start_sharded(LabelRequest request,
   const ShardOptions& options = *request.shard;
   PAREMSP_REQUIRE(options.tile_rows >= 1 && options.tile_cols >= 1,
                   "shard tiles must be at least 1x1");
-  PAREMSP_REQUIRE(options.lock_bits >= 0 && options.lock_bits <= 24,
-                  "lock_bits out of range");
   // Shared request gate: the effective connectivity defaults exactly like
   // the worker path (request override, else the engine's configured
   // labeler default). The pipeline is validated against the algorithm it
@@ -513,10 +479,13 @@ void LabelingEngine::start_sharded(LabelRequest request,
   // connectivities — so request errors match Labeler::run's exactly.
   const Connectivity connectivity = validate_request(
       request, Algorithm::ParemspTiled, config_.labeler.connectivity);
+  // Construction validates the merge options (SeamMerger), so a rejected
+  // request throws here, synchronously, before it counts as submitted.
+  const auto run = std::make_shared<ShardedRun>(*this, std::move(request),
+                                                connectivity,
+                                                std::move(promise));
   shards_submitted_.fetch_add(1, std::memory_order_relaxed);
-  std::make_shared<ShardedRun>(*this, std::move(request), connectivity,
-                               std::move(promise))
-      ->start();
+  run->start();
 }
 
 }  // namespace paremsp::engine

@@ -1,8 +1,8 @@
 // StreamSession — the engine front end for stream::SlabSession: label an
 // arbitrarily tall image one row-band slab at a time THROUGH the worker
 // pool, with a bounded in-flight window (backpressure), deadline and
-// cancellation honored at every slab boundary, and clean failure
-// propagation if the engine shuts down mid-session.
+// cancellation honored at every slab boundary, and a clean failure
+// for every pending op if the engine shuts down mid-session.
 //
 // Why a session and not N submits: slab k+1's scan needs slab k's seam
 // state, so the slabs of one session are inherently serial. The session

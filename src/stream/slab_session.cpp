@@ -51,9 +51,6 @@ class OffsetFeatureSink {
 
 SlabSession::SlabSession(StreamOptions options) : options_(options) {
   PAREMSP_REQUIRE(options_.cols >= 1, "StreamOptions::cols must be >= 1");
-  PAREMSP_REQUIRE(options_.backend == Backend::UnionFind,
-                  "streaming slab sessions support only the union-find "
-                  "backend (no incremental propagation seam)");
   if (options_.threshold.has_value()) {
     PAREMSP_REQUIRE(*options_.threshold >= 0.0 && *options_.threshold <= 1.0,
                     "threshold must be within [0, 1]");

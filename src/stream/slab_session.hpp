@@ -75,7 +75,6 @@
 #include "analysis/component_stats.hpp"
 #include "analysis/feature_accumulator.hpp"
 #include "core/label_scratch.hpp"
-#include "core/labeling.hpp"  // Backend
 #include "core/runs.hpp"
 #include "image/connectivity.hpp"
 #include "image/raster.hpp"
@@ -96,13 +95,6 @@ struct StreamOptions {
   /// are grayscale and foreground is pixel > floor(threshold * 255).
   /// Must be within [0, 1].
   std::optional<double> threshold;
-
-  /// Algorithm family, same vocabulary as LabelRequest::backend. The slab
-  /// pipeline is built on the run/seam union-find machinery and has no
-  /// incremental propagation seam story, so only Backend::UnionFind is
-  /// accepted — construction rejects Propagation synchronously rather
-  /// than silently labeling with the other family.
-  Backend backend = Backend::UnionFind;
 
   /// Return each slab's label plane from push_slab (local dense ids).
   /// Off = counting/measuring stream: no plane is materialized at all.
@@ -173,8 +165,8 @@ struct StreamResult {
 /// while pipelining slabs of DIFFERENT sessions across workers).
 class SlabSession {
  public:
-  /// Validates options (cols >= 1, threshold within [0, 1], union-find
-  /// backend) — throws PreconditionError otherwise.
+  /// Validates options (cols >= 1, threshold within [0, 1]) — throws
+  /// PreconditionError otherwise.
   explicit SlabSession(StreamOptions options);
 
   SlabSession(const SlabSession&) = delete;

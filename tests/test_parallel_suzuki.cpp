@@ -36,7 +36,7 @@ TEST_P(PSuzukiThreads, MatchesOracleOnGeneratedImages) {
     EXPECT_EQ(got.num_components, expected.num_components);
     EXPECT_TRUE(analysis::equivalent_labelings(got.labels, expected.labels));
   }
-  // Spiral: worst case for propagation (many global iterations).
+  // Spiral: worst case for multi-pass (many global iterations).
   const auto spiral = gen::spiral(49, 49, 2, 3);
   const auto got = labeler.label(spiral);
   EXPECT_EQ(got.num_components, 1);

@@ -4,11 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <tuple>
+#include <utility>
 
 #include "analysis/validation.hpp"
 #include "core/aremsp.hpp"
 #include "core/paremsp.hpp"
+#include "core/registry.hpp"
+#include "core/request.hpp"
 #include "core/rle_labelers.hpp"
+#include "engine/engine.hpp"
 #include "image/ascii.hpp"
 #include "image/generators.hpp"
 #include "fixtures.hpp"
@@ -253,6 +258,88 @@ TEST(ParemspConfigTest, RejectsInvalidConfig) {
       ParemspLabeler(ParemspConfig{2, MergeBackend::LockedRem, -1}),
       PreconditionError);
 }
+
+// Every executor that takes a merge config validates it through the same
+// SeamMerger, so an out-of-range lock pool is rejected synchronously with
+// the same PreconditionError on every path — and for every backend, not
+// only the one that builds the pool.
+struct MergeExecutor {
+  const char* name;
+  void (*build)(MergeBackend backend, int lock_bits);
+};
+
+void build_through_registry(Algorithm algorithm, MergeBackend backend,
+                            int bits) {
+  (void)make_labeler(
+      algorithm, LabelerOptions{.merge_backend = backend, .lock_bits = bits});
+}
+
+const MergeExecutor kMergeExecutors[] = {
+    {"paremsp",
+     [](MergeBackend backend, int bits) {
+       (void)ParemspLabeler(
+           ParemspConfig{.merge_backend = backend, .lock_bits = bits});
+     }},
+    {"paremsp_registry",
+     [](MergeBackend backend, int bits) {
+       build_through_registry(Algorithm::Paremsp, backend, bits);
+     }},
+    {"paremsp_rle",
+     [](MergeBackend backend, int bits) {
+       (void)ParemspRleLabeler(
+           RleConfig{.merge_backend = backend, .lock_bits = bits});
+     }},
+    {"paremsp_rle_registry",
+     [](MergeBackend backend, int bits) {
+       build_through_registry(Algorithm::ParemspRle, backend, bits);
+     }},
+    {"paremsp2d",
+     [](MergeBackend backend, int bits) {
+       (void)TiledParemspLabeler(
+           RleConfig{.merge_backend = backend, .lock_bits = bits});
+     }},
+    {"paremsp2d_registry",
+     [](MergeBackend backend, int bits) {
+       build_through_registry(Algorithm::ParemspTiled, backend, bits);
+     }},
+    {"sharded_submit",
+     [](MergeBackend backend, int bits) {
+       engine::LabelingEngine eng({.workers = 1});
+       const BinaryImage image(8, 8, 1);
+       LabelRequest request;
+       request.input = image;
+       request.shard = ShardOptions{.tile_rows = 4,
+                                    .tile_cols = 4,
+                                    .merge_backend = backend,
+                                    .lock_bits = bits};
+       (void)eng.submit(std::move(request)).get();
+     }},
+};
+
+class MergeConfigLockBits
+    : public ::testing::TestWithParam<std::tuple<MergeExecutor, int>> {};
+
+TEST_P(MergeConfigLockBits, RejectsOutOfRangeLockBits) {
+  const auto& [executor, bits] = GetParam();
+  for (const MergeBackend backend :
+       {MergeBackend::LockedRem, MergeBackend::CasRem,
+        MergeBackend::Sequential}) {
+    SCOPED_TRACE(to_string(backend));
+    EXPECT_THROW(executor.build(backend, bits), PreconditionError);
+    // Control: the same executor accepts the default pool size.
+    EXPECT_NO_THROW(executor.build(backend, uf::LockPool::kDefaultBits));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Executors, MergeConfigLockBits,
+    ::testing::Combine(::testing::ValuesIn(kMergeExecutors),
+                       ::testing::Values(-1, uf::LockPool::kMaxBits + 1)),
+    [](const ::testing::TestParamInfo<MergeConfigLockBits::ParamType>& info) {
+      const int bits = std::get<1>(info.param);
+      return std::string(std::get<0>(info.param).name) + "_bits" +
+             (bits < 0 ? "m" + std::to_string(-bits) : std::to_string(bits));
+    });
 
 TEST(ParemspConfigTest, ReportsIdentity) {
   const ParemspLabeler labeler(ParemspConfig{4});

@@ -21,7 +21,7 @@ namespace {
 
 TEST(Registry, CatalogIsCompleteAndUnique) {
   const auto catalog = algorithm_catalog();
-  EXPECT_EQ(catalog.size(), 14u);
+  EXPECT_EQ(catalog.size(), 12u);
   std::set<std::string_view> names;
   std::set<Algorithm> ids;
   for (const auto& info : catalog) {
@@ -50,7 +50,7 @@ TEST(Registry, ParallelAlgorithmsAreFlagged) {
   }
   EXPECT_EQ(parallel,
             (std::set<std::string_view>{"paremsp", "paremsp2d", "psuzuki",
-                                        "paremsp_rle", "propagate_par"}));
+                                        "paremsp_rle"}));
 }
 
 TEST(Registry, RleAlgorithmsAreCatalogedForTheRegistryDrivenSuites) {
@@ -156,36 +156,6 @@ TEST(Registry, SupportsIsTheSingleSourceOfTruth) {
   }
 }
 
-TEST(Registry, BackendFamilyFlagsMatchTheCatalog) {
-  // The propagation family is exactly the src/propagate/ pair; everything
-  // descended from the paper's scan + union-find carries UnionFind. The
-  // engine's per-request routing and validate_request's family gate both
-  // key off this flag, so a wrong entry would silently route requests to
-  // the other family.
-  std::set<std::string_view> propagation;
-  for (const auto& info : algorithm_catalog()) {
-    if (info.backend == Backend::Propagation) propagation.insert(info.name);
-  }
-  EXPECT_EQ(propagation,
-            (std::set<std::string_view>{"propagate", "propagate_par"}));
-  EXPECT_EQ(default_algorithm_for(Backend::Propagation, Connectivity::Eight),
-            Algorithm::Propagate);
-  EXPECT_EQ(default_algorithm_for(Backend::Propagation, Connectivity::Four),
-            Algorithm::Propagate);
-  EXPECT_EQ(default_algorithm_for(Backend::UnionFind, Connectivity::Eight),
-            Algorithm::Aremsp);
-  EXPECT_EQ(default_algorithm_for(Backend::UnionFind, Connectivity::Four),
-            Algorithm::Cclremsp);
-  // The routed reference must itself carry the family it was routed for.
-  for (const Backend b : {Backend::UnionFind, Backend::Propagation}) {
-    for (const Connectivity c : {Connectivity::Four, Connectivity::Eight}) {
-      const Algorithm a = default_algorithm_for(b, c);
-      EXPECT_EQ(algorithm_info(a).backend, b);
-      EXPECT_TRUE(algorithm_info(a).supports(c));
-    }
-  }
-}
-
 TEST(Registry, CatalogCapabilityFlagsAreHonest) {
   // The exhaustive/differential/metamorphic suites trust the catalog: a
   // flag that overstates what an algorithm does would make those suites
@@ -203,7 +173,7 @@ TEST(Registry, CatalogCapabilityFlagsAreHonest) {
   for (const auto& info : algorithm_catalog()) {
     for (const Connectivity conn : {Connectivity::Four, Connectivity::Eight}) {
       if (!info.supports(conn)) {
-        // A backend that cannot label under `conn` must fail
+        // An algorithm that cannot label under `conn` must fail
         // require_supported — never construct and mislabel.
         EXPECT_THROW(require_supported(info.id, conn), PreconditionError)
             << info.name;

@@ -42,14 +42,14 @@ std::vector<Label> sequential_roots(Label n, const std::vector<Edge>& edges) {
   return roots;
 }
 
-enum class Backend { Locked, Cas };
+enum class Merger { Locked, Cas };
 
-void run_parallel(Backend backend, Label n, const std::vector<Edge>& edges,
+void run_parallel(Merger backend, Label n, const std::vector<Edge>& edges,
                   std::vector<Label>& p, int threads, int lock_bits) {
   p.resize(static_cast<std::size_t>(n));
   std::iota(p.begin(), p.end(), 0);
   const auto m = static_cast<std::int64_t>(edges.size());
-  if (backend == Backend::Locked) {
+  if (backend == Merger::Locked) {
     LockPool locks(lock_bits);
 #pragma omp parallel for schedule(static) num_threads(threads)
     for (std::int64_t i = 0; i < m; ++i) {
@@ -66,7 +66,7 @@ void run_parallel(Backend backend, Label n, const std::vector<Edge>& edges,
 }
 
 class ParallelMerge
-    : public ::testing::TestWithParam<std::tuple<Backend, int, int>> {};
+    : public ::testing::TestWithParam<std::tuple<Merger, int, int>> {};
 
 TEST_P(ParallelMerge, PartitionMatchesSequentialRem) {
   const auto [backend, threads, lock_bits] = GetParam();
@@ -126,12 +126,12 @@ TEST_P(ParallelMerge, ParentsStayBelowIndices) {
 
 INSTANTIATE_TEST_SUITE_P(
     Backends, ParallelMerge,
-    ::testing::Combine(::testing::Values(Backend::Locked, Backend::Cas),
+    ::testing::Combine(::testing::Values(Merger::Locked, Merger::Cas),
                        ::testing::Values(2, 4, 8),
                        ::testing::Values(2, 12)),
     [](const auto& pinfo) {
       std::string name =
-          std::get<0>(pinfo.param) == Backend::Locked ? "locked" : "cas";
+          std::get<0>(pinfo.param) == Merger::Locked ? "locked" : "cas";
       name += "_t" + std::to_string(std::get<1>(pinfo.param));
       name += "_b" + std::to_string(std::get<2>(pinfo.param));
       return name;
@@ -145,7 +145,7 @@ INSTANTIATE_TEST_SUITE_P(
 // These equivalents drive the same backends from plain std::thread and
 // are what the TSan job pins (see .github/workflows/ci.yml).
 
-void run_parallel_std_thread(Backend backend, Label n,
+void run_parallel_std_thread(Merger backend, Label n,
                              const std::vector<Edge>& edges,
                              std::vector<Label>& p, int threads,
                              int lock_bits) {
@@ -157,7 +157,7 @@ void run_parallel_std_thread(Backend backend, Label n,
     pool.emplace_back([&, t] {
       for (std::size_t i = static_cast<std::size_t>(t); i < edges.size();
            i += static_cast<std::size_t>(threads)) {
-        if (backend == Backend::Locked) {
+        if (backend == Merger::Locked) {
           locked_unite(p.data(), locks, edges[i].first, edges[i].second);
         } else {
           cas_unite(p.data(), edges[i].first, edges[i].second);
@@ -169,7 +169,7 @@ void run_parallel_std_thread(Backend backend, Label n,
 }
 
 class ParallelMergeStdThread
-    : public ::testing::TestWithParam<std::tuple<Backend, int, int>> {};
+    : public ::testing::TestWithParam<std::tuple<Merger, int, int>> {};
 
 TEST_P(ParallelMergeStdThread, PartitionMatchesSequentialRem) {
   const auto [backend, threads, lock_bits] = GetParam();
@@ -201,12 +201,12 @@ TEST_P(ParallelMergeStdThread, HighContentionSingleComponent) {
 
 INSTANTIATE_TEST_SUITE_P(
     Backends, ParallelMergeStdThread,
-    ::testing::Combine(::testing::Values(Backend::Locked, Backend::Cas),
+    ::testing::Combine(::testing::Values(Merger::Locked, Merger::Cas),
                        ::testing::Values(2, 4, 8),
                        ::testing::Values(2, 12)),
     [](const auto& pinfo) {
       std::string name =
-          std::get<0>(pinfo.param) == Backend::Locked ? "locked" : "cas";
+          std::get<0>(pinfo.param) == Merger::Locked ? "locked" : "cas";
       name += "_t" + std::to_string(std::get<1>(pinfo.param));
       name += "_b" + std::to_string(std::get<2>(pinfo.param));
       return name;
