@@ -20,6 +20,11 @@ namespace paremsp {
 
 namespace {
 
+/// Below this many runs the renumber runs on the calling thread: waking a
+/// team and passing its barriers costs more than walking a small image's
+/// runs serially.
+constexpr std::uint64_t kParallelRenumberRuns = 1U << 14;
+
 /// The one run-based pipeline all three rle labelers share: cut a tile
 /// grid, scan runs per tile, merge boundary runs, resolve + canonically
 /// renumber, and expand the resolved labels back to the raster. `threads`
@@ -107,17 +112,43 @@ LabelResponse label_runs_impl(ConstImageView image, Connectivity connectivity,
   result.timings.counters.merge_unions = merge_unions;
   result.timings.counters.merge_retries = merge_retries;
 
-  // --- FLATTEN + canonical run renumber ------------------------------------
+  // --- FLATTEN + canonical run renumber, one band per iteration -----------
   phase.reset();
   {
     obs::Span span("rle.flatten");
-    Label total_used = 0;
-    for (const auto& tile : tiles) total_used += tile.used;
-    std::span<Label> remap =
-        scratch.aux(static_cast<std::size_t>(total_used) + 1);
-    result.num_components = resolve_final_run_labels(
-        p, tiles, {tile_runs.data(), tile_runs.size()}, connectivity,
-        image.rows(), remap);
+    BandRenumber renumber(p, tiles, {tile_runs.data(), tile_runs.size()},
+                          connectivity);
+    const int nbands = static_cast<int>(renumber.bands());
+    Label k = 0;
+    if (nbands == 1 ||
+        result.timings.counters.runs_extracted < kParallelRenumberRuns) {
+      k = renumber.run_serially();
+    } else {
+      // The implicit barrier after each loop publishes one step's writes
+      // to the next.
+#pragma omp parallel num_threads(threads)
+      {
+#pragma omp for schedule(dynamic, 1)
+        for (int b = 0; b < nbands; ++b) {
+          obs::Span band_span("rle.flatten.band", "band");
+          renumber.flatten(static_cast<std::size_t>(b));
+        }
+#pragma omp single
+        k = renumber.assign_offsets();
+#pragma omp for schedule(dynamic, 1)
+        for (int b = 0; b < nbands; ++b) {
+          obs::Span band_span("rle.flatten.band", "band");
+          renumber.number(static_cast<std::size_t>(b));
+        }
+#pragma omp for schedule(dynamic, 1) nowait  // the region's end joins
+        for (int b = 0; b < nbands; ++b) {
+          obs::Span band_span("rle.flatten.band", "band");
+          renumber.finalize(static_cast<std::size_t>(b));
+        }
+      }
+      renumber.check();
+    }
+    result.num_components = k;
     if (stats != nullptr) {
       stats->components.assign(
           static_cast<std::size_t>(result.num_components), {});
@@ -146,7 +177,7 @@ const SeamMerger kSerialMerger{MergeBackend::Sequential};
 /// clamped so every band has at least one row, then rounded UP to even so
 /// every band starts on an even row — the 8-connected scan's pair order
 /// then aligns with the global two-line pairing and the canonical
-/// renumber walk collapses (resolve_final_run_labels).
+/// renumber walk collapses to label order (BandRenumber).
 Coord band_rows(Coord rows, int threads) {
   const int n = std::clamp<int>(threads, 1, static_cast<int>(
                                                 std::max<Coord>(rows, 1)));

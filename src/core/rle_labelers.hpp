@@ -21,7 +21,7 @@
 // std::fill-width segments — the output plane is written exactly once,
 // where the pixel algorithms write provisional labels and then rewrite.
 //
-// Bit-identity: the canonical renumber (resolve_final_run_labels)
+// Bit-identity: the canonical renumber (BandRenumber, core/tiled_phases)
 // restores the sequential first-appearance numbering, so all three are
 // bit-identical to AremspLabeler (8-connectivity) and CclremspLabeler
 // (4-connectivity) for every thread count and tile geometry. Unlike

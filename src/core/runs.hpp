@@ -35,10 +35,9 @@
 // column, upper before lower — merge_row_pair_runs) and the 4-connected
 // scan in row-major run order, so under REM every component's root is its
 // first run in the SAME order the canonical renumber walks
-// (resolve_final_run_labels) — which is what lets the rle labelers stay
-// bit-identical to sequential AREMSP, and lets pair-aligned full-width
-// tile bands skip the renumber walk entirely (the flatten already
-// numbers components canonically).
+// (BandRenumber) — which is what lets the rle labelers stay bit-identical
+// to sequential AREMSP, and lets pair-aligned full-width tile bands number
+// components in plain label order instead of walking their runs.
 #pragma once
 
 #include <bit>
@@ -153,9 +152,9 @@ void merge_row_runs(std::span<Run> cur, std::span<const Run> prev, Coord r,
 /// by the previous pair); the lower row is two rows away from it and
 /// never adjacent. Issuing labels in this order makes every fresh-label
 /// event coincide with a component's two-line first appearance, so the
-/// canonical renumber in resolve_final_run_labels collapses to the
-/// identity for pair-aligned full-width tile bands — the single-tile /
-/// row-band fast path skips the walk entirely.
+/// canonical renumber (BandRenumber) collapses to label order for
+/// pair-aligned full-width tile bands — the single-tile / row-band fast
+/// path skips the run walk entirely.
 ///
 /// Within the pair, the LATER-visited run of an adjacent (upper, lower)
 /// pair records the equivalence, and at most one earlier-visited run of

@@ -5,6 +5,7 @@
 #include "common/contracts.hpp"
 #include "core/equiv_policies.hpp"
 #include "core/scan_two_line.hpp"  // NoFeatureSink
+#include "unionfind/parallel_rem.hpp"  // uf::detail::load/store
 
 namespace paremsp {
 
@@ -128,88 +129,122 @@ class RowRunCursor {
 
 }  // namespace
 
-Label resolve_final_run_labels(std::span<Label> parents,
-                               std::span<const TileSpec> tiles,
-                               std::span<const RunBuffer> tile_runs,
-                               Connectivity connectivity, Coord rows,
-                               std::span<Label> remap) {
-  // FLATTEN (paper Algorithm 3) over used ranges in increasing base
-  // order: REM parents always point at smaller issued labels, so one pass
-  // resolves everything and numbers components by increasing root, i.e.
-  // first appearance in TILE order.
-  Label k = 0;
-  for (const TileSpec& tile : tiles) {
-    const Label lo = tile.base + 1;
-    const Label hi = tile.base + tile.used;
-    for (Label i = lo; i <= hi; ++i) {
-      if (parents[i] < i) {
-        parents[i] = parents[parents[i]];
-      } else {
-        parents[i] = ++k;
-      }
-    }
+BandRenumber::BandRenumber(std::span<Label> parents,
+                           std::span<const TileSpec> tiles,
+                           std::span<const RunBuffer> tile_runs,
+                           Connectivity connectivity)
+    : parents_(parents),
+      tiles_(tiles),
+      tile_runs_(tile_runs),
+      connectivity_(connectivity),
+      grid_(tile_grid_shape(tiles)) {
+  if (tiles.empty()) return;
+  // An odd tile height pairs tile rows under 8-connectivity, so every band
+  // starts on an even row and holds whole two-line row pairs.
+  const std::size_t rows_per_band =
+      connectivity == Connectivity::Eight && grid_.tile_rows % 2 != 0 ? 2 : 1;
+  const std::size_t per_band =
+      rows_per_band * static_cast<std::size_t>(grid_.grid_cols);
+  bands_.reserve((tiles.size() + per_band - 1) / per_band);
+  for (std::size_t t = 0; t < tiles.size(); t += per_band) {
+    Band band;
+    band.tile_begin = t;
+    band.tile_end = std::min(t + per_band, tiles.size());
+    band.lo = tiles[t].base + 1;
+    // Full-width tiles issue labels in raster order (4-conn), or in the
+    // global two-line pair order when they start on even rows (8-conn,
+    // merge_row_pair_runs): the band's label order IS its visit order
+    // (DESIGN.md §3).
+    band.label_order =
+        grid_.grid_cols == 1 &&
+        (connectivity == Connectivity::Four ||
+         std::all_of(tiles.begin() + static_cast<std::ptrdiff_t>(t),
+                     tiles.begin() + static_cast<std::ptrdiff_t>(band.tile_end),
+                     [](const TileSpec& tile) {
+                       return tile.row_begin % 2 == 0;
+                     }));
+    bands_.push_back(band);
   }
-  if (k == 0) return 0;
+}
 
-  const TileGridShape grid = tile_grid_shape(tiles);
+template <class Fn>
+void BandRenumber::for_each_label(const Band& band, Fn&& fn) const {
+  for (std::size_t t = band.tile_begin; t < band.tile_end; ++t) {
+    const Label hi = tiles_[t].base + tiles_[t].used;
+    for (Label i = tiles_[t].base + 1; i <= hi; ++i) fn(i);
+  }
+}
 
-  // 4-connectivity targets raster-first-appearance order (the numbering
-  // of the one-line scan algorithms and the flood-fill oracle). For
-  // full-width tile bands the label bases increase in row order, so the
-  // flatten above already numbered components by their first run in
-  // raster order and the walk would be the identity.
-  if (connectivity == Connectivity::Four && grid.grid_cols == 1) return k;
-
-  PAREMSP_REQUIRE(remap.size() > static_cast<std::size_t>(k),
-                  "remap storage smaller than the component count");
-  std::fill_n(remap.begin(), static_cast<std::size_t>(k) + 1, Label{0});
-  Label next = 0;
-  const auto visit = [&](const Run& run) {
-    Label& slot = remap[parents[run.label]];
-    if (slot == 0) slot = ++next;
-  };
-
-  if (connectivity == Connectivity::Eight && grid.grid_cols == 1) {
-    // Full-width tiles whose rows start EVEN are the paper's row chunks:
-    // bases increase in band order and the run scan issues labels in
-    // two-line pair order aligned with the global pairing
-    // (merge_row_pair_runs), so the flatten above already numbered
-    // components by two-line first appearance — the walk is the identity
-    // and is skipped (DESIGN.md §3).
-    const bool pair_aligned =
-        std::all_of(tiles.begin(), tiles.end(),
-                    [](const TileSpec& t) { return t.row_begin % 2 == 0; });
-    if (pair_aligned) return k;
-    // Odd-aligned full-width bands: each image row's runs are ONE
-    // contiguous span, so the pair merge runs on raw spans with no
-    // cursor indirection.
-    const auto row_span = [&](Coord r) {
-      return tile_runs[static_cast<std::size_t>(r / grid.tile_rows)].row(r);
-    };
-    for (Coord r = 0; r < rows && next < k; r += 2) {
-      const std::span<const Run> upper = row_span(r);
-      const std::span<const Run> lower =
-          r + 1 < rows ? row_span(r + 1) : std::span<const Run>{};
-      std::size_t u = 0, l = 0;
-      while (u < upper.size() || l < lower.size()) {
-        if (l >= lower.size() ||
-            (u < upper.size() &&
-             upper[u].col_begin <= lower[l].col_begin)) {
-          visit(upper[u++]);
-        } else {
-          visit(lower[l++]);
-        }
+// Entry encoding between flatten and finalize: 0 is a root not yet
+// numbered, a positive value a numbered root's final label, and -r a
+// non-root whose root is r. Before flatten every entry is an REM parent
+// (<= its index), so a concurrent reader can always tell the cases apart.
+void BandRenumber::flatten(std::size_t b) {
+  using uf::detail::load;
+  using uf::detail::store;
+  Band& band = bands_[b];
+  Label* p = parents_.data();
+  Label roots = 0;
+  for_each_label(band, [&](Label i) {
+    Label r = i;
+    while (true) {
+      const Label v = load(p, r);
+      if (v < 0) {  // flattened non-root: its root is -v
+        r = -v;
+        break;
       }
+      if (v == 0 || v == r) break;  // r is a root
+      r = v;
     }
-  } else if (connectivity == Connectivity::Eight) {
+    if (r == i) {
+      store(p, i, 0);
+      ++roots;
+    } else {
+      store(p, i, -r);
+    }
+  });
+  band.roots = roots;
+}
+
+Label BandRenumber::assign_offsets() noexcept {
+  Label k = 0;
+  for (Band& band : bands_) {
+    band.offset = k;
+    k += band.roots;
+  }
+  return k;
+}
+
+void BandRenumber::number(std::size_t b) {
+  Band& band = bands_[b];
+  Label* p = parents_.data();
+  Label next = band.offset;
+  if (band.label_order) {
+    for_each_label(band, [&](Label i) {
+      if (p[i] == 0) p[i] = ++next;
+    });
+    band.numbered = next - band.offset;
+    return;
+  }
+  // A run's label is in this band's range, and so is its root unless the
+  // component is rooted (and numbered) in an earlier band.
+  const auto visit = [&](const Run& run) {
+    const Label v = p[run.label];
+    const Label root = v < 0 ? -v : run.label;
+    if (root >= band.lo && p[root] == 0) p[root] = ++next;
+  };
+  const Label end = band.offset + band.roots;
+  const Coord row_begin = tiles_[band.tile_begin].row_begin;
+  const Coord row_end = tiles_[band.tile_end - 1].row_end;
+  if (connectivity_ == Connectivity::Eight) {
     // Two-line visit order: merge each row pair's two run streams by
     // (col_begin, parity) — a component's first two-line-visited pixel
     // is always one of its runs' col_begin (an earlier pixel of the same
     // run would contradict minimality), so this walk meets components in
     // exactly the order sequential AREMSP numbers them.
-    for (Coord r = 0; r < rows && next < k; r += 2) {
-      RowRunCursor upper(tile_runs, grid, r);
-      RowRunCursor lower(tile_runs, grid, r + 1 < rows ? r + 1 : -1);
+    for (Coord r = row_begin; r < row_end && next < end; r += 2) {
+      RowRunCursor upper(tile_runs_, grid_, r);
+      RowRunCursor lower(tile_runs_, grid_, r + 1 < row_end ? r + 1 : -1);
       const Run* u = upper.current();
       const Run* l = lower.current();
       while (u != nullptr || l != nullptr) {
@@ -225,20 +260,47 @@ Label resolve_final_run_labels(std::span<Label> parents,
       }
     }
   } else {
-    for (Coord r = 0; r < rows && next < k; ++r) {
-      for (RowRunCursor cursor(tile_runs, grid, r);
+    for (Coord r = row_begin; r < row_end && next < end; ++r) {
+      for (RowRunCursor cursor(tile_runs_, grid_, r);
            cursor.current() != nullptr; cursor.next()) {
         visit(*cursor.current());
       }
     }
   }
-  PAREMSP_ENSURE(next == k, "run first-appearance renumber lost a component");
-  for (const TileSpec& tile : tiles) {
-    const Label lo = tile.base + 1;
-    const Label hi = tile.base + tile.used;
-    for (Label i = lo; i <= hi; ++i) parents[i] = remap[parents[i]];
+  band.numbered = next - band.offset;
+}
+
+void BandRenumber::check() const {
+  for (const Band& band : bands_) {
+    PAREMSP_ENSURE(band.numbered == band.roots,
+                   "run first-appearance renumber lost a component");
   }
+}
+
+void BandRenumber::finalize(std::size_t b) {
+  Label* p = parents_.data();
+  for_each_label(bands_[b], [p](Label i) {
+    if (p[i] < 0) p[i] = p[-p[i]];
+  });
+}
+
+Label BandRenumber::run_serially() {
+  for (std::size_t b = 0; b < bands(); ++b) flatten(b);
+  const Label k = assign_offsets();
+  for (std::size_t b = 0; b < bands(); ++b) number(b);
+  check();
+  for (std::size_t b = 0; b < bands(); ++b) finalize(b);
   return k;
+}
+
+Label resolve_final_run_labels(std::span<Label> parents,
+                               std::span<const TileSpec> tiles,
+                               std::span<const RunBuffer> tile_runs,
+                               Connectivity connectivity, Coord rows,
+                               std::span<Label> /*remap*/) {
+  PAREMSP_REQUIRE(tiles.empty() || tiles.back().row_end == rows,
+                  "rows must be the height the tile grid covers");
+  return BandRenumber(parents, tiles, tile_runs, connectivity).run_serially();
 }
 
 void rewrite_run_labels(const RunBuffer& runs, std::span<const Label> parents,

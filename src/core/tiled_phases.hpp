@@ -16,12 +16,16 @@
 //                                 merger, its CAS variant, or sequential
 //                                 REM), one union per adjacent boundary-run
 //                                 pair;
-//   4. resolve_final_run_labels — FLATTEN every tile's used label range,
+//   4. BandRenumber             — FLATTEN every tile's used label range,
 //                                 then renumber components into the
 //                                 sequential scan's canonical order so the
 //                                 result is bit-identical to sequential
 //                                 AREMSP (8-conn) and CCLREMSP (4-conn) for
-//                                 EVERY tile geometry;
+//                                 EVERY tile geometry; four per-band steps
+//                                 (flatten, offsets, number, finalize), all
+//                                 but the O(bands) offsets concurrent across
+//                                 bands. resolve_final_run_labels runs them
+//                                 in a serial loop;
 //   5. rewrite_run_labels       — expand the resolved run labels into the
 //                                 output raster, the only write to it.
 //
@@ -30,8 +34,9 @@
 // (persistent-worker jobs, engine/sharded_labeler.cpp) and the streaming
 // slab session (stream/slab_session.cpp, which reuses the scan and rewrite
 // steps). Keeping the steps here means they run the same audited kernel
-// code and differ only in scheduling. Why the renumber makes any grid
-// bit-identical is argued at resolve_final_run_labels and in DESIGN.md §8.
+// code and differ only in scheduling; nothing here starts a thread. Why
+// the renumber makes any grid bit-identical, and why its bands never
+// race, is argued at BandRenumber and in DESIGN.md §8.
 #pragma once
 
 #include <algorithm>
@@ -67,9 +72,9 @@ struct TileSpec {
 /// Partition rows x cols into a row-major grid of tile_rows x tile_cols
 /// tiles (edge tiles clipped). Bases are prefix sums of tile pixel counts,
 /// so label ranges are disjoint and increase in row-major tile order —
-/// the order resolve_final_run_labels flattens them in. Any tile size >= 1
+/// so BandRenumber's bands own increasing label ranges. Any tile size >= 1
 /// works (down to 1-pixel tiles); oversize tiles degenerate to one tile,
-/// which skips the merge and renumber phases entirely.
+/// which has no seams and whose renumber collapses to label order.
 [[nodiscard]] std::vector<TileSpec> make_tile_grid(Coord rows, Coord cols,
                                                    Coord tile_rows,
                                                    Coord tile_cols);
@@ -187,10 +192,13 @@ void merge_run_seams(std::span<const TileSpec> tiles,
   }
 }
 
-/// Phases III+IV bookkeeping: FLATTEN every tile's used label range in
-/// increasing base order, then renumber into the canonical order of the
-/// sequential algorithms by walking the RUNS (no label plane ever holds
-/// provisional labels):
+/// Phase III, FLATTEN + canonical renumber, split into per-BAND steps. A
+/// band is a horizontal strip of whole tile rows: one tile row, or two
+/// for 8-connectivity with an odd tile height, so every band starts on an
+/// even image row and no two-line row pair straddles two bands. Bands own
+/// disjoint label ranges that increase in band order.
+///
+/// The canonical order is the sequential algorithms' numbering:
 ///
 ///   8-connectivity  first appearance in the sequential TWO-LINE visit
 ///                   order — row pairs (0,1),(2,3),…, column by column,
@@ -198,21 +206,85 @@ void merge_run_seams(std::span<const TileSpec> tiles,
 ///                   pixel is the (col_begin, parity)-minimal run start
 ///                   among its runs in its earliest pair, so merging each
 ///                   pair's two run streams by (col_begin, parity)
-///                   reproduces sequential AREMSP's numbering exactly —
-///                   the tiled pipelines are bit-identical to AREMSP for
-///                   every chunking and tile geometry. Full-width bands
-///                   whose rows start even skip the walk: the scan
-///                   issues labels in that very order
-///                   (merge_row_pair_runs), so the flatten is already
-///                   canonical.
+///                   reproduces sequential AREMSP's numbering exactly.
 ///   4-connectivity  first appearance in raster order (the numbering of
 ///                   the one-line-scan algorithms and the flood-fill
-///                   oracle); full-width tile bands already flatten into
-///                   that order, so the walk is skipped for them.
+///                   oracle).
 ///
-/// On return parents[l] is the FINAL label of every issued provisional
-/// label l; finish with rewrite_run_labels per tile. `remap` is caller
-/// storage of at least (total used labels + 1) entries. Single-threaded.
+/// REM keeps every component's root at its smallest provisional label, so
+/// the root lies in the topmost band the component touches, which is
+/// also where the component is first visited. Numbering therefore splits
+/// by band: all components rooted in band b come before those rooted in
+/// band b+1, and inside a band they come in the band-local walk's order.
+/// A full-width band whose tiles start on even rows (8-conn), or any
+/// full-width band (4-conn), already issues labels in that order, so its
+/// walk is a plain pass over its labels in increasing order.
+///
+/// Steps, each taking a band index; the executor schedules them:
+///
+///   1. flatten(b)       resolve b's labels to their roots and count the
+///                       roots b owns. Concurrent across bands: parents may
+///                       point into earlier bands that are flattening at
+///                       the same time, so every access is a relaxed
+///                       atomic (uf::detail::load/store), and every value
+///                       ever stored names an ancestor or marks a root.
+///   2. assign_offsets() prefix-sum the root counts; O(bands), one thread,
+///                       after every flatten. Returns the component count.
+///   3. number(b)        walk b's runs in visit order and number the roots
+///                       b owns. Touches only b's own entries: race-free.
+///   4. finalize(b)      give b's non-roots their root's final label. Reads
+///                       only root entries, which no finalize writes.
+///   5. check()          after every number: each band's walk assigned
+///                       exactly its root count (a lost component throws).
+///
+/// Between steps every band's writes must be published to the next step
+/// (a barrier or latch). After finalize, parents[l] is the FINAL label of
+/// every issued provisional label l; finish with rewrite_run_labels per
+/// tile. Per-band state is O(bands); no table is allocated per label.
+class BandRenumber {
+ public:
+  BandRenumber(std::span<Label> parents, std::span<const TileSpec> tiles,
+               std::span<const RunBuffer> tile_runs,
+               Connectivity connectivity);
+
+  [[nodiscard]] std::size_t bands() const noexcept { return bands_.size(); }
+
+  void flatten(std::size_t b);
+  [[nodiscard]] Label assign_offsets() noexcept;
+  void number(std::size_t b);
+  void finalize(std::size_t b);
+  void check() const;
+  /// Every step over every band on the calling thread (the one-band case
+  /// and resolve_final_run_labels); returns the component count.
+  [[nodiscard]] Label run_serially();
+
+ private:
+  struct Band {
+    std::size_t tile_begin = 0;  // [tile_begin, tile_end) in row-major order
+    std::size_t tile_end = 0;
+    Label lo = 0;                // smallest label the band can own
+    bool label_order = false;    // the walk collapses to label order
+    Label roots = 0;             // written by flatten(b)
+    Label offset = 0;            // final labels of b's roots exceed this
+    Label numbered = 0;          // written by number(b)
+  };
+
+  template <class Fn>
+  void for_each_label(const Band& band, Fn&& fn) const;
+
+  std::span<Label> parents_;
+  std::span<const TileSpec> tiles_;
+  std::span<const RunBuffer> tile_runs_;
+  Connectivity connectivity_;
+  TileGridShape grid_;
+  std::vector<Band> bands_;
+};
+
+/// The serial executor of BandRenumber: every step over every band in one
+/// loop. Returns the component count; parents[l] is final on return.
+/// `rows` is the image height the grid covers. `remap` is unread (the
+/// band steps need no per-label table) and stays only for existing
+/// callers.
 [[nodiscard]] Label resolve_final_run_labels(
     std::span<Label> parents, std::span<const TileSpec> tiles,
     std::span<const RunBuffer> tile_runs, Connectivity connectivity,
@@ -226,10 +298,10 @@ void merge_run_seams(std::span<const TileSpec> tiles,
 void rewrite_run_labels(const RunBuffer& runs, std::span<const Label> parents,
                         const TileSpec& tile, MutableImageView out);
 
-/// Fused-analysis epilogue of resolve_final_run_labels: reduce every
-/// tile's per-provisional-label feature cells into per-component records
-/// through the resolved parent array (parents[l] is final after
-/// resolve_final_run_labels), then derive centroids. This is where the
+/// Fused-analysis epilogue of the renumber: reduce every tile's
+/// per-provisional-label feature cells into per-component records through
+/// the resolved parent array (parents[l] is final after
+/// BandRenumber::finalize), then derive centroids. This is where the
 /// seam unions take effect on the features — a union recorded by
 /// merge_run_seams makes two provisional labels resolve to one final
 /// label, so their cells land in (and commutatively merge into) the same

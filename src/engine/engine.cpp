@@ -107,9 +107,9 @@ LabelingEngine::ShardBuffer LabelingEngine::take_shard_buffer(std::size_t n) {
 void LabelingEngine::return_shard_buffer(ShardBuffer buffer) {
   if (buffer.data == nullptr) return;
   std::lock_guard lock(shard_buffers_mutex_);
-  // Two buffers per run (parents + remap), two runs' worth parked: more
-  // would hoard image-sized allocations.
-  if (shard_buffers_.size() < 4) {
+  // One parent buffer per run, two runs' worth parked: more would hoard
+  // image-sized allocations.
+  if (shard_buffers_.size() < 2) {
     shard_buffers_.push_back(std::move(buffer));
   }
 }

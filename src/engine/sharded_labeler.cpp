@@ -205,53 +205,119 @@ class ShardedRun : public std::enable_shared_from_this<ShardedRun> {
     finish_phase(1, &ShardedRun::resolve);
   }
 
-  // --- Phase III: FLATTEN + canonical renumber (single worker) --------------
+  // --- Phase III: FLATTEN + canonical renumber, one job per band ----------
+  // BandRenumber's steps as three latch fan-outs (flatten -> number ->
+  // finalize); the O(bands) offsets and the check run on the latch
+  // winner between them.
   void resolve() {
     result_.timings.merge_ms = timer_.elapsed_ms() - result_.timings.scan_ms;
     check_qos();  // phase boundary: shed before flatten + rewrite
+    if (failed_.load(std::memory_order_acquire)) {
+      finish_resolve();
+      return;
+    }
+    try {
+      obs::Span span("shard.flatten", "shard");
+      // Every per-job counter slot is quiescent now (the merge latch
+      // drained), so the latch winner folds them into the response
+      // counters.
+      auto& counters = result_.timings.counters;
+      counters.tiles = tiles_.size();
+      for (const TileSpec& tile : tiles_) {
+        counters.provisional_labels += tile.used;
+      }
+      for (const std::uint64_t j : tile_joins_) counters.scan_unions += j;
+      for (const std::uint64_t n : merge_pair_slots_) {
+        counters.merge_pairs += n;
+      }
+      for (const uf::UniteStats& us : merge_stat_slots_) {
+        counters.merge_unions += us.joins;
+        counters.merge_retries += us.retries;
+      }
+      for (const RunBuffer& tile : runs()) {  // this run's tiles only
+        counters.runs_extracted += tile.size();
+      }
+      renumber_.emplace(std::span<Label>{parents_.data.get(), parents_size_},
+                        tiles_, runs(), connectivity_);
+      if (renumber_->bands() == 1) {
+        // One band: no fan-out, every step inline on this worker.
+        result_.num_components = renumber_->run_serially();
+      }
+    } catch (...) {
+      fail(std::current_exception());
+    }
+    if (failed_.load(std::memory_order_acquire) || renumber_->bands() == 1) {
+      finish_resolve();
+      return;
+    }
+    fan_out(renumber_->bands(), [](const std::shared_ptr<ShardedRun>& self,
+                                   std::size_t b) {
+      self->run_band(b, &BandRenumber::flatten, &ShardedRun::number_bands);
+    });
+  }
+
+  /// One band step of the renumber; the worker that drains the latch
+  /// continues with `next`.
+  void run_band(std::size_t b, void (BandRenumber::*step)(std::size_t),
+                void (ShardedRun::*next)()) {
     if (!failed_.load(std::memory_order_acquire)) {
       try {
-        obs::Span span("shard.flatten", "shard");
-        Label total_used = 0;
-        for (const TileSpec& tile : tiles_) total_used += tile.used;
-        // Every per-job counter slot is quiescent now (the merge latch
-        // drained), so this single-worker phase folds them into the
-        // response counters.
-        {
-          auto& counters = result_.timings.counters;
-          counters.tiles = tiles_.size();
-          counters.provisional_labels = total_used;
-          for (const std::uint64_t j : tile_joins_) counters.scan_unions += j;
-          for (const std::uint64_t n : merge_pair_slots_) {
-            counters.merge_pairs += n;
-          }
-          for (const uf::UniteStats& us : merge_stat_slots_) {
-            counters.merge_unions += us.joins;
-            counters.merge_retries += us.retries;
-          }
-          for (const RunBuffer& tile : runs()) {  // this run's tiles only
-            counters.runs_extracted += tile.size();
-          }
-        }
-        const std::size_t remap_size =
-            static_cast<std::size_t>(total_used) + 1;
-        remap_ = engine_.take_shard_buffer(remap_size);
-        result_.num_components = resolve_final_run_labels(
-            {parents_.data.get(), parents_size_}, tiles_, runs(),
-            connectivity_, image().rows(), {remap_.data.get(), remap_size});
-        if (with_stats()) {
-          // The seam-merge jobs' unions are resolved in the parent table
-          // now, so this fold merges accumulators exactly where labels
-          // were unified. O(labels issued) — the label plane itself is
-          // only touched again by the rewrite fan-out below.
-          std::vector<analysis::ComponentInfo>& components =
-              result_.stats->components;
-          components.assign(static_cast<std::size_t>(result_.num_components),
-                            {});
-          fold_tile_features({cells_.data.get(), parents_size_},
-                             {parents_.data.get(), parents_size_}, tiles_,
-                             components);
-        }
+        obs::Span span("shard.flatten.band", "shard");
+        ((*renumber_).*step)(b);
+      } catch (...) {
+        fail(std::current_exception());
+      }
+    }
+    finish_phase(1, next);
+  }
+
+  void number_bands() {
+    if (failed_.load(std::memory_order_acquire)) {
+      finish_resolve();
+      return;
+    }
+    result_.num_components = renumber_->assign_offsets();
+    fan_out(renumber_->bands(), [](const std::shared_ptr<ShardedRun>& self,
+                                   std::size_t b) {
+      self->run_band(b, &BandRenumber::number, &ShardedRun::finalize_bands);
+    });
+  }
+
+  void finalize_bands() {
+    if (!failed_.load(std::memory_order_acquire)) {
+      try {
+        renumber_->check();
+      } catch (...) {
+        fail(std::current_exception());
+      }
+    }
+    if (failed_.load(std::memory_order_acquire)) {
+      finish_resolve();
+      return;
+    }
+    fan_out(renumber_->bands(), [](const std::shared_ptr<ShardedRun>& self,
+                                   std::size_t b) {
+      self->run_band(b, &BandRenumber::finalize, &ShardedRun::finish_resolve);
+    });
+  }
+
+  /// End of Phase III: fold the fused stats through the final parents,
+  /// stamp flatten_ms, and fan out the rewrite (or report a failure —
+  /// no other job is in flight when this runs).
+  void finish_resolve() {
+    if (!failed_.load(std::memory_order_acquire) && with_stats()) {
+      try {
+        // The seam-merge jobs' unions are resolved in the parent table
+        // now, so this fold merges accumulators exactly where labels
+        // were unified. O(labels issued) — the label plane itself is
+        // only touched again by the rewrite fan-out below.
+        std::vector<analysis::ComponentInfo>& components =
+            result_.stats->components;
+        components.assign(static_cast<std::size_t>(result_.num_components),
+                          {});
+        fold_tile_features({cells_.data.get(), parents_size_},
+                           {parents_.data.get(), parents_size_}, tiles_,
+                           components);
       } catch (...) {
         fail(std::current_exception());
       }
@@ -260,7 +326,6 @@ class ShardedRun : public std::enable_shared_from_this<ShardedRun> {
         timer_.elapsed_ms() - result_.timings.scan_ms -
         result_.timings.merge_ms;
     if (failed_.load(std::memory_order_acquire)) {
-      // The merge latch just drained and no rewrite jobs exist: report.
       deliver();
       return;
     }
@@ -300,7 +365,6 @@ class ShardedRun : public std::enable_shared_from_this<ShardedRun> {
     // job has drained, and the engine is alive (deliver runs on a worker
     // or on the submitting thread).
     engine_.return_shard_buffer(std::move(parents_));
-    engine_.return_shard_buffer(std::move(remap_));
     engine_.return_shard_cells(std::move(cells_));
     engine_.return_run_buffers(std::move(tile_runs_));
     if (failed_.load(std::memory_order_acquire)) {
@@ -444,11 +508,11 @@ class ShardedRun : public std::enable_shared_from_this<ShardedRun> {
   LabelResponse result_;                 // delivered through promise_
   LabelingEngine::ShardBuffer parents_;  // global union-find parents
   std::size_t parents_size_ = 0;         // image.size() + 1
-  LabelingEngine::ShardBuffer remap_;    // renumber table (Phase III)
   LabelingEngine::ShardCellBuffer cells_;  // feature cells (outputs.stats)
   std::vector<TileSpec> tiles_;
   std::vector<RunBuffer> tile_runs_;       // per-tile runs (pooled)
-  TileGridShape grid_;                     // seam/renumber tile lookup
+  TileGridShape grid_;                     // seam tile lookup
+  std::optional<BandRenumber> renumber_;   // Phase III band steps
 
   // Per-job observability slots (disjoint by tile index; folded by
   // resolve() into result_.timings.counters after the merge latch).

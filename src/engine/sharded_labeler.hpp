@@ -10,7 +10,8 @@
 //                  run seam-merge job per tile (parallel REM, Algorithm 8)
 //                                          │ (completion latch)
 //                                          ▼
-//                      FLATTEN + canonical renumber (one worker)
+//         FLATTEN + canonical renumber: flatten, number and finalize
+//         jobs per band (a strip of tile rows), each behind its own latch
 //                                          │
 //                      rewrite job per tile ──► deliver(LabelResponse)
 //
@@ -25,7 +26,7 @@
 //
 // Output is bit-identical to sequential AREMSP (8-conn) and CCLREMSP
 // (4-conn) for every tile geometry and worker count — the canonical
-// first-appearance renumber inside resolve_final_run_labels restores the
+// first-appearance renumber (BandRenumber, one job per band) restores the
 // sequential numbering that 2-D label bases permute (DESIGN.md §5, §8). A
 // threshold request fuses the compare into per-tile run extraction, so no
 // binary plane is ever materialized. The pipeline reads the request's input

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -11,6 +12,7 @@
 #include "analysis/component_stats.hpp"
 #include "core/request.hpp"
 #include "image/ascii.hpp"
+#include "image/generators.hpp"
 #include "image/raster.hpp"
 
 namespace paremsp::testing {
@@ -263,6 +265,46 @@ inline const std::vector<Fixture>& fixtures() {
     return fx;
   }();
   return all;
+}
+
+/// A 48x48 image built to stress the band-parallel renumber
+/// (BandRenumber), whose bands are horizontal strips of whole tile rows.
+/// With 8x8 tiles:
+///   - C enters tile (1,1) at row 8 (band 1's first row pair), descends
+///     column 12 and runs left along row 13 into tile (1,0), so its root
+///     lies in tile (1,0) while its first two-line visit lies in tile
+///     (1,1). X, alone in tile (1,0) at row 10, takes the smaller label in
+///     that tile but is visited after C;
+///   - a vertical line in column 30 rooted in band 0 reaches into bands 1
+///     and 2, whose walks must skip it;
+///   - a serpentine in columns 34..46 visits every band and is rooted in
+///     band 0 (connected under 4- and 8-connectivity);
+///   - single-pixel components at (r, 25) and (r + 1, 17) for every odd
+///     r <= 21: whatever odd row a misplaced band boundary falls on, the
+///     lower, further-left dot would be visited first if that band paired
+///     its rows from the boundary instead of from an even row;
+///   - rows 24..47 of columns 0..31 hold density-0.5 noise.
+/// Every other tile geometry sees the same features cut differently.
+inline BinaryImage band_renumber_image() {
+  BinaryImage image(48, 48, 0);
+  image(8, 12) = image(8, 13) = 1;                   // C, first visit
+  for (Coord r = 8; r <= 13; ++r) image(r, 12) = 1;  // C, descent
+  for (Coord c = 5; c <= 12; ++c) image(13, c) = 1;  // C, root side
+  image(10, 2) = image(10, 3) = 1;                   // X
+  for (Coord r = 2; r <= 20; ++r) image(r, 30) = 1;
+  for (Coord r = 1; r <= 21; r += 2) image(r, 25) = image(r + 1, 17) = 1;
+  for (Coord r = 1, turn = 0; r < 48; r += 3, ++turn) {
+    for (Coord c = 34; c <= 46; ++c) image(r, c) = 1;
+    const Coord connector = turn % 2 == 0 ? 46 : 34;
+    for (Coord k = r + 1; k < std::min<Coord>(r + 3, 48); ++k) {
+      image(k, connector) = 1;
+    }
+  }
+  const BinaryImage noise = gen::uniform_noise(24, 32, 0.5, 15);
+  for (Coord r = 0; r < 24; ++r) {
+    for (Coord c = 0; c < 32; ++c) image(r + 24, c) = noise(r, c);
+  }
+  return image;
 }
 
 }  // namespace paremsp::testing

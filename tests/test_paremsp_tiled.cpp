@@ -2,18 +2,23 @@
 // bit-identical output to sequential AREMSP (8-conn) and CCLREMSP (4-conn)
 // on adversarial tile grids (the canonical renumber in
 // core/tiled_phases.cpp makes every grid geometry exact, not merely
-// partition-equivalent), determinism, and degenerate tile shapes down to
-// single-pixel tiles.
+// partition-equivalent), determinism, degenerate tile shapes down to
+// single-pixel tiles, and the band-parallel renumber (BandRenumber) driven
+// from plain std::threads.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "analysis/validation.hpp"
 #include "core/aremsp.hpp"
 #include "core/cclremsp.hpp"
 #include "core/rle_labelers.hpp"
+#include "core/tiled_phases.hpp"
 #include "fixtures.hpp"
 #include "image/generators.hpp"
+#include "unionfind/rem.hpp"
 
 namespace paremsp {
 namespace {
@@ -70,6 +75,8 @@ TEST_P(TiledGrid, BitIdenticalToAremsp) {
   expect_matches_sequential(labeler, BinaryImage(70, 90, 1), "all fg");
   expect_matches_sequential(labeler, gen::uniform_noise(70, 90, 0.5, 5),
                             "noise");
+  expect_matches_sequential(labeler, testing::band_renumber_image(),
+                            "band fixture");
 }
 
 TEST_P(TiledGrid, Fixtures) {
@@ -147,6 +154,39 @@ TEST(TiledParemsp, OddSizedEdgesAndTinyImages) {
   EXPECT_EQ(labeler.label(BinaryImage()).num_components, 0);
 }
 
+TEST(TiledParemsp, BandRenumberFixtureAcrossBandShapes) {
+  // Odd tile heights pair tile rows into one 8-conn band; 64 threads
+  // outnumber every grid's bands; 48- and 1024-row tiles make one band.
+  const BinaryImage image = testing::band_renumber_image();
+  const auto want = AremspLabeler().label(image);
+  // The fixture's point: C (first visited at row 8) numbers before X
+  // (row 10) although X holds the smaller label of their shared tile.
+  ASSERT_LT(want.labels(8, 12), want.labels(10, 2));
+  for (const Coord tr : {1, 3, 5, 7, 8, 48, 1024}) {
+    for (const Coord tc : {3, 8, 1024}) {
+      for (const int threads : {1, 2, 64}) {
+        expect_matches_sequential(
+            tiled(tr, tc, threads), image,
+            "tiles " + std::to_string(tr) + "x" + std::to_string(tc) +
+                " threads " + std::to_string(threads));
+      }
+    }
+  }
+  // The fixture is small enough for the labeler to renumber inline; this
+  // noise has enough runs (>= 2^14) for the OpenMP band loop to fan out.
+  const BinaryImage noise = gen::uniform_noise(384, 384, 0.5, 41);
+  ASSERT_GE(tiled(8, 64).label(noise).timings.counters.runs_extracted,
+            1U << 14);
+  for (const Coord tr : {3, 8}) {
+    for (const int threads : {4, 64}) {
+      expect_matches_sequential(
+          tiled(tr, 64, threads), noise,
+          "noise tiles " + std::to_string(tr) + "x64 threads " +
+              std::to_string(threads));
+    }
+  }
+}
+
 TEST(TiledParemsp, ConfigValidation) {
   EXPECT_THROW(TiledParemspLabeler(RleConfig{.threads = -1}),
                PreconditionError);
@@ -162,6 +202,84 @@ TEST(TiledParemsp, ConfigValidation) {
   EXPECT_EQ(ok.config().tile_rows, 3);
   EXPECT_EQ(ok.name(), "paremsp2d");
   EXPECT_TRUE(ok.is_parallel());
+}
+
+/// Phases I and II on one thread: the grid, its runs and the merged
+/// parent forest the renumber starts from.
+struct ScannedGrid {
+  std::vector<TileSpec> tiles;
+  std::vector<RunBuffer> runs;
+  std::vector<Label> parents;
+};
+
+ScannedGrid scan_grid(const BinaryImage& image, Coord tile_rows,
+                      Coord tile_cols, Connectivity connectivity) {
+  ScannedGrid g;
+  g.tiles = make_tile_grid(image.rows(), image.cols(), tile_rows, tile_cols);
+  g.runs.resize(g.tiles.size());
+  g.parents.assign(static_cast<std::size_t>(image.size()) + 1, 0);
+  for (std::size_t t = 0; t < g.tiles.size(); ++t) {
+    g.tiles[t].used =
+        scan_tile(image, g.parents, g.tiles[t], g.runs[t], connectivity);
+  }
+  const TileGridShape grid = tile_grid_shape(g.tiles);
+  for (std::size_t t = 0; t < g.tiles.size(); ++t) {
+    merge_run_seams(g.tiles, g.runs, t, grid, connectivity,
+                    [&](Label x, Label y) {
+                      uf::rem_unite(g.parents.data(), x, y);
+                    });
+  }
+  return g;
+}
+
+/// One BandRenumber step over every band from `threads` std::threads,
+/// band b on thread b % threads, so adjacent bands always run on
+/// different threads (ThreadSanitizer then sees every cross-band access,
+/// however the threads happen to be timed); join() is the barrier.
+template <class Step>
+void for_bands_on_threads(std::size_t bands, std::size_t threads,
+                          Step step) {
+  std::vector<std::thread> pool;
+  for (std::size_t i = 0; i < threads; ++i) {
+    pool.emplace_back([&, i] {
+      for (std::size_t b = i; b < bands; b += threads) step(b);
+    });
+  }
+  for (std::thread& t : pool) t.join();
+}
+
+TEST(TiledPhases, BandRenumberStdThreadMatchesSerialEntry) {
+  // The OpenMP executor's band loop without libgomp, so ThreadSanitizer
+  // sees every cross-band access of the flatten, number and finalize
+  // steps.
+  const BinaryImage image = gen::uniform_noise(96, 80, 0.5, 23);
+  for (const Connectivity connectivity :
+       {Connectivity::Eight, Connectivity::Four}) {
+    for (const auto& [tr, tc] : std::vector<std::pair<Coord, Coord>>{
+             {8, 8}, {5, 16}, {1, 80}, {16, 1}, {3, 7}}) {
+      const std::string context =
+          "tiles " + std::to_string(tr) + "x" + std::to_string(tc) +
+          (connectivity == Connectivity::Eight ? " 8-conn" : " 4-conn");
+      const ScannedGrid g = scan_grid(image, tr, tc, connectivity);
+      std::vector<Label> serial = g.parents;
+      const Label want = resolve_final_run_labels(
+          serial, g.tiles, g.runs, connectivity, image.rows(), {});
+
+      std::vector<Label> banded = g.parents;
+      BandRenumber renumber(banded, g.tiles, g.runs, connectivity);
+      ASSERT_GT(renumber.bands(), 1u) << context;
+      for_bands_on_threads(renumber.bands(), 4,
+                           [&](std::size_t b) { renumber.flatten(b); });
+      const Label k = renumber.assign_offsets();
+      for_bands_on_threads(renumber.bands(), 4,
+                           [&](std::size_t b) { renumber.number(b); });
+      renumber.check();
+      for_bands_on_threads(renumber.bands(), 4,
+                           [&](std::size_t b) { renumber.finalize(b); });
+      EXPECT_EQ(k, want) << context;
+      EXPECT_EQ(banded, serial) << context;
+    }
+  }
 }
 
 }  // namespace

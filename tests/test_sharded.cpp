@@ -114,6 +114,35 @@ TEST(Sharded, TileGeometryByWorkerCountMatrixIsBitIdenticalToAremsp) {
   }
 }
 
+TEST(Sharded, BandRenumberFixtureAcrossBandShapes) {
+  // Odd tile heights pair tile rows into one 8-conn band; 8 workers
+  // outnumber the bands of the taller grids; 48- and 1024-row tiles make
+  // one band, renumbered inline.
+  const BinaryImage image = testing::band_renumber_image();
+  const LabelResponse want = AremspLabeler().label(image);
+  const LabelResponse want4 =
+      CclremspLabeler(Connectivity::Four).label(image);
+  for (const int workers : {1, 8}) {
+    LabelingEngine eng({.workers = workers});
+    for (const Coord tr : {1, 3, 5, 7, 8, 48, 1024}) {
+      for (const Coord tc : {3, 8, 1024}) {
+        const std::string context =
+            "tiles " + std::to_string(tr) + "x" + std::to_string(tc) +
+            " workers " + std::to_string(workers);
+        expect_bit_identical(
+            eng.submit(sharded(image, {.tile_rows = tr, .tile_cols = tc}))
+                .get(),
+            want, context);
+        LabelRequest request =
+            sharded(image, {.tile_rows = tr, .tile_cols = tc});
+        request.connectivity = Connectivity::Four;
+        expect_bit_identical(eng.submit(request).get(), want4,
+                             context + " 4-conn");
+      }
+    }
+  }
+}
+
 TEST(Sharded, WithStatsMatchesPostPassOracleAcrossGeometryWorkerMatrix) {
   // The stats-carrying pipeline: scan jobs accumulate per-tile feature
   // cells, seam jobs unify them through the union-find, the resolve job
