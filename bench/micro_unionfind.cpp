@@ -2,11 +2,11 @@
 // REM unite/find, FLATTEN, the parallel mergers, and end-to-end labeler
 // throughput in megapixels/second per algorithm.
 #include <benchmark/benchmark.h>
-#include <omp.h>
 
 #include <numeric>
 #include <vector>
 
+#include "common/executor.hpp"
 #include "common/prng.hpp"
 #include "core/paremsp_all.hpp"
 #include "unionfind/lock_pool.hpp"
@@ -87,17 +87,17 @@ void BM_ParallelMergeBackends(benchmark::State& state) {
   uf::LockPool locks;
   for (auto _ : state) {
     std::iota(p.begin(), p.end(), 0);
-    if (use_cas) {
-#pragma omp parallel for schedule(static) num_threads(threads)
-      for (Label i = 0; i < n - 1; ++i) {
-        uf::cas_unite(p.data(), i, i + 1);
+    const auto pieces = static_cast<std::size_t>(threads);
+    parallel_for(pieces, n, threads, [&](std::size_t t) {
+      const Label end = static_cast<Label>((n - 1) * (t + 1) / pieces);
+      for (Label i = static_cast<Label>((n - 1) * t / pieces); i < end; ++i) {
+        if (use_cas) {
+          uf::cas_unite(p.data(), i, i + 1);
+        } else {
+          uf::locked_unite(p.data(), locks, i, i + 1);
+        }
       }
-    } else {
-#pragma omp parallel for schedule(static) num_threads(threads)
-      for (Label i = 0; i < n - 1; ++i) {
-        uf::locked_unite(p.data(), locks, i, i + 1);
-      }
-    }
+    });
   }
   state.SetItemsProcessed(state.iterations() * (n - 1));
   state.SetLabel(std::string(use_cas ? "cas" : "locked") + "/t" +

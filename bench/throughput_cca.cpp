@@ -172,7 +172,7 @@ int main() {
     record("aremsp", postpass_ms, fused_ms);
   }
 
-  // --- Tiled PAREMSP (OpenMP) -----------------------------------------------
+  // --- Tiled PAREMSP --------------------------------------------------------
   {
     const TiledParemspLabeler tiled(RleConfig{
         .threads = threads, .tile_rows = 256, .tile_cols = 256});

@@ -239,7 +239,7 @@ int main() {
     // same literal code in every pipeline — so it runs the SEQUENTIAL rle
     // labeler (tight tiles = many span crossings per pixel): a
     // single-threaded minimum is reproducible at the 1% level, where an
-    // OpenMP team's wake/balance jitter alone exceeds the threshold.
+    // thread pool's wake/balance jitter alone exceeds the threshold.
     const AremspRleLabeler guard_labeler;
     const TiledParemspLabeler traced_labeler(RleConfig{
         .threads = threads, .tile_rows = 256, .tile_cols = 256});

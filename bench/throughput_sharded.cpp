@@ -1,7 +1,8 @@
 // Sharded huge-image throughput: one large raster through sharded
 // LabelingEngine::submit requests at several tile geometries and worker
 // counts, against single-thread sequential AREMSP as the speedup baseline
-// and in-process tiled PAREMSP as the OpenMP reference point.
+// and in-process tiled PAREMSP (the same pipeline, called directly) as
+// the reference point.
 //
 // Besides the human-readable table, the bench writes BENCH_sharded.json
 // (machine-readable trajectory record; schema below) so successive PRs can
@@ -206,7 +207,7 @@ int main() {
     }
   }
 
-  // --- In-process tiled PAREMSP reference (OpenMP, same phase code) ---------
+  // --- In-process tiled PAREMSP reference (same pipeline) -------------------
   {
     const TiledParemspLabeler tiled(RleConfig{
         .threads = max_threads, .tile_rows = 256, .tile_cols = 256});

@@ -201,9 +201,9 @@ int main(int argc, char** argv) {
   }
   for (std::thread& c : clients) c.join();
 
-  // One run-scan sharded request across the pool: the shard.scan /
-  // shard.merge / shard.flatten / shard.rewrite spans appear on every
-  // worker's trace track.
+  // One run-scan sharded request across the pool: its rle.scan.tile /
+  // rle.merge.tile / rle.flatten / rle.rewrite.tile spans appear on every
+  // worker that helped, under one shard.request span.
   if (sharded_side) {
     const BinaryImage huge = gen::landcover_like(768, 768, 99);
     LabelRequest request;

@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   CliParser cli("landcover_patches: NLCD-style patch analysis");
   cli.add_option("size", "1536", "raster side length [px]");
   cli.add_option("seed", "2006", "random seed");
-  cli.add_option("threads", "0", "PAREMSP threads (0 = OpenMP default)");
+  cli.add_option("threads", "0", "PAREMSP threads (0 = all hardware threads)");
   cli.add_option("top", "8", "how many patches to list");
   if (!cli.parse(argc, argv)) return 0;
 

@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   cli.add_option("cols", "48", "image cols");
   cli.add_option("density", "0.45", "foreground density in [0,1]");
   cli.add_option("seed", "2014", "random seed");
-  cli.add_option("threads", "0", "worker threads (0 = OpenMP default)");
+  cli.add_option("threads", "0", "worker threads (0 = all hardware threads)");
   if (!cli.parse(argc, argv)) return 0;
 
   // 1. Make (or load — see image/pnm_io.hpp) a binary image.

@@ -1,13 +1,13 @@
 #include "baselines/parallel_suzuki.hpp"
 
-#include <omp.h>
-
 #include <algorithm>
 #include <atomic>
 #include <vector>
 
 #include "analysis/component_stats.hpp"
 #include "common/contracts.hpp"
+#include "common/env.hpp"
+#include "common/executor.hpp"
 #include "common/timer.hpp"
 
 namespace paremsp {
@@ -43,9 +43,11 @@ LabelResponse ParallelSuzukiLabeler::run_impl(
   const Coord rows = image.rows();
   const Coord cols = image.cols();
   const bool eight = connectivity == Connectivity::Eight;
-  const int requested = threads_ > 0 ? threads_ : omp_get_max_threads();
+  const int requested = threads_ > 0 ? threads_ : hardware_threads();
   const int nchunks =
       std::clamp<int>(requested, 1, static_cast<int>(std::max<Coord>(rows, 1)));
+  const auto pieces = static_cast<std::size_t>(nchunks);
+  const std::int64_t work = image.size();
 
   // Row ranges per chunk.
   std::vector<Coord> begin(static_cast<std::size_t>(nchunks) + 1, 0);
@@ -60,13 +62,14 @@ LabelResponse ParallelSuzukiLabeler::run_impl(
   WallTimer phase;
   // Initial labels: flat index + 1 (so the converged label of a component
   // is the flat index of its raster-first pixel + 1).
-#pragma omp parallel for schedule(static) num_threads(nchunks)
-  for (Coord r = 0; r < rows; ++r) {
-    for (Coord c = 0; c < cols; ++c) {
-      labels(r, c) =
-          image(r, c) != 0 ? static_cast<Label>(r) * cols + c + 1 : 0;
+  parallel_for(pieces, work, nchunks, [&](std::size_t t) {
+    for (Coord r = begin[t]; r < begin[t + 1]; ++r) {
+      for (Coord c = 0; c < cols; ++c) {
+        labels(r, c) =
+            image(r, c) != 0 ? static_cast<Label>(r) * cols + c + 1 : 0;
+      }
     }
-  }
+  });
 
   // Min-label sweeps until a full iteration changes nothing.
   const auto relax = [&](Coord r, Coord c) -> bool {
@@ -97,24 +100,25 @@ LabelResponse ParallelSuzukiLabeler::run_impl(
   };
 
   int iterations = 0;
+  // One flag per chunk, OR-reduced after each sweep.
+  std::vector<std::uint8_t> chunk_changed(pieces, 0);
   bool changed = true;
   while (changed) {
-    changed = false;
     ++iterations;
-#pragma omp parallel for schedule(static, 1) num_threads(nchunks) \
-    reduction(|| : changed)
-    for (int t = 0; t < nchunks; ++t) {
+    parallel_for(pieces, work, nchunks, [&](std::size_t t) {
       bool local = false;
-      const Coord r0 = begin[static_cast<std::size_t>(t)];
-      const Coord r1 = begin[static_cast<std::size_t>(t) + 1];
+      const Coord r0 = begin[t];
+      const Coord r1 = begin[t + 1];
       for (Coord r = r0; r < r1; ++r) {  // forward sweep
         for (Coord c = 0; c < cols; ++c) local |= relax(r, c);
       }
       for (Coord r = r1 - 1; r >= r0; --r) {  // backward sweep
         for (Coord c = cols - 1; c >= 0; --c) local |= relax(r, c);
       }
-      changed = changed || local;
-    }
+      chunk_changed[t] = local ? 1 : 0;
+    });
+    changed = std::any_of(chunk_changed.begin(), chunk_changed.end(),
+                          [](std::uint8_t c) { return c != 0; });
   }
   last_iterations_ = iterations;
   result.timings.scan_ms = phase.elapsed_ms();
@@ -136,10 +140,13 @@ LabelResponse ParallelSuzukiLabeler::run_impl(
   result.timings.flatten_ms = phase.elapsed_ms();
 
   phase.reset();
-#pragma omp parallel for schedule(static) num_threads(nchunks)
-  for (std::int64_t i = 0; i < image.size(); ++i) {
-    if (lp[i] != 0) lp[i] = remap[static_cast<std::size_t>(lp[i])];
-  }
+  parallel_for(pieces, work, nchunks, [&](std::size_t t) {
+    const std::int64_t end = static_cast<std::int64_t>(begin[t + 1]) * cols;
+    for (std::int64_t i = static_cast<std::int64_t>(begin[t]) * cols; i < end;
+         ++i) {
+      if (lp[i] != 0) lp[i] = remap[static_cast<std::size_t>(lp[i])];
+    }
+  });
   result.timings.relabel_ms = phase.elapsed_ms();
   result.timings.total_ms = total.elapsed_ms();
   if (stats != nullptr) {

@@ -1,7 +1,6 @@
 #include "common/env.hpp"
 
-#include <omp.h>
-
+#include <algorithm>
 #include <cstdlib>
 #include <sstream>
 #include <thread>
@@ -57,13 +56,13 @@ std::uint64_t env_uint64(const char* name, std::uint64_t fallback) {
   }
 }
 
-int hardware_threads() { return omp_get_max_threads(); }
+int hardware_threads() {
+  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+}
 
 std::string environment_banner() {
   std::ostringstream os;
-  os << "hardware threads: " << std::thread::hardware_concurrency()
-     << ", omp max threads: " << omp_get_max_threads()
-     << ", omp procs: " << omp_get_num_procs();
+  os << "hardware threads: " << hardware_threads();
   return os.str();
 }
 

@@ -26,7 +26,8 @@ int env_int(const char* name, int fallback);
 ///   PAREMSP_TEST_SEED=<seed from the failure message> ctest ...
 std::uint64_t env_uint64(const char* name, std::uint64_t fallback);
 
-/// Number of hardware threads OpenMP will use by default.
+/// Number of hardware threads (at least 1): what `threads = 0` means for
+/// the parallel labelers.
 int hardware_threads();
 
 /// One-line description of the execution environment for table headers.

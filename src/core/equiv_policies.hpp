@@ -87,7 +87,7 @@ enum class MergeBackend {
 /// only), and gives every merge loop the same unite() call. Built once per
 /// labeler / sharded run — lock init is not free. unite() may run
 /// concurrently unless the backend is Sequential (plain rem_unite), whose
-/// merge loop the caller serializes (see concurrent()).
+/// merge loop runs with one participant (see participants()).
 class SeamMerger {
  public:
   /// Throws PreconditionError unless 0 <= lock_bits <= LockPool::kMaxBits
@@ -112,9 +112,10 @@ class SeamMerger {
       : SeamMerger(config.merge_backend, config.lock_bits, config.cas_find,
                    config.cas_splice) {}
 
-  /// False for Sequential: its unions must not run concurrently.
-  [[nodiscard]] bool concurrent() const noexcept {
-    return backend_ != MergeBackend::Sequential;
+  /// Participants a merge loop may use out of `threads`: one for
+  /// Sequential, whose plain rem_unite must not run concurrently.
+  [[nodiscard]] int participants(int threads) const noexcept {
+    return backend_ == MergeBackend::Sequential ? 1 : threads;
   }
 
   /// Join the sets of x and y in `p`, accumulating joins (and, for the

@@ -18,6 +18,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -37,9 +38,19 @@ class LabelScratch {
 
   /// Union-find parent storage for n entries, grown once and reused.
   /// Contents are unspecified: labelers initialize entries as they issue
-  /// provisional labels (RemEquiv::new_label writes p[l] = l).
+  /// provisional labels (RemEquiv::new_label writes p[l] = l). Growth
+  /// does not zero the array either, so the pages of labels a sparse
+  /// image never issues are never touched (for a huge raster that is most
+  /// of its 4 bytes per pixel).
   [[nodiscard]] std::span<Label> parents(std::size_t n) {
-    return grown(parents_, n);
+    if (parents_size_ < n) {
+      parents_ = std::make_unique_for_overwrite<Label[]>(n);
+      reserved_bytes_.fetch_add((n - parents_size_) * sizeof(Label),
+                                std::memory_order_relaxed);
+      grows_.fetch_add(1, std::memory_order_relaxed);
+      parents_size_ = n;
+    }
+    return {parents_.get(), n};
   }
 
   /// Auxiliary Label-typed buffer (BFS queues, merge worklists), same
@@ -151,7 +162,8 @@ class LabelScratch {
     return {buffer.data(), n};
   }
 
-  std::vector<Label> parents_;
+  std::unique_ptr<Label[]> parents_;
+  std::size_t parents_size_ = 0;
   std::vector<Label> aux_;
   std::vector<analysis::FeatureCell> feature_cells_;
   std::vector<RunBuffer> run_buffers_;

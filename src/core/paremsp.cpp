@@ -1,7 +1,5 @@
 #include "core/paremsp.hpp"
 
-#include <omp.h>
-
 #include <algorithm>
 #include <span>
 #include <vector>
@@ -9,6 +7,8 @@
 #include "analysis/component_stats.hpp"
 #include "analysis/feature_accumulator.hpp"
 #include "common/contracts.hpp"
+#include "common/env.hpp"
+#include "common/executor.hpp"
 #include "common/timer.hpp"
 #include "core/equiv_policies.hpp"
 #include "core/label_scratch.hpp"
@@ -121,10 +121,12 @@ LabelResponse ParemspLabeler::label_impl(ConstImageView image,
   const Coord rows = image.rows();
   const Coord cols = image.cols();
   const int requested =
-      config_.threads > 0 ? config_.threads : omp_get_max_threads();
+      config_.threads > 0 ? config_.threads : hardware_threads();
   // No point in more chunks than two-row iterations.
   const int nchunks = std::clamp<int>(
       requested, 1, static_cast<int>(std::max<Coord>(rows / 2, 1)));
+  // One grain decision per image: every phase below fans out, or none.
+  const std::int64_t work = image.size();
 
   std::vector<Chunk> chunks = make_chunks(rows, cols, nchunks);
   const std::size_t label_space = static_cast<std::size_t>(image.size()) + 1;
@@ -139,13 +141,12 @@ LabelResponse ParemspLabeler::label_impl(ConstImageView image,
   // --- Phase I: concurrent chunk-local scans --------------------------------
   const bool two_line = config_.scan == ScanStrategy::TwoLine;
   // Per-chunk join slots: disjoint like the label ranges, summed after the
-  // barrier — the scan loop stays free of shared counters.
+  // loop — the scan stays free of shared counters.
   std::vector<std::uint64_t> chunk_joins(chunks.size(), 0);
-#pragma omp parallel for schedule(static, 1) num_threads(nchunks)
-  for (int t = 0; t < nchunks; ++t) {
+  parallel_for(chunks.size(), work, nchunks, [&](std::size_t t) {
     obs::Span span("paremsp.scan.chunk", "tile");
-    auto& ch = chunks[static_cast<std::size_t>(t)];
-    RemEquiv eq(p, ch.base, &chunk_joins[static_cast<std::size_t>(t)]);
+    auto& ch = chunks[t];
+    RemEquiv eq(p, ch.base, &chunk_joins[t]);
     if (stats != nullptr) {
       analysis::FeatureAccumulator sink(cells);
       scan_two_line(image, labels, eq, sink, ch.row_begin, ch.row_end);
@@ -155,7 +156,7 @@ LabelResponse ParemspLabeler::label_impl(ConstImageView image,
       scan_one_line_8(image, labels, eq, ch.row_begin, ch.row_end);
     }
     ch.used = eq.used();
-  }
+  });
   result.timings.scan_ms = phase.elapsed_ms();
   {
     auto& counters = result.timings.counters;
@@ -166,35 +167,33 @@ LabelResponse ParemspLabeler::label_impl(ConstImageView image,
 
   // --- Phase II: merge chunk-boundary equivalences -------------------------
   phase.reset();
-  // Merge accounting: each iteration accumulates locally, then one omp
-  // atomic add per boundary row — nothing shared inside the pixel loop.
-  std::uint64_t merge_pairs = 0;
-  std::uint64_t merge_unions = 0;
-  std::uint64_t merge_retries = 0;
-  // The Sequential backend runs the same loop on one thread: its plain
-  // rem_unite must not run concurrently.
-#pragma omp parallel for schedule(static, 1) num_threads(nchunks) \
-    if (merger_.concurrent())
-  for (int t = 1; t < nchunks; ++t) {
-    obs::Span span("paremsp.merge.boundary", "tile");
-    std::uint64_t pairs = 0;
-    uf::UniteStats us;
-    merge_boundary_row(labels, chunks[static_cast<std::size_t>(t)].row_begin,
-                       [&](Label x, Label y) {
-                         ++pairs;
-                         merger_.unite(p.data(), x, y, us);
-                       });
-#pragma omp atomic
-    merge_pairs += pairs;
-#pragma omp atomic
-    merge_unions += us.joins;
-#pragma omp atomic
-    merge_retries += us.retries;
-  }
+  // Per-boundary slots, like the scan's: each piece counts locally and
+  // stores once, summed after the loop. Piece t merges chunk t + 1's top
+  // row.
+  std::vector<std::uint64_t> pair_slots(chunks.size() - 1, 0);
+  std::vector<uf::UniteStats> unite_slots(chunks.size() - 1);
+  parallel_for(chunks.size() - 1, work, merger_.participants(nchunks),
+               [&](std::size_t t) {
+                 obs::Span span("paremsp.merge.boundary", "tile");
+                 std::uint64_t pairs = 0;
+                 uf::UniteStats us;
+                 merge_boundary_row(labels, chunks[t + 1].row_begin,
+                                    [&](Label x, Label y) {
+                                      ++pairs;
+                                      merger_.unite(p.data(), x, y, us);
+                                    });
+                 pair_slots[t] = pairs;
+                 unite_slots[t] = us;
+               });
   result.timings.merge_ms = phase.elapsed_ms();
-  result.timings.counters.merge_pairs = merge_pairs;
-  result.timings.counters.merge_unions = merge_unions;
-  result.timings.counters.merge_retries = merge_retries;
+  {
+    auto& counters = result.timings.counters;
+    for (const std::uint64_t n : pair_slots) counters.merge_pairs += n;
+    for (const uf::UniteStats& us : unite_slots) {
+      counters.merge_unions += us.joins;
+      counters.merge_retries += us.retries;
+    }
+  }
 
   // --- Analysis: FLATTEN over each chunk's used label range ----------------
   // Ranges are visited in increasing base order, so every parent (always a
@@ -236,11 +235,15 @@ LabelResponse ParemspLabeler::label_impl(ConstImageView image,
   {
     obs::Span span("paremsp.relabel");
     const std::int64_t n = labels.size();
+    const auto pieces = static_cast<std::int64_t>(nchunks);
     Label* lp = labels.pixels().data();
-#pragma omp parallel for schedule(static) num_threads(nchunks)
-    for (std::int64_t i = 0; i < n; ++i) {
-      if (lp[i] != 0) lp[i] = p[lp[i]];
-    }
+    parallel_for(chunks.size(), work, nchunks, [&](std::size_t t) {
+      const auto piece = static_cast<std::int64_t>(t);
+      const std::int64_t end = n * (piece + 1) / pieces;
+      for (std::int64_t i = n * piece / pieces; i < end; ++i) {
+        if (lp[i] != 0) lp[i] = p[lp[i]];
+      }
+    });
   }
   result.timings.relabel_ms = phase.elapsed_ms();
   result.timings.total_ms = total.elapsed_ms();

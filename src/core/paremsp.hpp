@@ -34,7 +34,7 @@ enum class ScanStrategy {
 
 /// PAREMSP tuning knobs.
 struct ParemspConfig {
-  /// Worker threads; 0 means the OpenMP default (omp_get_max_threads()).
+  /// Worker threads; 0 means every hardware thread (hardware_threads()).
   int threads = 0;
   /// Boundary-merge implementation.
   MergeBackend merge_backend = MergeBackend::LockedRem;

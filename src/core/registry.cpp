@@ -41,7 +41,7 @@ constexpr std::array<AlgorithmInfo, 12> kCatalog{{
      "paper: two-line scan + REM splicing union-find", false, false, true,
      true, true},
     {Algorithm::Paremsp, "paremsp",
-     "paper: parallel AREMSP (OpenMP, boundary merge)", true, false, true,
+     "paper: parallel AREMSP (fork-join, boundary merge)", true, false, true,
      true, true},
     {Algorithm::ParemspTiled, "paremsp2d",
      "extension: 2-D tiled PAREMSP (run scan, run seam merges)", true, true,

@@ -64,7 +64,7 @@ struct LabelerOptions {
   /// LabelRequest::connectivity run under this; a request may override it
   /// per call (validated through require_supported either way).
   Connectivity connectivity = Connectivity::Eight;
-  /// Worker threads (0 = OpenMP default) of the parallel labelers:
+  /// Worker threads (0 = every hardware thread) of the parallel labelers:
   /// paremsp, paremsp_rle, paremsp2d and psuzuki.
   int threads = 0;
   /// The merge fields below configure the seam merges of paremsp,

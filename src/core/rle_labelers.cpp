@@ -1,13 +1,13 @@
 #include "core/rle_labelers.hpp"
 
-#include <omp.h>
-
 #include <algorithm>
 #include <span>
 #include <vector>
 
 #include "analysis/feature_accumulator.hpp"
 #include "common/contracts.hpp"
+#include "common/env.hpp"
+#include "common/executor.hpp"
 #include "common/timer.hpp"
 #include "core/equiv_policies.hpp"
 #include "core/label_scratch.hpp"
@@ -18,36 +18,32 @@
 
 namespace paremsp {
 
-namespace {
-
-/// Below this many runs the renumber runs on the calling thread: waking a
-/// team and passing its barriers costs more than walking a small image's
-/// runs serially.
-constexpr std::uint64_t kParallelRenumberRuns = 1U << 14;
-
-/// The one run-based pipeline all three rle labelers share: cut a tile
-/// grid, scan runs per tile, merge boundary runs, resolve + canonically
-/// renumber, and expand the resolved labels back to the raster. `threads`
-/// <= 1 serializes every phase (aremsp_rle). `threshold` >= 0 scans
-/// `image` as GRAYSCALE through the fused pixel > threshold encoder
-/// (run_gray_impl); -1 is the plain binary mode.
 LabelResponse label_runs_impl(ConstImageView image, Connectivity connectivity,
                               LabelScratch& scratch,
                               analysis::ComponentStats* stats,
-                              Coord tile_rows, Coord tile_cols, int threads,
-                              const SeamMerger& merger, int threshold = -1) {
+                              const RunPlan& plan) {
   const WallTimer total;
   // Opened at entry so workspace acquisition lands in scan_ms and the four
   // phase timings partition total_ms (the exporters' reconcile contract).
   WallTimer phase;
   LabelResponse result;
-  result.labels = scratch.acquire_plane(image.rows(), image.cols(),
-                                        LabelScratch::PlaneInit::Dirty);
+  if (!plan.label_out.has_value()) {
+    result.labels = scratch.acquire_plane(image.rows(), image.cols(),
+                                          LabelScratch::PlaneInit::Dirty);
+  }
   if (image.size() == 0) return result;
+  const MutableImageView out = plan.label_out.has_value()
+                                   ? *plan.label_out
+                                   : MutableImageView(result.labels);
+  const auto between_phases = [&] {
+    if (plan.between_phases) plan.between_phases();
+  };
+  // One grain decision per image: every phase below fans out, or none.
+  const std::int64_t work = image.size();
+  const int threads = plan.threads;
 
-  std::vector<TileSpec> tiles =
-      make_tile_grid(image.rows(), image.cols(), tile_rows, tile_cols);
-  const int ntiles = static_cast<int>(tiles.size());
+  std::vector<TileSpec> tiles = make_tile_grid(
+      image.rows(), image.cols(), plan.tile_rows, plan.tile_cols);
   const std::size_t label_space = static_cast<std::size_t>(image.size()) + 1;
   std::span<Label> p = scratch.parents(label_space);
   std::span<RunBuffer> tile_runs = scratch.run_buffers(tiles.size());
@@ -57,21 +53,18 @@ LabelResponse label_runs_impl(ConstImageView image, Connectivity connectivity,
   if (stats != nullptr) cells = scratch.feature_cells(label_space);
 
   // --- Phase I: per-tile run extraction + run merging ----------------------
-  // Per-tile join slots (disjoint, summed post-barrier) keep the scan loop
-  // free of shared counters; PhaseCounters fill between the phase timers.
+  // Per-tile slots (disjoint, summed after the loop) keep every phase loop
+  // free of shared counters.
   std::vector<std::uint64_t> tile_joins(tiles.size(), 0);
-#pragma omp parallel for schedule(dynamic, 1) num_threads(threads)
-  for (int t = 0; t < ntiles; ++t) {
+  parallel_for(tiles.size(), work, threads, [&](std::size_t t) {
     obs::Span span("rle.scan.tile", "tile");
-    auto& tile = tiles[static_cast<std::size_t>(t)];
-    auto& runs = tile_runs[static_cast<std::size_t>(t)];
-    std::uint64_t* joins = &tile_joins[static_cast<std::size_t>(t)];
+    TileSpec& tile = tiles[t];
     tile.used = stats != nullptr
-                    ? scan_tile(image, p, tile, runs, connectivity, cells,
-                                joins, threshold)
-                    : scan_tile(image, p, tile, runs, connectivity, joins,
-                                threshold);
-  }
+                    ? scan_tile(image, p, tile, tile_runs[t], connectivity,
+                                cells, &tile_joins[t], plan.threshold)
+                    : scan_tile(image, p, tile, tile_runs[t], connectivity,
+                                &tile_joins[t], plan.threshold);
+  });
   result.timings.scan_ms = phase.elapsed_ms();
   {
     auto& counters = result.timings.counters;
@@ -80,75 +73,56 @@ LabelResponse label_runs_impl(ConstImageView image, Connectivity connectivity,
     for (const std::uint64_t j : tile_joins) counters.scan_unions += j;
     for (const auto& runs : tile_runs) counters.runs_extracted += runs.size();
   }
+  between_phases();
 
   // --- Phase II: merge boundary runs along tile seams ----------------------
   phase.reset();
   const TileGridShape grid = tile_grid_shape(tiles);
-  std::uint64_t merge_pairs = 0;
-  std::uint64_t merge_unions = 0;
-  std::uint64_t merge_retries = 0;
-  // The Sequential backend runs the same loop on one thread: its plain
-  // rem_unite must not run concurrently.
-#pragma omp parallel for schedule(dynamic, 1) num_threads(threads) \
-    if (merger.concurrent())
-  for (int t = 0; t < ntiles; ++t) {
-    obs::Span span("rle.merge.tile", "tile");
-    std::uint64_t pairs = 0;
-    uf::UniteStats us;
-    merge_run_seams(tiles, tile_runs, static_cast<std::size_t>(t), grid,
-                    connectivity, [&](Label x, Label y) {
-                      ++pairs;
-                      merger.unite(p.data(), x, y, us);
-                    });
-#pragma omp atomic
-    merge_pairs += pairs;
-#pragma omp atomic
-    merge_unions += us.joins;
-#pragma omp atomic
-    merge_retries += us.retries;
-  }
+  std::vector<std::uint64_t> pair_slots(tiles.size(), 0);
+  std::vector<uf::UniteStats> unite_slots(tiles.size());
+  parallel_for(tiles.size(), work, plan.merger.participants(threads),
+               [&](std::size_t t) {
+                 obs::Span span("rle.merge.tile", "tile");
+                 std::uint64_t pairs = 0;
+                 uf::UniteStats us;
+                 merge_run_seams(tiles, tile_runs, t, grid, connectivity,
+                                 [&](Label x, Label y) {
+                                   ++pairs;
+                                   plan.merger.unite(p.data(), x, y, us);
+                                 });
+                 pair_slots[t] = pairs;
+                 unite_slots[t] = us;
+               });
   result.timings.merge_ms = phase.elapsed_ms();
-  result.timings.counters.merge_pairs = merge_pairs;
-  result.timings.counters.merge_unions = merge_unions;
-  result.timings.counters.merge_retries = merge_retries;
+  {
+    auto& counters = result.timings.counters;
+    for (const std::uint64_t n : pair_slots) counters.merge_pairs += n;
+    for (const uf::UniteStats& us : unite_slots) {
+      counters.merge_unions += us.joins;
+      counters.merge_retries += us.retries;
+    }
+  }
+  between_phases();
 
-  // --- FLATTEN + canonical run renumber, one band per iteration -----------
+  // --- FLATTEN + canonical run renumber, one piece per band ---------------
+  // Each loop returns only after all its pieces have, which publishes one
+  // step's writes to the next.
   phase.reset();
   {
     obs::Span span("rle.flatten");
     BandRenumber renumber(p, tiles, {tile_runs.data(), tile_runs.size()},
                           connectivity);
-    const int nbands = static_cast<int>(renumber.bands());
-    Label k = 0;
-    if (nbands == 1 ||
-        result.timings.counters.runs_extracted < kParallelRenumberRuns) {
-      k = renumber.run_serially();
-    } else {
-      // The implicit barrier after each loop publishes one step's writes
-      // to the next.
-#pragma omp parallel num_threads(threads)
-      {
-#pragma omp for schedule(dynamic, 1)
-        for (int b = 0; b < nbands; ++b) {
-          obs::Span band_span("rle.flatten.band", "band");
-          renumber.flatten(static_cast<std::size_t>(b));
-        }
-#pragma omp single
-        k = renumber.assign_offsets();
-#pragma omp for schedule(dynamic, 1)
-        for (int b = 0; b < nbands; ++b) {
-          obs::Span band_span("rle.flatten.band", "band");
-          renumber.number(static_cast<std::size_t>(b));
-        }
-#pragma omp for schedule(dynamic, 1) nowait  // the region's end joins
-        for (int b = 0; b < nbands; ++b) {
-          obs::Span band_span("rle.flatten.band", "band");
-          renumber.finalize(static_cast<std::size_t>(b));
-        }
-      }
-      renumber.check();
-    }
-    result.num_components = k;
+    const auto each_band = [&](void (BandRenumber::*step)(std::size_t)) {
+      parallel_for(renumber.bands(), work, threads, [&](std::size_t b) {
+        obs::Span band_span("rle.flatten.band", "band");
+        (renumber.*step)(b);
+      });
+    };
+    each_band(&BandRenumber::flatten);
+    result.num_components = renumber.assign_offsets();
+    each_band(&BandRenumber::number);
+    renumber.check();
+    each_band(&BandRenumber::finalize);
     if (stats != nullptr) {
       stats->components.assign(
           static_cast<std::size_t>(result.num_components), {});
@@ -156,19 +130,20 @@ LabelResponse label_runs_impl(ConstImageView image, Connectivity connectivity,
     }
   }
   result.timings.flatten_ms = phase.elapsed_ms();
+  between_phases();
 
   // --- Final labeling: expand resolved run labels (fill-width segments) ----
   phase.reset();
-#pragma omp parallel for schedule(dynamic, 1) num_threads(threads)
-  for (int t = 0; t < ntiles; ++t) {
+  parallel_for(tiles.size(), work, threads, [&](std::size_t t) {
     obs::Span span("rle.rewrite.tile", "tile");
-    rewrite_run_labels(tile_runs[static_cast<std::size_t>(t)], p,
-                       tiles[static_cast<std::size_t>(t)], result.labels);
-  }
+    rewrite_run_labels(tile_runs[t], p, tiles[t], out);
+  });
   result.timings.relabel_ms = phase.elapsed_ms();
   result.timings.total_ms = total.elapsed_ms();
   return result;
 }
+
+namespace {
 
 /// aremsp_rle's merger: one thread, so the plain serial rem_unite.
 const SeamMerger kSerialMerger{MergeBackend::Sequential};
@@ -186,6 +161,54 @@ Coord band_rows(Coord rows, int threads) {
   return band;
 }
 
+/// `threads` as configured, 0 meaning every hardware thread.
+int resolved_threads(int threads) {
+  return threads > 0 ? threads : hardware_threads();
+}
+
+/// aremsp_rle: the whole image as one tile, on the calling thread.
+LabelResponse label_whole_image(ConstImageView image,
+                                Connectivity connectivity,
+                                LabelScratch& scratch,
+                                analysis::ComponentStats* stats,
+                                int threshold) {
+  return label_runs_impl(image, connectivity, scratch, stats,
+                         {.tile_rows = std::max<Coord>(image.rows(), 1),
+                          .tile_cols = std::max<Coord>(image.cols(), 1),
+                          .threads = 1,
+                          .merger = kSerialMerger,
+                          .threshold = threshold});
+}
+
+/// paremsp_rle: full-width row bands, about one per thread.
+LabelResponse label_row_bands(ConstImageView image, Connectivity connectivity,
+                              LabelScratch& scratch,
+                              analysis::ComponentStats* stats,
+                              const RleConfig& config,
+                              const SeamMerger& merger, int threshold) {
+  const int threads = resolved_threads(config.threads);
+  return label_runs_impl(image, connectivity, scratch, stats,
+                         {.tile_rows = band_rows(image.rows(), threads),
+                          .tile_cols = std::max<Coord>(image.cols(), 1),
+                          .threads = threads,
+                          .merger = merger,
+                          .threshold = threshold});
+}
+
+/// paremsp2d: the configured 2-D tile grid.
+LabelResponse label_tiles(ConstImageView image, Connectivity connectivity,
+                          LabelScratch& scratch,
+                          analysis::ComponentStats* stats,
+                          const RleConfig& config, const SeamMerger& merger,
+                          int threshold) {
+  return label_runs_impl(image, connectivity, scratch, stats,
+                         {.tile_rows = config.tile_rows,
+                          .tile_cols = config.tile_cols,
+                          .threads = resolved_threads(config.threads),
+                          .merger = merger,
+                          .threshold = threshold});
+}
+
 }  // namespace
 
 LabelResponse AremspRleLabeler::run_impl(ConstImageView image,
@@ -193,10 +216,7 @@ LabelResponse AremspRleLabeler::run_impl(ConstImageView image,
                                          LabelScratch& scratch,
                                          analysis::ComponentStats* stats)
     const {
-  return label_runs_impl(image, connectivity, scratch, stats,
-                         std::max<Coord>(image.rows(), 1),
-                         std::max<Coord>(image.cols(), 1), /*threads=*/1,
-                         kSerialMerger);
+  return label_whole_image(image, connectivity, scratch, stats, -1);
 }
 
 LabelResponse AremspRleLabeler::run_gray_impl(ConstImageView gray,
@@ -205,10 +225,7 @@ LabelResponse AremspRleLabeler::run_gray_impl(ConstImageView gray,
                                               LabelScratch& scratch,
                                               analysis::ComponentStats* stats)
     const {
-  return label_runs_impl(gray, connectivity, scratch, stats,
-                         std::max<Coord>(gray.rows(), 1),
-                         std::max<Coord>(gray.cols(), 1), /*threads=*/1,
-                         kSerialMerger, cutoff);
+  return label_whole_image(gray, connectivity, scratch, stats, cutoff);
 }
 
 ParemspRleLabeler::ParemspRleLabeler(RleConfig config,
@@ -224,22 +241,14 @@ LabelResponse ParemspRleLabeler::run_impl(ConstImageView image,
                                           LabelScratch& scratch,
                                           analysis::ComponentStats* stats)
     const {
-  const int threads =
-      config_.threads > 0 ? config_.threads : omp_get_max_threads();
-  return label_runs_impl(image, connectivity, scratch, stats,
-                         band_rows(image.rows(), threads),
-                         std::max<Coord>(image.cols(), 1), threads,
-                         merger_);
+  return label_row_bands(image, connectivity, scratch, stats, config_,
+                         merger_, -1);
 }
 
 LabelResponse ParemspRleLabeler::run_gray_impl(
     ConstImageView gray, std::uint8_t cutoff, Connectivity connectivity,
     LabelScratch& scratch, analysis::ComponentStats* stats) const {
-  const int threads =
-      config_.threads > 0 ? config_.threads : omp_get_max_threads();
-  return label_runs_impl(gray, connectivity, scratch, stats,
-                         band_rows(gray.rows(), threads),
-                         std::max<Coord>(gray.cols(), 1), threads,
+  return label_row_bands(gray, connectivity, scratch, stats, config_,
                          merger_, cutoff);
 }
 
@@ -256,21 +265,15 @@ TiledParemspLabeler::TiledParemspLabeler(RleConfig config,
 LabelResponse TiledParemspLabeler::run_impl(
     ConstImageView image, Connectivity connectivity, LabelScratch& scratch,
     analysis::ComponentStats* stats) const {
-  const int threads =
-      config_.threads > 0 ? config_.threads : omp_get_max_threads();
-  return label_runs_impl(image, connectivity, scratch, stats,
-                         config_.tile_rows, config_.tile_cols, threads,
-                         merger_);
+  return label_tiles(image, connectivity, scratch, stats, config_, merger_,
+                     -1);
 }
 
 LabelResponse TiledParemspLabeler::run_gray_impl(
     ConstImageView gray, std::uint8_t cutoff, Connectivity connectivity,
     LabelScratch& scratch, analysis::ComponentStats* stats) const {
-  const int threads =
-      config_.threads > 0 ? config_.threads : omp_get_max_threads();
-  return label_runs_impl(gray, connectivity, scratch, stats,
-                         config_.tile_rows, config_.tile_cols, threads,
-                         merger_, cutoff);
+  return label_tiles(gray, connectivity, scratch, stats, config_, merger_,
+                     cutoff);
 }
 
 }  // namespace paremsp

@@ -6,12 +6,15 @@
 //
 //   aremsp_rle   one tile (the whole image), sequential — the run twin of
 //                sequential AREMSP;
-//   paremsp_rle  full-width row bands, one OpenMP task each, boundary RUNS
+//   paremsp_rle  full-width row bands, about one per thread, boundary RUNS
 //                merged by the Algorithm-8 backends — the run twin of
 //                PAREMSP;
 //   paremsp2d    a 2-D tile grid with run seam merges on both axes — the
-//                2-D extension of PAREMSP's Algorithm 7 (and the kernel set
-//                the engine's sharded path reuses).
+//                2-D extension of PAREMSP's Algorithm 7.
+//
+// All three are presets of one entry, label_runs_impl, which the engine's
+// sharded requests call too (with the request's grid and merge backend,
+// the engine's worker count, and a QoS hook between phases).
 //
 // The pipeline per tile: RowBits packs each row into 64-pixel words, runs
 // are emitted by ctz/popcount word scanning, each run records ONE
@@ -29,16 +32,53 @@
 // window is the only place connectivity enters.
 #pragma once
 
+#include <functional>
+#include <optional>
+
 #include "core/equiv_policies.hpp"
 #include "core/labeling.hpp"
 #include "core/paremsp.hpp"
+#include "image/view.hpp"
 #include "unionfind/lock_pool.hpp"
 
 namespace paremsp {
 
+/// How label_runs_impl cuts and runs one image.
+struct RunPlan {
+  /// Tile grid (core/tiled_phases.hpp); any size >= 1, oversize tiles
+  /// clamp to the image.
+  Coord tile_rows;
+  Coord tile_cols;
+  /// Participants of every phase loop (common/executor.hpp); 1 runs the
+  /// whole pipeline on the calling thread.
+  int threads;
+  /// Seam-merge backend; Sequential merges with one participant.
+  const SeamMerger& merger;
+  /// >= 0 scans a GRAYSCALE image through the fused pixel > threshold
+  /// encoder; -1 is the plain binary mode.
+  int threshold = -1;
+  /// When set, the rewrite writes the final labels here (may be strided)
+  /// and the response carries no plane.
+  std::optional<MutableImageView> label_out = std::nullopt;
+  /// Called after the scan, merge and flatten phases, when no piece of
+  /// the pipeline is running; throwing from it abandons the request.
+  std::function<void()> between_phases = nullptr;
+};
+
+/// The one run-based pipeline: cut the plan's tile grid, scan runs per
+/// tile, merge boundary runs, resolve + canonically renumber
+/// (BandRenumber), and expand the resolved labels into the output — the
+/// only write to it. Bit-identical to sequential AREMSP (8-conn) and
+/// CCLREMSP (4-conn) for every grid and thread count.
+[[nodiscard]] LabelResponse label_runs_impl(ConstImageView image,
+                                            Connectivity connectivity,
+                                            LabelScratch& scratch,
+                                            analysis::ComponentStats* stats,
+                                            const RunPlan& plan);
+
 /// Shared tuning knobs of the parallel rle labelers.
 struct RleConfig {
-  /// Worker threads; 0 means the OpenMP default.
+  /// Worker threads; 0 means every hardware thread.
   int threads = 0;
   /// Tile height in rows (paremsp2d; paremsp_rle derives its row bands
   /// from `threads` instead). Any value >= 1, down to single-pixel tiles

@@ -29,12 +29,12 @@
 //   5. rewrite_run_labels       — expand the resolved run labels into the
 //                                 output raster, the only write to it.
 //
-// Three executors compose these pieces: the rle labelers (in-process
-// OpenMP, core/rle_labelers.cpp), the engine's sharded huge-image path
-// (persistent-worker jobs, engine/sharded_labeler.cpp) and the streaming
-// slab session (stream/slab_session.cpp, which reuses the scan and rewrite
-// steps). Keeping the steps here means they run the same audited kernel
-// code and differ only in scheduling; nothing here starts a thread. Why
+// Two pipelines compose these pieces: label_runs_impl
+// (core/rle_labelers.cpp — the rle labelers and the engine's sharded
+// requests, one parallel_for per phase) and the streaming slab session
+// (stream/slab_session.cpp, which reuses the scan and rewrite steps).
+// Keeping the steps here means they run the same audited kernel code;
+// nothing here starts a thread. Why
 // the renumber makes any grid bit-identical, and why its bands never
 // race, is argued at BandRenumber and in DESIGN.md §8.
 #pragma once
@@ -238,7 +238,7 @@ void merge_run_seams(std::span<const TileSpec> tiles,
 ///                       exactly its root count (a lost component throws).
 ///
 /// Between steps every band's writes must be published to the next step
-/// (a barrier or latch). After finalize, parents[l] is the FINAL label of
+/// (the join at the end of a parallel_for). After finalize, parents[l] is the FINAL label of
 /// every issued provisional label l; finish with rewrite_run_labels per
 /// tile. Per-band state is O(bands); no table is allocated per label.
 class BandRenumber {

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/contracts.hpp"
+#include "core/qos.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -52,16 +53,14 @@ LabelingEngine::LabelingEngine(EngineConfig config)
 LabelingEngine::~LabelingEngine() { shutdown(); }
 
 std::future<LabelResponse> LabelingEngine::submit(LabelRequest request) {
-  std::promise<LabelResponse> promise;
-  std::future<LabelResponse> future = promise.get_future();
-  if (request.shard.has_value()) {
-    start_sharded(std::move(request), std::move(promise));
-    return future;
-  }
   Job job;
   job.request = std::move(request);
-  job.promise = std::move(promise);
+  std::future<LabelResponse> future = job.promise.get_future();
   job.submitted_at = EngineStats::Clock::now();
+  if (job.request.shard.has_value()) {
+    submit_sharded(std::move(job));
+    return future;
+  }
   stats_.record_submission(job.submitted_at);
   if (!queue_.push(std::move(job))) {
     stats_.record_submission_aborted();
@@ -70,102 +69,50 @@ std::future<LabelResponse> LabelingEngine::submit(LabelRequest request) {
   return future;
 }
 
-bool LabelingEngine::enqueue_task(std::function<void(ScratchArena&)> task,
-                                  bool bounded) {
+bool LabelingEngine::post(std::function<void()> helper) {
+  return enqueue_task(std::move(helper), /*bounded=*/false);
+}
+
+bool LabelingEngine::enqueue_task(std::function<void()> task, bool bounded) {
   Job job;
   job.task = std::move(task);
   return bounded ? queue_.push(std::move(job))
                  : queue_.push_unbounded(std::move(job));
 }
 
-LabelImage LabelingEngine::take_recycled_plane() {
-  std::lock_guard lock(recycled_mutex_);
-  if (recycled_planes_.empty()) return LabelImage{};
-  LabelImage plane = std::move(recycled_planes_.back());
-  recycled_planes_.pop_back();
-  return plane;
+void LabelingEngine::check_qos(const Job& job) {
+  // The budget covers queue wait plus execution, anchored at submit.
+  if (job.request.cancel.cancel_requested()) {
+    jobs_cancelled_.fetch_add(1, std::memory_order_relaxed);
+    throw CancelledError("request cancelled before it completed");
+  }
+  if (job.request.deadline.has_value() &&
+      EngineStats::Clock::now() - job.submitted_at >= *job.request.deadline) {
+    jobs_shed_.fetch_add(1, std::memory_order_relaxed);
+    throw DeadlineExceededError(
+        "deadline expired before the request completed");
+  }
 }
 
-LabelingEngine::ShardBuffer LabelingEngine::take_shard_buffer(std::size_t n) {
-  ShardBuffer buffer;
+std::unique_ptr<LabelScratch> LabelingEngine::take_shard_scratch() {
   {
-    std::lock_guard lock(shard_buffers_mutex_);
-    if (!shard_buffers_.empty()) {
-      buffer = std::move(shard_buffers_.back());
-      shard_buffers_.pop_back();
+    std::lock_guard lock(shard_scratch_mutex_);
+    if (!shard_scratch_.empty()) {
+      std::unique_ptr<LabelScratch> scratch = std::move(shard_scratch_.back());
+      shard_scratch_.pop_back();
+      return scratch;
     }
   }
-  if (buffer.capacity < n) {
-    // make_unique_for_overwrite: no value-initialization — the sharded
-    // phases initialize exactly the entries they use.
-    buffer.data = std::make_unique_for_overwrite<Label[]>(n);
-    buffer.capacity = n;
-  }
-  return buffer;
+  return std::make_unique<LabelScratch>();
 }
 
-void LabelingEngine::return_shard_buffer(ShardBuffer buffer) {
-  if (buffer.data == nullptr) return;
-  std::lock_guard lock(shard_buffers_mutex_);
-  // One parent buffer per run, two runs' worth parked: more would hoard
-  // image-sized allocations.
-  if (shard_buffers_.size() < 2) {
-    shard_buffers_.push_back(std::move(buffer));
-  }
-}
-
-LabelingEngine::ShardCellBuffer LabelingEngine::take_shard_cells(
-    std::size_t n) {
-  ShardCellBuffer buffer;
-  {
-    std::lock_guard lock(shard_buffers_mutex_);
-    if (!shard_cell_buffers_.empty()) {
-      buffer = std::move(shard_cell_buffers_.back());
-      shard_cell_buffers_.pop_back();
-    }
-  }
-  if (buffer.capacity < n) {
-    // No value-initialization: FeatureAccumulator::fresh resets exactly
-    // the cells that get used (see ShardBuffer for the rationale).
-    buffer.data =
-        std::make_unique_for_overwrite<analysis::FeatureCell[]>(n);
-    buffer.capacity = n;
-  }
-  return buffer;
-}
-
-void LabelingEngine::return_shard_cells(ShardCellBuffer buffer) {
-  if (buffer.data == nullptr) return;
-  std::lock_guard lock(shard_buffers_mutex_);
-  // One cell buffer per stats-carrying run; cells are 10x a label plane,
-  // so park at most two runs' worth.
-  if (shard_cell_buffers_.size() < 2) {
-    shard_cell_buffers_.push_back(std::move(buffer));
-  }
-}
-
-std::vector<RunBuffer> LabelingEngine::take_run_buffers(std::size_t n) {
-  std::vector<RunBuffer> buffers;
-  {
-    std::lock_guard lock(shard_buffers_mutex_);
-    if (!run_buffer_pool_.empty()) {
-      buffers = std::move(run_buffer_pool_.back());
-      run_buffer_pool_.pop_back();
-    }
-  }
-  // Growing the vector keeps the already-pooled buffers' internal
-  // storage; only genuinely new tiles allocate.
-  if (buffers.size() < n) buffers.resize(n);
-  return buffers;
-}
-
-void LabelingEngine::return_run_buffers(std::vector<RunBuffer> buffers) {
-  if (buffers.empty()) return;
-  std::lock_guard lock(shard_buffers_mutex_);
-  // One vector per concurrent Runs-mode shard in steady state; parking
-  // more would hoard run storage proportional to image content.
-  if (run_buffer_pool_.size() < 2) {
-    run_buffer_pool_.push_back(std::move(buffers));
+void LabelingEngine::return_shard_scratch(
+    std::unique_ptr<LabelScratch> scratch) {
+  if (scratch == nullptr) return;
+  std::lock_guard lock(shard_scratch_mutex_);
+  // Each holds huge-image-sized buffers: parking more would hoard them.
+  if (shard_scratch_.size() < kPooledShardScratch) {
+    shard_scratch_.push_back(std::move(scratch));
   }
 }
 
@@ -252,7 +199,7 @@ void LabelingEngine::publish_metrics() const {
       .set(static_cast<double>(s.stream_carried_components));
 }
 
-void LabelingEngine::maybe_adopt_recycled(ScratchArena& arena) {
+void LabelingEngine::maybe_adopt_recycled(LabelScratch& scratch) {
   LabelImage plane;
   {
     std::lock_guard lock(recycled_mutex_);
@@ -260,11 +207,13 @@ void LabelingEngine::maybe_adopt_recycled(ScratchArena& arena) {
     plane = std::move(recycled_planes_.back());
     recycled_planes_.pop_back();
   }
-  arena.adopt_plane(std::move(plane));
+  scratch.recycle_plane(std::move(plane));
 }
 
 void LabelingEngine::worker_main(ScratchArena& arena, int index) {
   obs::set_thread_name("worker-" + std::to_string(index));
+  // parallel_for calls made by this worker's jobs post back to the pool.
+  const PoolThreadScope pool_scope(*this);
   // One labeler per worker for its whole lifetime: constructing e.g.
   // PAREMSP's striped lock pool is exactly the per-call overhead this
   // engine exists to amortize.
@@ -276,15 +225,18 @@ void LabelingEngine::worker_main(ScratchArena& arena, int index) {
 
   while (auto job = queue_.pop()) {
     if (job->task) {
-      // Generic engine task (sharded phase job): runs with this worker's
-      // arena, handles its own errors, bypasses the request stats. The
-      // catch-all is a backstop — a throwing task must never take the
-      // worker thread (and with it the pool) down.
+      // Generic engine task (fork-join helper, stream slab step): handles
+      // its own errors, bypasses the request stats. The catch-all is a
+      // backstop — a throwing task must never take the worker thread (and
+      // with it the pool) down.
       try {
-        job->task(arena);
+        job->task();
       } catch (...) {
       }
-      shard_tasks_completed_.fetch_add(1, std::memory_order_relaxed);
+      continue;
+    }
+    if (job->request.shard.has_value()) {
+      run_sharded(*job);
       continue;
     }
     // Queue wait: how long the job sat before this worker picked it up.
@@ -303,30 +255,20 @@ void LabelingEngine::worker_main(ScratchArena& arena, int index) {
       obs::emit_span("job.queue_wait", "engine", submit_ns,
                      obs::trace_now_ns() - submit_ns);
     }
-    maybe_adopt_recycled(arena);
+    maybe_adopt_recycled(arena.scratch());
     const std::int64_t pixels = job->request.input.size();
     LabelResponse response;
     std::exception_ptr error;
-    // QoS check point: shed the job at pickup — before any pixel is read
-    // — if its client cancelled or its latency budget is already gone
-    // (the budget covers queue wait plus execution, so a job that sat
-    // out its deadline in the queue must not occupy a worker).
-    if (job->request.cancel.cancel_requested()) {
-      error = std::make_exception_ptr(
-          CancelledError("request cancelled while queued"));
-      jobs_cancelled_.fetch_add(1, std::memory_order_relaxed);
-    } else if (job->request.deadline.has_value() &&
-               picked_up - job->submitted_at >= *job->request.deadline) {
-      error = std::make_exception_ptr(DeadlineExceededError(
-          "deadline expired before a worker picked the job up"));
-      jobs_shed_.fetch_add(1, std::memory_order_relaxed);
-    } else {
+    try {
+      // QoS check point: shed the job at pickup — before any pixel is
+      // read — if its client cancelled or its latency budget is already
+      // gone (a job that sat out its deadline in the queue must not
+      // occupy a worker).
+      check_qos(*job);
       obs::Span span("job.execute", "engine");
-      try {
-        response = labeler->run(job->request, arena.scratch());
-      } catch (...) {
-        error = std::current_exception();
-      }
+      response = labeler->run(job->request, arena.scratch());
+    } catch (...) {
+      error = std::current_exception();
     }
     response.timings.queue_wait_ms = queue_wait_ms;
     // Record the completion BEFORE fulfilling the promise: a caller

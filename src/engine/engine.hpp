@@ -12,9 +12,17 @@
 // directly — the engine changes scheduling and memory reuse, never output
 // (tests/test_engine.cpp asserts this per algorithm).
 //
+// The workers are also the fork-join pool (common/executor.hpp) of every
+// parallel_for called on them: a parallel labeler running inside a job
+// posts its helper pieces to this queue instead of starting threads of
+// its own, and a job waiting on its loop only ever runs that loop's
+// pieces.
+//
 // The single entry point is submit(LabelRequest) — the same request shape
-// Labeler::run executes (core/request.hpp); the sharded huge-image
-// pipeline is selected by request.shard.
+// Labeler::run executes (core/request.hpp); a request with request.shard
+// set is one job that labels the image through the run pipeline
+// (label_runs_impl) with the request's tile grid, fanned out over the
+// whole pool.
 //
 // Lifecycle: constructor spawns the workers; shutdown() (or destruction)
 // closes the queue, drains every already-accepted job, and joins — every
@@ -36,11 +44,12 @@
 #include <thread>
 #include <vector>
 
-#include "analysis/feature_accumulator.hpp"
+#include "common/executor.hpp"
+#include "core/equiv_policies.hpp"
+#include "core/label_scratch.hpp"
 #include "core/labeling.hpp"
 #include "core/registry.hpp"
 #include "core/request.hpp"
-#include "core/runs.hpp"
 #include "engine/engine_stats.hpp"
 #include "engine/job_queue.hpp"
 #include "engine/scratch_arena.hpp"
@@ -71,7 +80,7 @@ struct EngineConfig {
 
 /// Persistent-worker batch labeling engine. Thread-safe: any number of
 /// producer threads may submit concurrently.
-class LabelingEngine {
+class LabelingEngine : private Executor {
  public:
   explicit LabelingEngine(EngineConfig config = {});
 
@@ -87,15 +96,13 @@ class LabelingEngine {
   /// The request BORROWS its views: keep `request.input`'s storage (and
   /// `label_out`'s, if set) alive and unmodified until the future is
   /// ready. With request.shard set, the image is labeled through the
-  /// sharded tile pipeline across the whole worker pool (one huge image)
-  /// instead of as a single worker job; the future only becomes ready
-  /// once that pipeline has quiesced, so a ready future always means no
-  /// worker still reads the borrowed storage; a shard cut short by
-  /// shutdown() fails its future with a PreconditionError. Submit sharded
-  /// requests from producer threads only, never from inside an engine
-  /// job: the initial tile fan-out takes the bounded queue path. Blocks
-  /// while the queue is full (backpressure); throws PreconditionError
-  /// after shutdown().
+  /// tile pipeline across the whole worker pool (one huge image) instead
+  /// of on one worker; a ready future still means no worker reads the
+  /// borrowed storage any more. A sharded request submitted after
+  /// shutdown() fails its future with a PreconditionError. Submit from
+  /// producer threads only, never from inside an engine job: the push is
+  /// bounded. Blocks while the queue is full (backpressure); a one-shot
+  /// request throws PreconditionError after shutdown().
   [[nodiscard]] std::future<LabelResponse> submit(LabelRequest request);
 
   /// Open a streaming slab session (engine/stream_session.hpp): label an
@@ -135,76 +142,59 @@ class LabelingEngine {
   }
 
  private:
-  friend class ShardedRun;      // sharded_labeler.cpp: pushes phase jobs
   friend class StreamSession;   // stream_session.cpp: slab job chains
 
   /// The ONE job shape: a labeling request plus the promise its response
-  /// is delivered through — or, for sharded phase and stream slab
-  /// continuations, a task.
+  /// is delivered through — or a task (a fork-join helper, or a stream
+  /// slab continuation).
   struct Job {
     LabelRequest request;  // borrows the caller's storage
     std::promise<LabelResponse> promise;  // unused by task jobs
     EngineStats::Clock::time_point submitted_at{};
-    // Generic engine task: when set, the worker runs it with its arena
-    // instead of the labeling path. Tasks own their error handling.
-    std::function<void(ScratchArena&)> task;
+    // Sharded requests only: the request's validated merge backend.
+    std::optional<SeamMerger> merger;
+    // Generic engine task: when set, the worker runs it instead of the
+    // labeling path. Tasks own their error handling.
+    std::function<void()> task;
   };
 
-  /// Start the sharded pipeline for a request with request.shard set
-  /// (validates options/connectivity on the submitting thread).
-  void start_sharded(LabelRequest request,
-                     std::promise<LabelResponse> promise);
+  // Executor: helpers of parallel_for loops running on the workers.
+  // Posted unbounded — a worker must never block on its own queue.
+  [[nodiscard]] bool post(std::function<void()> helper) override;
+  [[nodiscard]] int threads() const noexcept override { return workers(); }
+
+  /// Validate a sharded request on the submitting thread and queue it.
+  void submit_sharded(Job job);
+  /// Run one sharded request (a worker job): label_runs_impl over the
+  /// request's grid with every worker as a participant, shedding at
+  /// pickup and between phases.
+  void run_sharded(Job& job);
+  /// QoS check point: throw CancelledError / DeadlineExceededError (and
+  /// count it) if the job's token fired or its budget is spent.
+  void check_qos(const Job& job);
   /// Enqueue a generic task. Bounded (backpressured) pushes are for
-  /// producer threads; workers spawning continuations must pass
-  /// bounded = false (see JobQueue::push_unbounded). Returns false once
-  /// the queue is closed.
-  [[nodiscard]] bool enqueue_task(std::function<void(ScratchArena&)> task,
-                                  bool bounded);
-  /// Pop a client-recycled plane for a sharded run's output, if any.
-  [[nodiscard]] LabelImage take_recycled_plane();
+  /// producer threads; tasks spawned by workers must pass bounded = false
+  /// (see JobQueue::push_unbounded). Returns false once the queue is
+  /// closed.
+  [[nodiscard]] bool enqueue_task(std::function<void()> task, bool bounded);
 
-  /// Pooled storage for sharded runs' global parent arrays. These live at
-  /// the engine (one buffer spans all workers, so per-worker arenas cannot
-  /// hold them) and are handed out with UNSPECIFIED contents — REM
-  /// initializes p[l] = l as labels are issued, so the usual
-  /// std::vector value-initialization would be a full serial memset of
-  /// up to 4N bytes per run for nothing.
-  struct ShardBuffer {
-    std::unique_ptr<Label[]> data;
-    std::size_t capacity = 0;
-  };
-  /// A buffer of capacity >= n (pooled if available, grown otherwise).
-  [[nodiscard]] ShardBuffer take_shard_buffer(std::size_t n);
-  /// Hand a buffer back for the next sharded run. No-op on empty buffers.
-  void return_shard_buffer(ShardBuffer buffer);
-
-  /// Pooled per-provisional-label feature cells for stats-carrying sharded
-  /// runs. Same unspecified-contents contract as ShardBuffer: cells are
-  /// initialized lazily at new-label events, so no O(label-space) clear.
-  struct ShardCellBuffer {
-    std::unique_ptr<analysis::FeatureCell[]> data;
-    std::size_t capacity = 0;
-  };
-  [[nodiscard]] ShardCellBuffer take_shard_cells(std::size_t n);
-  void return_shard_cells(ShardCellBuffer buffer);
-
-  /// Pooled per-tile RunBuffer vectors for Runs-mode sharded runs (and
-  /// anything else that needs a batch of them). A returned vector keeps
-  /// every buffer's grown row-offset/run storage, so steady-state Runs
-  /// shards allocate nothing. The vector may come back LARGER than n —
-  /// callers must treat only their first n entries as theirs.
-  [[nodiscard]] std::vector<RunBuffer> take_run_buffers(std::size_t n);
-  void return_run_buffers(std::vector<RunBuffer> buffers);
+  /// Workspace for sharded runs. It lives at the engine, not in a worker's
+  /// arena, so a huge image does not grow every worker's scratch to its
+  /// size; at most kPooledShardScratch are parked between runs.
+  [[nodiscard]] std::unique_ptr<LabelScratch> take_shard_scratch();
+  void return_shard_scratch(std::unique_ptr<LabelScratch> scratch);
+  static constexpr std::size_t kPooledShardScratch = 2;
 
   void worker_main(ScratchArena& arena, int index);
-  void maybe_adopt_recycled(ScratchArena& arena);
+  /// Move one client-recycled plane, if any, into `scratch`'s pool.
+  void maybe_adopt_recycled(LabelScratch& scratch);
 
   EngineConfig config_;
   JobQueue<Job> queue_;
   EngineStats stats_;
 
   // Sharded-path accounting (kept out of the per-request latency stats so
-  // tile jobs don't distort the small-image percentiles).
+  // huge images don't distort the small-image percentiles).
   std::atomic<std::uint64_t> shards_submitted_{0};
   std::atomic<std::uint64_t> shards_completed_{0};
   std::atomic<std::uint64_t> shard_tasks_completed_{0};
@@ -227,11 +217,9 @@ class LabelingEngine {
   std::mutex recycled_mutex_;
   std::vector<LabelImage> recycled_planes_;
 
-  // Parent buffers parked between sharded runs (see ShardBuffer).
-  std::mutex shard_buffers_mutex_;
-  std::vector<ShardBuffer> shard_buffers_;
-  std::vector<ShardCellBuffer> shard_cell_buffers_;
-  std::vector<std::vector<RunBuffer>> run_buffer_pool_;
+  // Sharded-run workspaces parked between runs (see take_shard_scratch).
+  std::mutex shard_scratch_mutex_;
+  std::vector<std::unique_ptr<LabelScratch>> shard_scratch_;
 
   std::vector<std::unique_ptr<ScratchArena>> arenas_;
   std::vector<std::thread> threads_;

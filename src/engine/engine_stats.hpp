@@ -69,7 +69,9 @@ struct EngineStatsSnapshot {
   // --- sharded huge-image path ----------------------------------------------
   std::uint64_t shards_submitted = 0;      // sharded requests accepted
   std::uint64_t shards_completed = 0;      // shard promises fulfilled OK
-  std::uint64_t shard_tasks_completed = 0; // tile/seam/rewrite jobs run
+  // Tile pieces sharded requests ran: one scan, one seam-merge and one
+  // rewrite piece per tile.
+  std::uint64_t shard_tasks_completed = 0;
 
   // --- QoS (deadline / cancellation, core/qos.hpp) --------------------------
   // Both count toward jobs_failed too: a shed job IS a failed completion

@@ -53,7 +53,7 @@ class JobQueue {
 
   /// Enqueue `item` without waiting for capacity; only fails (returns
   /// false) once the queue is closed. Reserved for jobs the WORKERS
-  /// themselves spawn (the sharded path's phase continuations): a worker
+  /// themselves spawn (fork-join helpers, stream continuations): a worker
   /// blocking in push() while every other worker also blocks would
   /// deadlock the pool, so internal fan-out must bypass the capacity
   /// wait. External producers keep the bounded push() above — that is

@@ -3,8 +3,9 @@
 // Each engine worker owns one ScratchArena for its whole lifetime. The
 // arena wraps the core LabelScratch (union-find parent storage, recycled
 // label planes, auxiliary buffers — see core/label_scratch.hpp) and adds
-// the engine-side accounting: jobs and pixels served, and adoption of
-// label planes that clients hand back through LabelingEngine::recycle().
+// the engine-side accounting: jobs and pixels served. Label planes that
+// clients hand back through LabelingEngine::recycle() go into its
+// scratch's plane pool.
 //
 // Buffers grow once to the high-water-mark image size and are then reused
 // allocation-free; ArenaStats::grow_count going flat is the observable
@@ -40,12 +41,6 @@ class ScratchArena {
 
   /// The workspace handed to Labeler::run. Worker thread only.
   [[nodiscard]] LabelScratch& scratch() noexcept { return scratch_; }
-
-  /// Feed a client-returned label plane back into the workspace so the
-  /// next acquire_plane() call skips malloc entirely.
-  void adopt_plane(LabelImage&& plane) {
-    scratch_.recycle_plane(std::move(plane));
-  }
 
   /// Record one served job (worker thread, after the run returns).
   void note_job(std::int64_t pixels) noexcept {

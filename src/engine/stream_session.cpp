@@ -114,7 +114,7 @@ void StreamSession::recycle(LabelImage&& plane) {
 void StreamSession::enqueue_chain(bool bounded) {
   auto self = shared_from_this();
   const bool accepted = engine_.enqueue_task(
-      [self](ScratchArena&) { self->step(); }, bounded);
+      [self] { self->step(); }, bounded);
   if (!accepted) {
     {
       std::lock_guard lock(mutex_);

@@ -1,4 +1,4 @@
-// Striped OpenMP lock pool for the parallel REM merger.
+// Striped spinlock pool for the parallel REM merger.
 //
 // Algorithm 8 of the paper indexes `lock_array` by tree root, implying one
 // lock per provisional label; at the paper's largest image that would be
@@ -7,19 +7,40 @@
 // Correctness is unaffected — the merger only ever holds one lock at a
 // time, so false sharing of a stripe can cause contention but never
 // deadlock. The stripe count is swept in bench/ablation_merge.
+//
+// A stripe is a test-and-test-and-set spinlock: the section it guards is
+// one root re-check and one store, far shorter than parking a thread.
 #pragma once
 
-#include <omp.h>
-
+#include <atomic>
 #include <cstdint>
-#include <vector>
+#include <memory>
+#include <thread>
 
 #include "common/contracts.hpp"
 #include "common/types.hpp"
 
 namespace paremsp::uf {
 
-/// RAII pool of 2^bits OpenMP locks, indexed by hashed element id.
+/// One stripe of the pool, padded to four bytes: sixteen stripes share a
+/// cache line.
+class alignas(4) SpinLock {
+ public:
+  void lock() noexcept {
+    while (flag_.test_and_set(std::memory_order_acquire)) {
+      for (int spins = 0; flag_.test(std::memory_order_relaxed); ++spins) {
+        if (spins >= kSpinsBeforeYield) std::this_thread::yield();
+      }
+    }
+  }
+  void unlock() noexcept { flag_.clear(std::memory_order_release); }
+
+ private:
+  static constexpr int kSpinsBeforeYield = 64;
+  std::atomic_flag flag_;
+};
+
+/// RAII pool of 2^bits spinlocks, indexed by hashed element id.
 class LockPool {
  public:
   /// Default 4096 stripes: large enough that two random roots collide with
@@ -46,13 +67,7 @@ class LockPool {
 
   explicit LockPool(int bits = kDefaultBits)
       : mask_((1ULL << checked_bits(bits)) - 1),
-        locks_(static_cast<std::size_t>(1) << bits) {
-    for (auto& l : locks_) omp_init_lock(&l);
-  }
-
-  ~LockPool() {
-    for (auto& l : locks_) omp_destroy_lock(&l);
-  }
+        locks_(std::make_unique<SpinLock[]>(mask_ + 1)) {}
 
   LockPool(const LockPool&) = delete;
   LockPool& operator=(const LockPool&) = delete;
@@ -60,11 +75,11 @@ class LockPool {
   LockPool& operator=(LockPool&&) = delete;
 
   [[nodiscard]] std::size_t stripe_count() const noexcept {
-    return locks_.size();
+    return static_cast<std::size_t>(mask_ + 1);
   }
 
   /// Lock protecting element x.
-  [[nodiscard]] omp_lock_t* lock_for(Label x) noexcept {
+  [[nodiscard]] SpinLock* lock_for(Label x) noexcept {
     return &locks_[hash(static_cast<std::uint64_t>(x)) & mask_];
   }
 
@@ -72,14 +87,14 @@ class LockPool {
   class Guard {
    public:
     Guard(LockPool& pool, Label x) noexcept : lock_(pool.lock_for(x)) {
-      omp_set_lock(lock_);
+      lock_->lock();
     }
-    ~Guard() { omp_unset_lock(lock_); }
+    ~Guard() { lock_->unlock(); }
     Guard(const Guard&) = delete;
     Guard& operator=(const Guard&) = delete;
 
    private:
-    omp_lock_t* lock_;
+    SpinLock* lock_;
   };
 
  private:
@@ -98,7 +113,7 @@ class LockPool {
   }
 
   std::uint64_t mask_;
-  std::vector<omp_lock_t> locks_;
+  std::unique_ptr<SpinLock[]> locks_;
 };
 
 }  // namespace paremsp::uf

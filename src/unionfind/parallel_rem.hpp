@@ -4,7 +4,7 @@
 // Both operate on the same flat parent array the sequential scan built.
 // Shared accesses go through std::atomic_ref<Label> with relaxed ordering:
 // the algorithm tolerates stale reads by construction (Patwary, Refsnes &
-// Manne, IPDPS 2012 — paper reference [38]) and the OpenMP barrier ending
+// Manne, IPDPS 2012 — paper reference [38]) and the fork-join that ends
 // the merge phase publishes all writes before FLATTEN runs, so relaxed is
 // sufficient and compiles to plain loads/stores on x86. What atomic_ref
 // buys is freedom from C++-level data-race UB, not extra synchronization.

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <memory>
 #include <future>
 #include <thread>
 #include <utility>
@@ -12,6 +14,7 @@
 #include "common/contracts.hpp"
 #include "core/label_scratch.hpp"
 #include "core/paremsp_all.hpp"
+#include "core/qos.hpp"
 #include "engine/engine.hpp"
 #include "engine/job_queue.hpp"
 #include "fixtures.hpp"
@@ -360,6 +363,40 @@ TEST(LabelingEngine, StatsReportThroughputAndLatency) {
   EXPECT_GT(s.latency_p50_ms, 0.0);
   EXPECT_LE(s.latency_p50_ms, s.latency_p99_ms);
   EXPECT_LE(s.latency_p99_ms, s.latency_max_ms + 1e-9);
+}
+
+// --- QoS: each shed request fails its future and counts exactly once -------
+// The input is freed as soon as get() throws: a ready future must mean no
+// worker still reads it, which ASan checks.
+
+TEST(LabelingEngine, QosPreCancelledRequestFailsAndCountsOnce) {
+  LabelingEngine eng({.workers = 2});
+  auto image = std::make_unique<BinaryImage>(stream_image(5, 0));
+  CancelSource source;
+  source.request_cancel();
+  LabelRequest request{.input = *image};
+  request.cancel = source.token();
+  const auto before = eng.stats();
+  auto future = eng.submit(std::move(request));
+  EXPECT_THROW((void)future.get(), CancelledError);
+  image.reset();
+  const auto after = eng.stats();
+  EXPECT_EQ(after.jobs_cancelled - before.jobs_cancelled, 1u);
+  EXPECT_EQ(after.jobs_shed, before.jobs_shed);
+}
+
+TEST(LabelingEngine, QosExpiredDeadlineIsShedAndCountsOnce) {
+  LabelingEngine eng({.workers = 2});
+  auto image = std::make_unique<BinaryImage>(stream_image(5, 1));
+  LabelRequest request{.input = *image};
+  request.deadline = std::chrono::nanoseconds(1);
+  const auto before = eng.stats();
+  auto future = eng.submit(std::move(request));
+  EXPECT_THROW((void)future.get(), DeadlineExceededError);
+  image.reset();
+  const auto after = eng.stats();
+  EXPECT_EQ(after.jobs_shed - before.jobs_shed, 1u);
+  EXPECT_EQ(after.jobs_cancelled, before.jobs_cancelled);
 }
 
 TEST(LabelingEngine, RejectsInvalidConfig) {

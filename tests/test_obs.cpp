@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "common/contracts.hpp"
-#include "common/env.hpp"
 #include "core/registry.hpp"
 #include "core/request.hpp"
 #include "engine/engine.hpp"
@@ -413,11 +412,7 @@ TEST(ObsCounters, UnionOracleHoldsAcrossMergeBackends) {
       for (const auto& [find, splice] : policies) {
         LabelerOptions options;
         options.merge_backend = backend;
-        // Honor the environment's thread cap instead of forcing 4: the CI
-        // TSan job pins OMP_NUM_THREADS=1 because libgomp's barriers are
-        // not TSan-instrumented (std::thread suites carry the concurrency
-        // coverage there); everywhere else this still runs 4-way.
-        options.threads = env_int("OMP_NUM_THREADS", 4);
+        options.threads = 4;
         options.cas_find = find;
         options.cas_splice = splice;
         const auto labeler = make_labeler(algorithm, options);
@@ -495,10 +490,13 @@ TEST(ObsTrace, TracedShardedRleRunShowsAllFourPhases) {
   LabelResponse response = eng.submit(std::move(request)).get();
   const obs::TraceReport report = session.stop();
   EXPECT_GT(response.num_components, 0);
-  EXPECT_GT(count_events(report, "shard.scan"), 0u);
-  EXPECT_GT(count_events(report, "shard.merge"), 0u);
-  EXPECT_GT(count_events(report, "shard.flatten"), 0u);
-  EXPECT_GT(count_events(report, "shard.rewrite"), 0u);
+  // The request shares the rle labelers' phase spans, under one outer
+  // span per request.
+  EXPECT_EQ(count_events(report, "shard.request"), 1u);
+  EXPECT_GT(count_events(report, "rle.scan.tile"), 0u);
+  EXPECT_GT(count_events(report, "rle.merge.tile"), 0u);
+  EXPECT_GT(count_events(report, "rle.flatten"), 0u);
+  EXPECT_GT(count_events(report, "rle.rewrite.tile"), 0u);
   // The engine names each worker's track for the exporter.
   bool worker_track = false;
   for (const obs::ThreadTrace& t : report.threads) {

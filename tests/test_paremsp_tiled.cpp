@@ -172,8 +172,8 @@ TEST(TiledParemsp, BandRenumberFixtureAcrossBandShapes) {
       }
     }
   }
-  // The fixture is small enough for the labeler to renumber inline; this
-  // noise has enough runs (>= 2^14) for the OpenMP band loop to fan out.
+  // The fixture is small enough for every phase loop to run inline; this
+  // noise is above the executor's inline grain, so the band loops fan out.
   const BinaryImage noise = gen::uniform_noise(384, 384, 0.5, 41);
   ASSERT_GE(tiled(8, 64).label(noise).timings.counters.runs_extracted,
             1U << 14);
@@ -249,9 +249,9 @@ void for_bands_on_threads(std::size_t bands, std::size_t threads,
 }
 
 TEST(TiledPhases, BandRenumberStdThreadMatchesSerialEntry) {
-  // The OpenMP executor's band loop without libgomp, so ThreadSanitizer
-  // sees every cross-band access of the flatten, number and finalize
-  // steps.
+  // The band steps on raw std::thread, adjacent bands always on different
+  // threads, so ThreadSanitizer sees every cross-band access of the
+  // flatten, number and finalize steps whatever the executor's timing.
   const BinaryImage image = gen::uniform_noise(96, 80, 0.5, 23);
   for (const Connectivity connectivity :
        {Connectivity::Eight, Connectivity::Four}) {

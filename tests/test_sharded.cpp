@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <future>
 #include <memory>
 #include <string>
@@ -17,6 +18,7 @@
 #include "common/contracts.hpp"
 #include "core/aremsp.hpp"
 #include "core/cclremsp.hpp"
+#include "core/qos.hpp"
 #include "engine/engine.hpp"
 #include "fixtures.hpp"
 #include "image/generators.hpp"
@@ -386,6 +388,40 @@ TEST(Sharded, RejectsInvalidOptions) {
                PreconditionError);
   EXPECT_THROW((void)eng.submit(sharded(image, {.lock_bits = 99})),
                PreconditionError);
+}
+
+// --- QoS: each shed request fails its future and counts exactly once -------
+// The input is freed as soon as get() throws: a ready future must mean no
+// worker still reads it, which ASan checks.
+
+TEST(Sharded, QosPreCancelledRequestFailsAndCountsOnce) {
+  LabelingEngine eng({.workers = 2});
+  auto image = std::make_unique<BinaryImage>(gen::landcover_like(96, 96, 3));
+  CancelSource source;
+  source.request_cancel();
+  LabelRequest request = sharded(*image, {.tile_rows = 16, .tile_cols = 16});
+  request.cancel = source.token();
+  const auto before = eng.stats();
+  auto future = eng.submit(std::move(request));
+  EXPECT_THROW((void)future.get(), CancelledError);
+  image.reset();
+  const auto after = eng.stats();
+  EXPECT_EQ(after.jobs_cancelled - before.jobs_cancelled, 1u);
+  EXPECT_EQ(after.jobs_shed, before.jobs_shed);
+}
+
+TEST(Sharded, QosExpiredDeadlineIsShedAndCountsOnce) {
+  LabelingEngine eng({.workers = 2});
+  auto image = std::make_unique<BinaryImage>(gen::landcover_like(96, 96, 4));
+  LabelRequest request = sharded(*image, {.tile_rows = 16, .tile_cols = 16});
+  request.deadline = std::chrono::nanoseconds(1);
+  const auto before = eng.stats();
+  auto future = eng.submit(std::move(request));
+  EXPECT_THROW((void)future.get(), DeadlineExceededError);
+  image.reset();
+  const auto after = eng.stats();
+  EXPECT_EQ(after.jobs_shed - before.jobs_shed, 1u);
+  EXPECT_EQ(after.jobs_cancelled, before.jobs_cancelled);
 }
 
 TEST(Sharded, ReusesRecycledPlanes) {

@@ -3,12 +3,12 @@
 // partition must equal what sequential REM produces, under every backend,
 // schedule, and lock-stripe configuration.
 #include <gtest/gtest.h>
-#include <omp.h>
 
 #include <numeric>
 #include <thread>
 #include <vector>
 
+#include "common/executor.hpp"
 #include "common/prng.hpp"
 #include "core/equiv_policies.hpp"
 #include "unionfind/lock_pool.hpp"
@@ -48,21 +48,22 @@ void run_parallel(Merger backend, Label n, const std::vector<Edge>& edges,
                   std::vector<Label>& p, int threads, int lock_bits) {
   p.resize(static_cast<std::size_t>(n));
   std::iota(p.begin(), p.end(), 0);
-  const auto m = static_cast<std::int64_t>(edges.size());
-  if (backend == Merger::Locked) {
-    LockPool locks(lock_bits);
-#pragma omp parallel for schedule(static) num_threads(threads)
-    for (std::int64_t i = 0; i < m; ++i) {
-      locked_unite(p.data(), locks, edges[static_cast<std::size_t>(i)].first,
-                   edges[static_cast<std::size_t>(i)].second);
+  LockPool locks(lock_bits);
+  // One contiguous edge range per thread, through the labelers' executor;
+  // kInlineGrain as the work estimate makes it fan out however few edges
+  // there are.
+  const std::size_t m = edges.size();
+  const auto pieces = static_cast<std::size_t>(threads);
+  parallel_for(pieces, kInlineGrain, threads, [&](std::size_t t) {
+    const std::size_t end = m * (t + 1) / pieces;
+    for (std::size_t i = m * t / pieces; i < end; ++i) {
+      if (backend == Merger::Locked) {
+        locked_unite(p.data(), locks, edges[i].first, edges[i].second);
+      } else {
+        cas_unite(p.data(), edges[i].first, edges[i].second);
+      }
     }
-  } else {
-#pragma omp parallel for schedule(static) num_threads(threads)
-    for (std::int64_t i = 0; i < m; ++i) {
-      cas_unite(p.data(), edges[static_cast<std::size_t>(i)].first,
-                edges[static_cast<std::size_t>(i)].second);
-    }
-  }
+  });
 }
 
 class ParallelMerge
@@ -139,11 +140,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- std::thread variants (ThreadSanitizer coverage) -----------------------
 //
-// The OpenMP tests above exercise the mergers under the schedules the
-// labelers actually use, but GCC's libgomp is not TSan-instrumented, so
-// the CI ThreadSanitizer job cannot run them without false positives.
-// These equivalents drive the same backends from plain std::thread and
-// are what the TSan job pins (see .github/workflows/ci.yml).
+// The tests above drive the mergers through the labelers' executor;
+// these drive the same backends from plain std::thread, interleaving the
+// edges instead of splitting them into ranges.
 
 void run_parallel_std_thread(Merger backend, Label n,
                              const std::vector<Edge>& edges,
