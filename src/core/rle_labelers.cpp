@@ -27,14 +27,11 @@ LabelResponse label_runs_impl(ConstImageView image, Connectivity connectivity,
   // phase timings partition total_ms (the exporters' reconcile contract).
   WallTimer phase;
   LabelResponse result;
-  if (!plan.label_out.has_value()) {
+  if (plan.labels && !plan.label_out.has_value()) {
     result.labels = scratch.acquire_plane(image.rows(), image.cols(),
                                           LabelScratch::PlaneInit::Dirty);
   }
   if (image.size() == 0) return result;
-  const MutableImageView out = plan.label_out.has_value()
-                                   ? *plan.label_out
-                                   : MutableImageView(result.labels);
   const auto between_phases = [&] {
     if (plan.between_phases) plan.between_phases();
   };
@@ -134,10 +131,15 @@ LabelResponse label_runs_impl(ConstImageView image, Connectivity connectivity,
 
   // --- Final labeling: expand resolved run labels (fill-width segments) ----
   phase.reset();
-  parallel_for(tiles.size(), work, threads, [&](std::size_t t) {
-    obs::Span span("rle.rewrite.tile", "tile");
-    rewrite_run_labels(tile_runs[t], p, tiles[t], out);
-  });
+  if (plan.labels) {
+    const MutableImageView out = plan.label_out.has_value()
+                                     ? *plan.label_out
+                                     : MutableImageView(result.labels);
+    parallel_for(tiles.size(), work, threads, [&](std::size_t t) {
+      obs::Span span("rle.rewrite.tile", "tile");
+      rewrite_run_labels(tile_runs[t], p, tiles[t], out);
+    });
+  }
   result.timings.relabel_ms = phase.elapsed_ms();
   result.timings.total_ms = total.elapsed_ms();
   return result;
@@ -164,20 +166,6 @@ Coord band_rows(Coord rows, int threads) {
 /// `threads` as configured, 0 meaning every hardware thread.
 int resolved_threads(int threads) {
   return threads > 0 ? threads : hardware_threads();
-}
-
-/// aremsp_rle: the whole image as one tile, on the calling thread.
-LabelResponse label_whole_image(ConstImageView image,
-                                Connectivity connectivity,
-                                LabelScratch& scratch,
-                                analysis::ComponentStats* stats,
-                                int threshold) {
-  return label_runs_impl(image, connectivity, scratch, stats,
-                         {.tile_rows = std::max<Coord>(image.rows(), 1),
-                          .tile_cols = std::max<Coord>(image.cols(), 1),
-                          .threads = 1,
-                          .merger = kSerialMerger,
-                          .threshold = threshold});
 }
 
 /// paremsp_rle: full-width row bands, about one per thread.
@@ -211,12 +199,21 @@ LabelResponse label_tiles(ConstImageView image, Connectivity connectivity,
 
 }  // namespace
 
+RunPlan whole_image_plan(ConstImageView image, int threshold) {
+  return {.tile_rows = std::max<Coord>(image.rows(), 1),
+          .tile_cols = std::max<Coord>(image.cols(), 1),
+          .threads = 1,
+          .merger = kSerialMerger,
+          .threshold = threshold};
+}
+
 LabelResponse AremspRleLabeler::run_impl(ConstImageView image,
                                          Connectivity connectivity,
                                          LabelScratch& scratch,
                                          analysis::ComponentStats* stats)
     const {
-  return label_whole_image(image, connectivity, scratch, stats, -1);
+  return label_runs_impl(image, connectivity, scratch, stats,
+                         whole_image_plan(image));
 }
 
 LabelResponse AremspRleLabeler::run_gray_impl(ConstImageView gray,
@@ -225,7 +222,8 @@ LabelResponse AremspRleLabeler::run_gray_impl(ConstImageView gray,
                                               LabelScratch& scratch,
                                               analysis::ComponentStats* stats)
     const {
-  return label_whole_image(gray, connectivity, scratch, stats, cutoff);
+  return label_runs_impl(gray, connectivity, scratch, stats,
+                         whole_image_plan(gray, cutoff));
 }
 
 ParemspRleLabeler::ParemspRleLabeler(RleConfig config,

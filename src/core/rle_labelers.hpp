@@ -14,7 +14,9 @@
 //
 // All three are presets of one entry, label_runs_impl, which the engine's
 // sharded requests call too (with the request's grid and merge backend,
-// the engine's worker count, and a QoS hook between phases).
+// the engine's worker count, and a QoS hook between phases), and which
+// labels every stream slab (stream/slab_session.cpp) through aremsp_rle's
+// one-tile plan, whole_image_plan.
 //
 // The pipeline per tile: RowBits packs each row into 64-pixel words, runs
 // are emitted by ctz/popcount word scanning, each run records ONE
@@ -57,6 +59,10 @@ struct RunPlan {
   /// >= 0 scans a GRAYSCALE image through the fused pixel > threshold
   /// encoder; -1 is the plain binary mode.
   int threshold = -1;
+  /// False skips the label plane and the rewrite phase: no plane is
+  /// acquired and label_out is not written (count- and stats-only
+  /// callers).
+  bool labels = true;
   /// When set, the rewrite writes the final labels here (may be strided)
   /// and the response carries no plane.
   std::optional<MutableImageView> label_out = std::nullopt;
@@ -70,11 +76,21 @@ struct RunPlan {
 /// (BandRenumber), and expand the resolved labels into the output — the
 /// only write to it. Bit-identical to sequential AREMSP (8-conn) and
 /// CCLREMSP (4-conn) for every grid and thread count.
+///
+/// Postcondition, for callers that read the runs themselves: with n the
+/// number of tiles of the plan's grid (row-major), scratch.run_buffers(n)[t]
+/// holds tile t's runs, and scratch.parents(image.size() + 1)[run.label]
+/// is each run's final label, until the scratch is used again.
 [[nodiscard]] LabelResponse label_runs_impl(ConstImageView image,
                                             Connectivity connectivity,
                                             LabelScratch& scratch,
                                             analysis::ComponentStats* stats,
                                             const RunPlan& plan);
+
+/// aremsp_rle's plan: the whole image as one tile, on the calling thread,
+/// merged serially. Its one tile's runs sit in scratch.run_buffers(1)[0].
+[[nodiscard]] RunPlan whole_image_plan(ConstImageView image,
+                                       int threshold = -1);
 
 /// Shared tuning knobs of the parallel rle labelers.
 struct RleConfig {

@@ -22,13 +22,11 @@
 // first scan layer in the repo supporting BOTH connectivities through one
 // code path.
 //
-// scan_runs_two_line / scan_runs_one_line mirror the masks of the pixel
-// kernels they twin (ARUN's two-line 8-mask, CCLREMSP's one-line tree). In
-// the run domain the two collapse to the same overlap walk — a run *is*
-// the d/e "continue left" chain the pixel masks chase — so the two-line
-// kernel is the 8-connected window and the one-line kernel dispatches on
-// connectivity; the distinct names pin which pixel kernel each replaces
-// and keep call sites greppable against their pixel twins.
+// One kernel, scan_runs, twins both pixel masks (ARUN's two-line 8-mask,
+// CCLREMSP's one-line tree): in the run domain they collapse to the same
+// overlap walk — a run *is* the d/e "continue left" chain the pixel masks
+// chase — so the 8-connected scan is window 1 and the 4-connected mask
+// {b, d} is window 0, whose d-neighbor is the run itself.
 //
 // Label-minima invariant (DESIGN.md §3, §8): the 8-connected scan issues
 // labels in the sequential TWO-LINE visit order (row pairs, column by
@@ -281,30 +279,6 @@ Label scan_runs(ConstImageView image, RunBuffer& runs, Equiv& eq,
     prev = cur;
   }
   return eq.used();
-}
-
-/// Run twin of scan_two_line (the ARUN/AREMSP 8-connected mask): the
-/// d-continues-e chain the pixel mask special-cases is a run by
-/// construction, and the b/a/c neighbor cases collapse into the
-/// one-union-per-overlapping-pair walk.
-template <class Equiv, class FeatureSink>
-Label scan_runs_two_line(ConstImageView image, RunBuffer& runs, Equiv& eq,
-                         FeatureSink& sink, Coord row_begin, Coord row_end,
-                         Coord col_begin, Coord col_end, int threshold = -1) {
-  return scan_runs(image, runs, eq, sink, /*window=*/1, row_begin, row_end,
-                   col_begin, col_end, threshold);
-}
-
-/// Run twin of scan_one_line (the CCLREMSP/CCLLRPC decision tree),
-/// dispatching the overlap window on connectivity — including the
-/// 4-connected mask {b, d}, whose d-neighbor is the run itself.
-template <class Equiv, class FeatureSink>
-Label scan_runs_one_line(ConstImageView image, RunBuffer& runs, Equiv& eq,
-                         FeatureSink& sink, Connectivity connectivity,
-                         Coord row_begin, Coord row_end, Coord col_begin,
-                         Coord col_end, int threshold = -1) {
-  return scan_runs(image, runs, eq, sink, run_overlap_window(connectivity),
-                   row_begin, row_end, col_begin, col_end, threshold);
 }
 
 }  // namespace paremsp

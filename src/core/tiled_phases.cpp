@@ -52,13 +52,9 @@ Label scan_tile(ConstImageView image, std::span<Label> parents,
                 int threshold) {
   RemEquiv eq(parents, tile.base, joins);
   NoFeatureSink sink;
-  return connectivity == Connectivity::Eight
-             ? scan_runs_two_line(image, runs, eq, sink, tile.row_begin,
-                                  tile.row_end, tile.col_begin, tile.col_end,
-                                  threshold)
-             : scan_runs_one_line(image, runs, eq, sink, connectivity,
-                                  tile.row_begin, tile.row_end,
-                                  tile.col_begin, tile.col_end, threshold);
+  return scan_runs(image, runs, eq, sink, run_overlap_window(connectivity),
+                   tile.row_begin, tile.row_end, tile.col_begin, tile.col_end,
+                   threshold);
 }
 
 Label scan_tile(ConstImageView image, std::span<Label> parents,
@@ -68,13 +64,9 @@ Label scan_tile(ConstImageView image, std::span<Label> parents,
                 int threshold) {
   RemEquiv eq(parents, tile.base, joins);
   analysis::FeatureAccumulator sink(cells);
-  return connectivity == Connectivity::Eight
-             ? scan_runs_two_line(image, runs, eq, sink, tile.row_begin,
-                                  tile.row_end, tile.col_begin, tile.col_end,
-                                  threshold)
-             : scan_runs_one_line(image, runs, eq, sink, connectivity,
-                                  tile.row_begin, tile.row_end,
-                                  tile.col_begin, tile.col_end, threshold);
+  return scan_runs(image, runs, eq, sink, run_overlap_window(connectivity),
+                   tile.row_begin, tile.row_end, tile.col_begin, tile.col_end,
+                   threshold);
 }
 
 namespace {

@@ -29,14 +29,12 @@
 //   5. rewrite_run_labels       — expand the resolved run labels into the
 //                                 output raster, the only write to it.
 //
-// Two pipelines compose these pieces: label_runs_impl
-// (core/rle_labelers.cpp — the rle labelers and the engine's sharded
-// requests, one parallel_for per phase) and the streaming slab session
-// (stream/slab_session.cpp, which reuses the scan and rewrite steps).
-// Keeping the steps here means they run the same audited kernel code;
-// nothing here starts a thread. Why
-// the renumber makes any grid bit-identical, and why its bands never
-// race, is argued at BandRenumber and in DESIGN.md §8.
+// One pipeline composes these pieces: label_runs_impl
+// (core/rle_labelers.cpp, one parallel_for per phase), which the rle
+// labelers, the engine's sharded requests and every stream slab run.
+// Nothing here starts a thread. Why the renumber makes any grid
+// bit-identical, and why its bands never race, is argued at
+// BandRenumber and in DESIGN.md §8.
 #pragma once
 
 #include <algorithm>

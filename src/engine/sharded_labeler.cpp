@@ -51,7 +51,12 @@ void LabelingEngine::run_sharded(Job& job) {
     const obs::Span span("shard.request", "engine");
     check_qos(job);
     scratch = take_shard_scratch();
-    if (!request.label_out.has_value()) maybe_adopt_recycled(*scratch);
+    // A stats- or count-only request skips the plane and the rewrite.
+    const bool labels =
+        request.outputs.labels || request.label_out.has_value();
+    if (labels && !request.label_out.has_value()) {
+      maybe_adopt_recycled(*scratch);
+    }
     analysis::ComponentStats stats;
     response = label_runs_impl(
         request.input, *request.connectivity, *scratch,
@@ -64,6 +69,7 @@ void LabelingEngine::run_sharded(Job& job) {
          .threshold = request.threshold.has_value()
                           ? static_cast<int>(*request.threshold * 255.0)
                           : -1,
+         .labels = labels,
          .label_out = request.label_out,
          .between_phases = [&] { check_qos(job); }});
     if (request.outputs.stats) response.stats = std::move(stats);
@@ -76,9 +82,6 @@ void LabelingEngine::run_sharded(Job& job) {
     return;
   }
   response.timings.queue_wait_ms = queue_wait_ms;
-  if (!request.outputs.labels) {
-    recycle(std::exchange(response.labels, LabelImage{}));
-  }
   // Count before fulfilling: a caller returning from future.get() must
   // already observe the completion in stats().
   shard_tasks_completed_.fetch_add(3 * response.timings.counters.tiles,

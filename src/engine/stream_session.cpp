@@ -18,7 +18,6 @@
 
 #include "common/contracts.hpp"
 #include "engine/engine.hpp"
-#include "obs/trace.hpp"
 
 namespace paremsp::engine {
 
@@ -160,8 +159,9 @@ void StreamSession::step() {
         "stream session deadline expired; remaining slabs shed"));
   } else {
     try {
+      // The core session opens the op's one stream.slab / stream.finish
+      // span itself.
       if (op.is_finish) {
-        obs::Span span("stream.finish", "stream");
         stream::StreamResult done = core_.finish();
         // Count before fulfilling: a caller returning from future.get()
         // must already observe the completion in stats().
@@ -169,7 +169,6 @@ void StreamSession::step() {
             1, std::memory_order_relaxed);
         op.finish_promise.set_value(std::move(done));
       } else {
-        obs::Span span("stream.slab", "stream");
         stream::SlabResult result = core_.push_slab(op.view);
         engine_.stream_slabs_completed_.fetch_add(1,
                                                   std::memory_order_relaxed);

@@ -1,8 +1,8 @@
-// SlabSession implementation: per-slab scan/merge/flatten over the
-// existing run kernels, plus the session-global tracking forest that
-// carries component identity across slabs. See slab_session.hpp for the
-// dataflow; the invariants each step relies on are restated inline where
-// they are used.
+// SlabSession implementation: each slab is labeled by the one run
+// pipeline (label_runs_impl, aremsp_rle's one-tile plan); what stays here
+// is the session-global tracking forest that carries component identity
+// across slabs. See slab_session.hpp for the dataflow; the invariants
+// each step relies on are restated inline where they are used.
 #include "stream/slab_session.hpp"
 
 #include <algorithm>
@@ -11,11 +11,8 @@
 #include <utility>
 
 #include "common/contracts.hpp"
-#include "core/equiv_policies.hpp"
-#include "core/scan_two_line.hpp"  // NoFeatureSink
-#include "core/tiled_phases.hpp"
+#include "core/rle_labelers.hpp"
 #include "obs/trace.hpp"
-#include "unionfind/rem.hpp"
 
 namespace paremsp::stream {
 
@@ -23,29 +20,20 @@ namespace {
 
 constexpr std::int64_t kNoKey = std::numeric_limits<std::int64_t>::max();
 
-/// FeatureAccumulator twin that shifts rows into GLOBAL coordinates: the
-/// scan kernels see slab-local rows, but the fused stats must be
-/// bit-identical to one-shot labeling of the concatenated image, whose
-/// cells accumulate global rows. Shifting at the accumulation hook keeps
-/// the closed-form add_run sums exact (r enters them linearly).
-class OffsetFeatureSink {
- public:
-  OffsetFeatureSink(std::span<analysis::FeatureCell> cells,
-                    Coord row_offset) noexcept
-      : cells_(cells), off_(row_offset) {}
-
-  void fresh(Label l) noexcept { cells_[static_cast<std::size_t>(l)] = {}; }
-  void add(Label l, Coord r, Coord c) noexcept {
-    cells_[static_cast<std::size_t>(l)].add_pixel(r + off_, c);
-  }
-  void add_run(Label l, Coord r, Coord col_begin, Coord col_end) noexcept {
-    cells_[static_cast<std::size_t>(l)].add_run(r + off_, col_begin, col_end);
-  }
-
- private:
-  std::span<analysis::FeatureCell> cells_;
-  Coord off_;
-};
+/// A slab component's exact sums as a cell in GLOBAL rows: the one-shot
+/// cells of the concatenated image accumulate global rows, and shifting
+/// every pixel's row by `row_offset` shifts row_sum by area * row_offset
+/// exactly.
+analysis::FeatureCell global_cell(const analysis::ComponentInfo& info,
+                                  Coord row_offset) noexcept {
+  return {.area = info.area,
+          .row_min = info.bbox.row_min + row_offset,
+          .col_min = info.bbox.col_min,
+          .row_max = info.bbox.row_max + row_offset,
+          .col_max = info.bbox.col_max,
+          .row_sum = info.row_sum + info.area * row_offset,
+          .col_sum = info.col_sum};
+}
 
 }  // namespace
 
@@ -101,20 +89,6 @@ Label SlabSession::track_new() {
   return t;
 }
 
-Label SlabSession::scan_slab(ConstImageView slab, std::span<Label> parents,
-                             std::span<analysis::FeatureCell> cells,
-                             RunBuffer& runs) {
-  RemEquiv eq(parents);
-  if (options_.stats) {
-    OffsetFeatureSink sink(cells, global_row_);
-    return scan_runs_one_line(slab, runs, eq, sink, options_.connectivity, 0,
-                              slab.rows(), 0, options_.cols, cutoff_);
-  }
-  NoFeatureSink sink;
-  return scan_runs_one_line(slab, runs, eq, sink, options_.connectivity, 0,
-                            slab.rows(), 0, options_.cols, cutoff_);
-}
-
 SlabResult SlabSession::push_slab(ConstImageView slab) {
   PAREMSP_REQUIRE(!finished_,
                   "push_slab on a finished session (finish() was called)");
@@ -124,158 +98,98 @@ SlabResult SlabSession::push_slab(ConstImageView slab) {
   PAREMSP_REQUIRE(static_cast<std::int64_t>(global_row_) + slab.rows() <=
                       std::numeric_limits<Coord>::max(),
                   "stream height exceeds the Coord range");
-
-  obs::Span span("stream.slab", "stream");
-
-  const Coord rows = slab.rows();
-  const Coord cols = options_.cols;
-  const std::size_t m = carried_runs_.size();
-  const std::size_t label_space =
-      static_cast<std::size_t>(slab.size()) + 1 + m;
+  const std::size_t label_space = static_cast<std::size_t>(slab.size()) + 1;
   PAREMSP_REQUIRE(label_space < (std::size_t{1} << 31),
                   "slab label space must fit in the Label range");
 
-  std::span<Label> parents = scratch_.parents(label_space);
-  std::span<analysis::FeatureCell> cells;
-  if (options_.stats) cells = scratch_.feature_cells(label_space);
-  RunBuffer& runs = scratch_.run_buffers(1)[0];
+  obs::Span span("stream.slab", "stream");
 
-  // 1. Scan the slab into a fresh forest of `used` provisional labels.
-  const Label used = scan_slab(slab, parents, cells, runs);
+  // 1. Label the slab on its own with aremsp_rle's one-tile plan: the
+  // dense ids 1..local_components are the slab's one-shot canonical
+  // labels. By label_runs_impl's postcondition the slab's runs stay in
+  // the scratch, each resolving to its dense id through `dense_of`.
+  RunPlan plan = whole_image_plan(slab, cutoff_);
+  plan.labels = options_.labels;
+  LabelResponse labeled =
+      label_runs_impl(slab, options_.connectivity, scratch_,
+                      options_.stats ? &slab_stats_ : nullptr, plan);
+  const Label local_components = labeled.num_components;
+  const RunBuffer& runs = scratch_.run_buffers(1)[0];
+  const std::span<const Label> dense_of = scratch_.parents(label_space);
+  const Coord rows = slab.rows();
+  const std::size_t m = carried_runs_.size();
 
-  // 2. Embed the carried seam runs as reserved slots above the slab's
-  // labels and seam-merge them against the first row. REM roots every
-  // class at its minimum; the minimum of any class a slot joins is a
-  // LOCAL label (slots are the largest indices), so a slot's parent
-  // pointer leaves self exactly when its component continues here.
-  for (std::size_t j = 0; j < m; ++j) {
-    const Label slot = used + 1 + static_cast<Label>(j);
-    parents[static_cast<std::size_t>(slot)] = slot;
-    carried_runs_[j].label = slot;
+  // 2. Unite the seam at track level: every first-row run overlapping a
+  // carried run (whose label is its track) ties its dense id to that
+  // track. Two carried runs with DIFFERENT tracks landing on one dense id
+  // is this slab uniting two components that were separate at the seam;
+  // two dense ids carrying the SAME track root were already one global
+  // component — which is why open components are counted by track roots,
+  // never dense ids.
+  dense_track_.assign(static_cast<std::size_t>(local_components) + 1, 0);
+  unite_overlapping_runs(
+      runs.row(0), std::span<const Run>(carried_runs_), window_,
+      [this, dense_of](Label run_label, Label carried_track) {
+        const Label t = track_find(carried_track);
+        Label& assigned = dense_track_[static_cast<std::size_t>(
+            dense_of[static_cast<std::size_t>(run_label)])];
+        const Label r = assigned == 0 ? t : track_find(assigned);
+        // Link the larger root under the smaller: parents keep pointing
+        // downward, preserving finish()'s single increasing flatten pass.
+        const Label lo = std::min(r, t);
+        track_parent_[static_cast<std::size_t>(std::max(r, t))] = lo;
+        assigned = lo;
+      });
+  // Every dense id now names its track ROOT (seam links are done); a
+  // dense id no carried run reached opens a fresh track.
+  for (Label d = 1; d <= local_components; ++d) {
+    Label& t = dense_track_[static_cast<std::size_t>(d)];
+    t = t == 0 ? track_new() : track_find(t);
   }
-  if (m > 0) {
-    unite_overlapping_runs(
-        std::span<const Run>(runs.row(0)),
-        std::span<const Run>(carried_runs_.data(), m), window_,
-        [&parents](Label x, Label y) {
-          uf::rem_unite(parents.data(), x, y);
-        });
-  }
+  const auto track_of = [&](const Run& run) {
+    return dense_track_[static_cast<std::size_t>(
+        dense_of[static_cast<std::size_t>(run.label)])];
+  };
 
-  // 3. FLATTEN in one increasing pass (parents point downward), handing
-  // out dense local ids 1..local_components to local roots. A carried
-  // slot still self-parented CLOSED before this slab — connectivity
-  // needs row adjacency, so it can never reappear — and resolves to the
-  // background sentinel in the per-slab table.
-  Label local_components = 0;
-  const Label top = used + static_cast<Label>(m);
-  for (Label i = 1; i <= top; ++i) {
-    Label& p = parents[static_cast<std::size_t>(i)];
-    if (p < i) {
-      p = parents[static_cast<std::size_t>(p)];
-    } else if (i <= used) {
-      p = ++local_components;
-    } else {
-      p = 0;
-    }
-  }
-
-  // 4a. Min-fold every run's GLOBAL first-appearance key into its dense
-  // id. Per-run, not per-dense-root-at-carry: a slab starting on an odd
-  // global row straddles a two-line pair, so a local run can precede the
-  // carried seam in visit order — only the min over all runs is safe.
-  local_min_key_.assign(static_cast<std::size_t>(local_components) + 1,
-                        kNoKey);
+  // 3. Min-fold every run's GLOBAL first-appearance key into its track.
+  // Per run, not per dense id: a slab starting on an odd global row
+  // straddles a two-line pair, so a slab's canonical first run need not
+  // be the component's first in the global visit order.
   for (Coord r = 0; r < rows; ++r) {
     const std::int64_t global_r = static_cast<std::int64_t>(global_row_) + r;
     for (const Run& run : runs.row(r)) {
-      const Label d = parents[static_cast<std::size_t>(run.label)];
-      const std::int64_t key = first_appearance_key(global_r, run.col_begin);
-      std::int64_t& mk = local_min_key_[static_cast<std::size_t>(d)];
-      if (key < mk) mk = key;
-    }
-  }
-
-  // 4b. Fold the slab into the tracking forest. Two carried runs with
-  // DIFFERENT tracks landing on one dense id is this slab uniting two
-  // components that were separate at the seam; two dense ids carrying
-  // the SAME track root were already one global component — which is why
-  // open components are counted by track roots, never local ids.
-  dense_track_.assign(static_cast<std::size_t>(local_components) + 1, 0);
-  for (std::size_t j = 0; j < m; ++j) {
-    const Label d =
-        parents[static_cast<std::size_t>(used + 1 + static_cast<Label>(j))];
-    if (d == 0) continue;  // closed component, already fully tracked
-    const Label t = track_find(carried_tracks_[j]);
-    Label& assigned = dense_track_[static_cast<std::size_t>(d)];
-    if (assigned == 0) {
-      assigned = t;
-      continue;
-    }
-    const Label r = track_find(assigned);
-    if (r == t) {
-      assigned = r;
-      continue;
-    }
-    // Link the larger root under the smaller: parents keep pointing
-    // downward, preserving finish()'s single increasing flatten pass.
-    const Label lo = r < t ? r : t;
-    const Label hi = r < t ? t : r;
-    track_parent_[static_cast<std::size_t>(hi)] = lo;
-    assigned = lo;
-  }
-  for (Label d = 1; d <= local_components; ++d) {
-    Label& t = dense_track_[static_cast<std::size_t>(d)];
-    if (t == 0) t = track_new();
-  }
-  dense_root_.assign(static_cast<std::size_t>(local_components) + 1, 0);
-  for (Label d = 1; d <= local_components; ++d) {
-    dense_root_[static_cast<std::size_t>(d)] =
-        track_find(dense_track_[static_cast<std::size_t>(d)]);
-  }
-  for (Label d = 1; d <= local_components; ++d) {
-    const Label root = dense_root_[static_cast<std::size_t>(d)];
-    std::int64_t& mk = track_min_key_[static_cast<std::size_t>(root)];
-    if (local_min_key_[static_cast<std::size_t>(d)] < mk) {
-      mk = local_min_key_[static_cast<std::size_t>(d)];
+      std::int64_t& mk =
+          track_min_key_[static_cast<std::size_t>(track_of(run))];
+      mk = std::min(mk, first_appearance_key(global_r, run.col_begin));
     }
   }
   if (options_.stats) {
     // Cells are order-independent partial sums, so folding per slab into
     // the CURRENT root is exact: finish() merges roots that unite later.
-    for (Label l = 1; l <= used; ++l) {
-      const Label d = parents[static_cast<std::size_t>(l)];
+    for (Label d = 1; d <= local_components; ++d) {
       track_cells_[static_cast<std::size_t>(
-                       dense_root_[static_cast<std::size_t>(d)])]
-          .merge(cells[static_cast<std::size_t>(l)]);
+                       dense_track_[static_cast<std::size_t>(d)])]
+          .merge(global_cell(
+              slab_stats_.components[static_cast<std::size_t>(d) - 1],
+              global_row_));
     }
   }
 
-  // 4c. The condensed per-slab remap: dense local id -> track id,
+  // 4. The condensed per-slab remap: dense id -> track id,
   // O(components) per slab. finish() resolves these to final labels.
   slab_tracks_.emplace_back(
-      dense_root_.begin(),
-      dense_root_.begin() + static_cast<std::size_t>(local_components) + 1);
+      dense_track_.begin(),
+      dense_track_.begin() + static_cast<std::size_t>(local_components) + 1);
 
-  // Expand the runs into the output plane as dense local ids.
-  LabelImage plane;
-  if (options_.labels) {
-    plane = scratch_.acquire_plane(rows, cols, LabelScratch::PlaneInit::Dirty);
-    const TileSpec tile{0, rows, 0, cols, 0, used};
-    rewrite_run_labels(runs, parents, tile, MutableImageView(plane));
-  }
-
-  // 5. The slab's bottom-row runs become the next carried seam.
+  // The slab's bottom-row runs, labeled with their tracks, become the
+  // next carried seam.
   const std::span<const Run> bottom = runs.row(rows - 1);
   const std::size_t seam_out = bottom.size();
   carried_runs_.assign(bottom.begin(), bottom.end());
-  carried_tracks_.resize(seam_out);
   open_scratch_.clear();
-  for (std::size_t i = 0; i < seam_out; ++i) {
-    const Label root = dense_root_[static_cast<std::size_t>(
-        parents[static_cast<std::size_t>(bottom[i].label)])];
-    carried_tracks_[i] = root;
-    open_scratch_.push_back(root);
+  for (Run& run : carried_runs_) {
+    run.label = track_of(run);
+    open_scratch_.push_back(run.label);
   }
   std::sort(open_scratch_.begin(), open_scratch_.end());
   const auto open = static_cast<Label>(
@@ -284,14 +198,15 @@ SlabResult SlabSession::push_slab(ConstImageView slab) {
 
   const std::size_t working =
       label_space * sizeof(Label) +
-      (options_.stats ? label_space * sizeof(analysis::FeatureCell) : 0) +
+      (options_.stats
+           ? label_space * sizeof(analysis::FeatureCell) +
+                 slab_stats_.components.capacity() *
+                     sizeof(analysis::ComponentInfo)
+           : 0) +
       runs.size() * sizeof(Run) +
       (options_.labels ? static_cast<std::size_t>(slab.size()) * sizeof(Label)
                        : 0) +
-      local_min_key_.capacity() * sizeof(std::int64_t) +
-      (dense_track_.capacity() + dense_root_.capacity() +
-       open_scratch_.capacity()) *
-          sizeof(Label);
+      (dense_track_.capacity() + open_scratch_.capacity()) * sizeof(Label);
   slab_working_high_water_ = std::max(slab_working_high_water_, working);
 
   SlabResult result;
@@ -299,7 +214,7 @@ SlabResult SlabSession::push_slab(ConstImageView slab) {
   result.rows = rows;
   result.slab_index = slab_index_;
   result.local_components = local_components;
-  if (options_.labels) result.labels = std::move(plane);
+  result.labels = std::move(labeled.labels);
   result.runs = runs.size();
   result.carried_in = m;
   result.seam_runs_out = seam_out;
@@ -399,8 +314,6 @@ StreamResult SlabSession::finish() {
   // (harmless — callers usually destroy it right after).
   carried_runs_.clear();
   carried_runs_.shrink_to_fit();
-  carried_tracks_.clear();
-  carried_tracks_.shrink_to_fit();
   track_parent_.clear();
   track_parent_.shrink_to_fit();
   track_min_key_.clear();
@@ -414,7 +327,6 @@ StreamResult SlabSession::finish() {
 
 std::size_t SlabSession::seam_state_bytes() const noexcept {
   std::size_t bytes = carried_runs_.capacity() * sizeof(Run) +
-                      carried_tracks_.capacity() * sizeof(Label) +
                       track_parent_.capacity() * sizeof(Label) +
                       track_min_key_.capacity() * sizeof(std::int64_t) +
                       track_cells_.capacity() * sizeof(analysis::FeatureCell);

@@ -36,26 +36,26 @@
 // How a slab is processed (single-threaded; the ENGINE provides
 // cross-slab pipelining, see engine/stream_session.hpp):
 //
-//   1. scan the slab with the existing run kernels into a fresh
-//      parent forest of `used` provisional labels (local rows);
-//   2. embed the m carried seam runs as reserved parent slots
-//      used+1..used+m and seam-merge them against the slab's first row
-//      (unite_overlapping_runs — the same one-union-per-overlapping-pair
-//      sweep the tile seams use). REM keeps every class rooted at its
-//      minimum, and the minimum of any class touching a carried slot is
-//      a LOCAL label, so carried slots never become roots of live
-//      classes;
-//   3. one increasing-order flatten pass assigns dense local ids
-//      1..local_components; a carried slot still self-parented after the
-//      merge is a component that just CLOSED (row adjacency means it can
-//      never reappear) and resolves to a sentinel;
-//   4. fold the slab into the session-global tracking forest: each dense
-//      id maps to a track (new, or united with the tracks its carried
-//      runs brought in), and per-track min first-appearance key and
-//      FeatureCell absorb the slab's contribution;
-//   5. the slab's bottom-row runs plus their track ids become the next
-//      carried seam; a per-slab table dense id -> track id is appended
-//      (the "condensed parent remap" — O(components), not O(pixels)).
+//   1. label the slab on its own through the one run pipeline
+//      (label_runs_impl with aremsp_rle's one-tile plan,
+//      core/rle_labelers.hpp): the dense ids 1..local_components are
+//      the slab's own one-shot canonical labels, and the slab's runs
+//      with their dense ids stay in the session's scratch;
+//   2. unite the seam at track level: every first-row run overlapping
+//      a carried seam run (unite_overlapping_runs — the same
+//      one-union-per-overlapping-pair sweep the tile seams use) ties
+//      its dense id to the carried run's track, linking tracks when one
+//      dense id reaches several. Dense ids no carried run reaches open
+//      fresh tracks; a carried component no first-row run reaches has
+//      simply closed (row adjacency means it can never reappear);
+//   3. fold the slab into the session-global tracking forest: per-run
+//      global first-appearance keys min-fold into each track, and the
+//      slab's per-component stats (rows shifted to global) merge into
+//      each track's FeatureCell;
+//   4. the slab's bottom-row runs, labeled with their track ids, become
+//      the next carried seam; a per-slab table dense id -> track id is
+//      appended (the "condensed parent remap" — O(components), not
+//      O(pixels)).
 //
 // finish() flattens the tracking forest, ranks live tracks by their
 // global first-appearance key to assign final labels 1..K, resolves the
@@ -64,8 +64,8 @@
 // Memory: steady-state pushes allocate nothing (LabelScratch pools the
 // parent/cell/run/plane storage; the track arrays grow by components,
 // not pixels). seam_state_bytes() + slab_working_bytes() is the resident
-// footprint a bench can hold against one-shot peak (bench/
-// throughput_stream.cpp asserts the inequality and reports both).
+// footprint; tests/test_stream.cpp holds it below the one-shot working
+// set once an image spans at least four slabs.
 #pragma once
 
 #include <cstdint>
@@ -115,10 +115,11 @@ struct SlabResult {
   /// Position of the slab in the stream (0-based push order).
   std::size_t slab_index = 0;
 
-  /// Components touching this slab, numbered 1..local_components in
-  /// slab scan first-appearance order. LOCAL ids: the same global
-  /// component reappearing in a later slab gets an unrelated local id
-  /// there; finish()'s per-slab tables reconcile them.
+  /// Components of the slab taken alone, numbered 1..local_components
+  /// exactly as one-shot aremsp_rle labels the slab by itself. LOCAL
+  /// ids: one global component may own several of them (joined through
+  /// rows outside the slab), and reappearing in a later slab it gets
+  /// unrelated ids there; finish()'s per-slab tables reconcile them.
   Label local_components = 0;
 
   /// The slab's label plane with local dense ids (engaged storage iff
@@ -202,8 +203,8 @@ class SlabSession {
   /// height, and it grows with COMPONENTS, not pixels.
   [[nodiscard]] std::size_t seam_state_bytes() const noexcept;
 
-  /// High-water bytes of per-slab scratch (parents, cells, run buffer,
-  /// planes) across pushes so far. seam_state_bytes() + this is the
+  /// High-water bytes of per-slab scratch (parents, cells, stats, run
+  /// buffer, planes) across pushes so far. seam_state_bytes() + this is the
   /// session's resident footprint.
   [[nodiscard]] std::size_t slab_working_bytes() const noexcept {
     return slab_working_high_water_;
@@ -223,11 +224,6 @@ class SlabSession {
   /// Allocate a fresh track id (parent = self, key = +inf, empty cell).
   [[nodiscard]] Label track_new();
 
-  /// Scan one slab's runs into `parents`, folding fused stats in global
-  /// rows when enabled; returns provisional labels issued.
-  Label scan_slab(ConstImageView slab, std::span<Label> parents,
-                  std::span<analysis::FeatureCell> cells, RunBuffer& runs);
-
   StreamOptions options_;
   Coord window_ = 1;   // run_overlap_window(connectivity)
   int cutoff_ = -1;    // integer threshold cutoff; -1 = binary input
@@ -236,14 +232,15 @@ class SlabSession {
   std::size_t slab_index_ = 0;
 
   LabelScratch scratch_;  // per-slab parents/cells/runs/planes (pooled)
+  analysis::ComponentStats slab_stats_;  // per-slab stats (stats only)
 
   // ---- Seam state carried between slabs --------------------------------
-  std::vector<Run> carried_runs_;      // bottom-row runs of the last slab
-  std::vector<Label> carried_tracks_;  // track id per carried run
+  // Bottom-row runs of the last slab; each run's label is its track.
+  std::vector<Run> carried_runs_;
   // Tracking union-find over session-global components, 1-based,
   // append-only. Unites link the larger root under the smaller, so
   // parents always point downward and finish() flattens in one
-  // increasing pass — the same invariant REM gives the per-slab forest.
+  // increasing pass.
   std::vector<Label> track_parent_;
   std::vector<std::int64_t> track_min_key_;         // at roots
   std::vector<analysis::FeatureCell> track_cells_;  // at roots (stats only)
@@ -251,9 +248,7 @@ class SlabSession {
   std::vector<std::vector<Label>> slab_tracks_;
 
   // ---- Per-slab scratch (members only to stay allocation-free) ---------
-  std::vector<std::int64_t> local_min_key_;
-  std::vector<Label> dense_track_;
-  std::vector<Label> dense_root_;
+  std::vector<Label> dense_track_;  // dense id -> track root ([0] = 0)
   std::vector<Label> open_scratch_;
 
   std::size_t slab_working_high_water_ = 0;

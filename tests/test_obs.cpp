@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
 #include <set>
 #include <sstream>
 #include <string>
@@ -20,6 +21,7 @@
 #include "core/request.hpp"
 #include "engine/engine.hpp"
 #include "engine/job_queue.hpp"
+#include "engine/stream_session.hpp"
 #include "image/generators.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
@@ -505,6 +507,50 @@ TEST(ObsTrace, TracedShardedRleRunShowsAllFourPhases) {
     }
   }
   EXPECT_TRUE(worker_track);
+}
+
+TEST(ObsTrace, StatsOnlyShardedRequestSkipsTheRewrite) {
+  const BinaryImage image = gen::landcover_like(128, 192, 555);
+  LabelingEngine eng({.workers = 2});
+  LabelRequest request;
+  request.input = image;
+  request.outputs.stats = true;
+  request.shard = ShardOptions{.tile_rows = 48, .tile_cols = 64};
+  const LabelResponse full = eng.submit(request).get();
+
+  request.outputs.labels = false;
+  obs::TraceSession session;
+  const LabelResponse stats_only = eng.submit(request).get();
+  const obs::TraceReport report = session.stop();
+  EXPECT_TRUE(stats_only.labels.empty());
+  EXPECT_EQ(stats_only.num_components, full.num_components);
+  ASSERT_TRUE(stats_only.stats.has_value());
+  EXPECT_EQ(stats_only.stats->components, full.stats->components);
+  EXPECT_EQ(count_events(report, "shard.request"), 1u);
+  EXPECT_EQ(count_events(report, "rle.rewrite.tile"), 0u);
+}
+
+TEST(ObsTrace, EngineStreamRecordsOneSpanPerOp) {
+  constexpr Coord kSlabRows = 8;
+  constexpr std::size_t kSlabs = 5;
+  const BinaryImage image =
+      gen::landcover_like(kSlabRows * static_cast<Coord>(kSlabs), 64, 77);
+  LabelingEngine eng({.workers = 2});
+  engine::StreamConfig config;
+  config.options.cols = image.cols();
+
+  obs::TraceSession session;
+  auto stream = eng.open_stream(config);
+  std::vector<std::future<stream::SlabResult>> slabs;
+  for (std::size_t k = 0; k < kSlabs; ++k) {
+    slabs.push_back(stream->push_slab(ConstImageView(image).subview(
+        static_cast<Coord>(k) * kSlabRows, 0, kSlabRows, image.cols())));
+  }
+  for (auto& slab : slabs) (void)slab.get();
+  (void)stream->finish().get();
+  const obs::TraceReport report = session.stop();
+  EXPECT_EQ(count_events(report, "stream.slab"), kSlabs);
+  EXPECT_EQ(count_events(report, "stream.finish"), 1u);
 }
 
 // --- Engine stats: queue backlog + failed-latency split --------------------

@@ -96,7 +96,13 @@ void expect_stream_matches(ConstImageView input, StreamOptions opts,
     EXPECT_EQ(slab.carried_in, carried_prev) << context;
     EXPECT_LE(slab.open_components, slab.seam_runs_out) << context;
     carried_prev = slab.seam_runs_out;
-    if (opts.labels) planes.push_back(std::move(slab.labels));
+    if (opts.labels) {
+      // A slab's plane is one-shot labeling of that slab alone.
+      EXPECT_EQ(slab.labels,
+                one_shot(input.subview(consumed, 0, take, cols), opts).labels)
+          << context << " slab " << k;
+      planes.push_back(std::move(slab.labels));
+    }
     consumed += take;
   }
   const std::size_t slabs = session.slabs_pushed();
@@ -257,6 +263,40 @@ TEST(Stream, SingleColumnAndSingleRowGeometries) {
     opts.stats = true;
     expect_stream_matches(ConstImageView(wide), opts, {Coord{1}},
                           "1x64 row, single slab");
+  }
+}
+
+TEST(Stream, ResidentFootprintStaysBelowOneShotWorkingSet) {
+  // The streaming memory contract: once an image spans at least four
+  // slabs, the seam state's high-water plus one slab's working set stays
+  // below one-shot run-based AREMSP's working set — the label plane plus
+  // a provisional parent array of n/2 + 2 labels, 4n + 4(n/2 + 2) bytes
+  // (the input is borrowed on both paths, so it cancels out).
+  const Coord rows = 1024, cols = 192;
+  const std::size_t n =
+      static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols);
+  const std::size_t one_shot_bytes =
+      n * sizeof(Label) + (n / 2 + 2) * sizeof(Label);
+  const BinaryImage landcover = gen::landcover_like(rows, cols, 2014);
+  const BinaryImage noise = gen::uniform_noise(rows, cols, 0.5, 2014);
+  for (const BinaryImage* image : {&landcover, &noise}) {
+    for (const Coord slab_rows : {Coord{64}, Coord{256}}) {
+      StreamOptions opts;
+      opts.cols = cols;
+      SlabSession session(opts);
+      std::size_t seam_peak = 0;
+      for (Coord r = 0; r < rows; r += slab_rows) {
+        const ConstImageView slab =
+            ConstImageView(*image).subview(r, 0, slab_rows, cols);
+        session.recycle(std::move(session.push_slab(slab).labels));
+        seam_peak = std::max(seam_peak, session.seam_state_bytes());
+      }
+      ASSERT_GE(session.slabs_pushed(), 4u);
+      EXPECT_LT(seam_peak + session.slab_working_bytes(), one_shot_bytes)
+          << (image == &noise ? "noise" : "landcover") << ", " << slab_rows
+          << "-row slabs: seam peak " << seam_peak << " B + slab working "
+          << session.slab_working_bytes() << " B";
+    }
   }
 }
 
