@@ -27,6 +27,10 @@ LabelResponse label_runs_impl(ConstImageView image, Connectivity connectivity,
   // phase timings partition total_ms (the exporters' reconcile contract).
   WallTimer phase;
   LabelResponse result;
+  // First, so an image whose label range overflows Label is refused
+  // before any pixel-sized allocation.
+  std::vector<TileSpec> tiles = make_tile_grid(
+      image.rows(), image.cols(), plan.tile_rows, plan.tile_cols);
   if (plan.labels && !plan.label_out.has_value()) {
     result.labels = scratch.acquire_plane(image.rows(), image.cols(),
                                           LabelScratch::PlaneInit::Dirty);
@@ -39,8 +43,6 @@ LabelResponse label_runs_impl(ConstImageView image, Connectivity connectivity,
   const std::int64_t work = image.size();
   const int threads = plan.threads;
 
-  std::vector<TileSpec> tiles = make_tile_grid(
-      image.rows(), image.cols(), plan.tile_rows, plan.tile_cols);
   const std::size_t label_space = static_cast<std::size_t>(image.size()) + 1;
   std::span<Label> p = scratch.parents(label_space);
   std::span<RunBuffer> tile_runs = scratch.run_buffers(tiles.size());

@@ -12,6 +12,7 @@ void RunBuffer::extract(ConstImageView image, Coord row_begin, Coord row_end,
       row_end > row_begin ? static_cast<std::size_t>(row_end - row_begin) : 0;
   if (offsets_.size() < nrows + 1) offsets_.resize(nrows + 1);
   offsets_[0] = 0;
+  issued_.assign(nrows + 1, 0);
 
   for (Coord r = row_begin; r < row_end; ++r) {
     if (threshold >= 0) {

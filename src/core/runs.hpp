@@ -34,8 +34,9 @@
 // scan in row-major run order, so under REM every component's root is its
 // first run in the SAME order the canonical renumber walks
 // (BandRenumber) — which is what lets the rle labelers stay bit-identical
-// to sequential AREMSP, and lets pair-aligned full-width tile bands number
-// components in plain label order instead of walking their runs.
+// to sequential AREMSP, and lets pair-aligned tile bands number components
+// by walking each unit's fresh labels (RunBuffer::issued_through) instead
+// of their runs.
 #pragma once
 
 #include <bit>
@@ -68,6 +69,15 @@ struct Run {
 /// (one per chunk/tile so concurrent scans never share one). Runs are
 /// appended row by row in increasing row order and stay sorted by
 /// col_begin within each row; row(r) is an O(1) slice via offsets.
+///
+/// The scan also records, per row, how many labels the rectangle had
+/// issued when it finished the scan UNIT holding that row
+/// (issued_through): a unit is one row for 4-connectivity and one
+/// two-line row pair for 8-connectivity, so both rows of a pair read the
+/// pair's value. The fresh labels of a unit spanning rows [f, l] are then
+/// the contiguous range (issued_through(f - 1), issued_through(l)] above
+/// the rectangle's base, which is what lets the canonical renumber
+/// (BandRenumber) walk labels instead of runs. O(rows), pooled.
 class RunBuffer {
  public:
   RunBuffer() = default;
@@ -96,6 +106,17 @@ class RunBuffer {
     return {runs_.data() + offsets_[i], offsets_[i + 1] - offsets_[i]};
   }
 
+  /// Labels issued through the unit holding row r, counted from the
+  /// rectangle's base (row_begin() - 1 <= r < row_end(); row_begin() - 1
+  /// reads 0). Written by scan_runs; 0 for rows no scan has reached.
+  [[nodiscard]] Label issued_through(Coord r) const noexcept {
+    return issued_[static_cast<std::size_t>(r - row_begin_) + 1];
+  }
+  /// Record `used` as issued_through(r) (scan_runs, after each unit).
+  void set_issued_through(Coord r, Label used) noexcept {
+    issued_[static_cast<std::size_t>(r - row_begin_) + 1] = used;
+  }
+
   /// All runs of the rectangle, row-major, col-sorted within each row.
   [[nodiscard]] std::span<const Run> all() const noexcept { return runs_; }
 
@@ -106,6 +127,7 @@ class RunBuffer {
  private:
   std::vector<Run> runs_;
   std::vector<std::size_t> offsets_;  // size (row_end - row_begin) + 1
+  std::vector<Label> issued_;         // [0] is row_begin - 1, then per row
   Coord row_begin_ = 0;
   Coord row_end_ = 0;
   RowBits bits_;  // encoder scratch, pooled with the buffer
@@ -150,9 +172,8 @@ void merge_row_runs(std::span<Run> cur, std::span<const Run> prev, Coord r,
 /// by the previous pair); the lower row is two rows away from it and
 /// never adjacent. Issuing labels in this order makes every fresh-label
 /// event coincide with a component's two-line first appearance, so the
-/// canonical renumber (BandRenumber) collapses to label order for
-/// pair-aligned full-width tile bands — the single-tile / row-band fast
-/// path skips the run walk entirely.
+/// canonical renumber (BandRenumber) walks a pair-aligned band's fresh
+/// labels pair by pair instead of its runs.
 ///
 /// Within the pair, the LATER-visited run of an adjacent (upper, lower)
 /// pair records the equivalence, and at most one earlier-visited run of
@@ -254,8 +275,9 @@ void unite_overlapping_runs(std::span<const Run> cur,
 /// as background (chunking/tiling contract of the pixel kernels); the
 /// suppressed cross-boundary adjacencies are restored by the run seam
 /// merges. `threshold` >= 0 scans a grayscale image through the fused
-/// pixel > threshold encoder (see RunBuffer::extract). Returns the number
-/// of provisional labels issued through `eq`.
+/// pixel > threshold encoder (see RunBuffer::extract). Records
+/// RunBuffer::issued_through after each unit (row, or row pair) and
+/// returns the number of provisional labels issued through `eq`.
 template <class Equiv, class FeatureSink>
 Label scan_runs(ConstImageView image, RunBuffer& runs, Equiv& eq,
                 FeatureSink& sink, Coord window, Coord row_begin,
@@ -269,6 +291,8 @@ Label scan_runs(ConstImageView image, RunBuffer& runs, Equiv& eq,
       const std::span<Run> lower =
           r + 1 < row_end ? runs.row(r + 1) : std::span<Run>{};
       merge_row_pair_runs(upper, lower, prev, r, eq, sink);
+      runs.set_issued_through(r, eq.used());
+      if (r + 1 < row_end) runs.set_issued_through(r + 1, eq.used());
       prev = lower;  // the next pair's row above (unused after the last)
     }
     return eq.used();
@@ -276,6 +300,7 @@ Label scan_runs(ConstImageView image, RunBuffer& runs, Equiv& eq,
   for (Coord r = row_begin; r < row_end; ++r) {
     const std::span<Run> cur = runs.row(r);
     merge_row_runs(cur, prev, r, window, eq, sink);
+    runs.set_issued_through(r, eq.used());
     prev = cur;
   }
   return eq.used();

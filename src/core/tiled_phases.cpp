@@ -1,6 +1,7 @@
 #include "core/tiled_phases.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/contracts.hpp"
 #include "core/equiv_policies.hpp"
@@ -15,15 +16,18 @@ std::vector<TileSpec> make_tile_grid(Coord rows, Coord cols, Coord tile_rows,
                   "tiles must be at least 1x1");
   std::vector<TileSpec> tiles;
   if (rows <= 0 || cols <= 0) return tiles;
+  PAREMSP_REQUIRE(static_cast<std::int64_t>(rows) * cols <
+                      std::numeric_limits<Label>::max(),
+                  "rows * cols + 1 must fit the 32-bit Label range");
   tiles.reserve(static_cast<std::size_t>((rows + tile_rows - 1) / tile_rows) *
                 static_cast<std::size_t>((cols + tile_cols - 1) / tile_cols));
-  Label base = 0;
+  std::int64_t base = 0;
   for (Coord r0 = 0; r0 < rows; r0 += tile_rows) {
     const Coord r1 = std::min<Coord>(r0 + tile_rows, rows);
     for (Coord c0 = 0; c0 < cols; c0 += tile_cols) {
       const Coord c1 = std::min<Coord>(c0 + tile_cols, cols);
-      TileSpec t{r0, r1, c0, c1, base, 0};
-      base += static_cast<Label>(t.pixels());
+      TileSpec t{r0, r1, c0, c1, static_cast<Label>(base), 0};
+      base += t.pixels();
       tiles.push_back(t);
     }
   }
@@ -143,18 +147,18 @@ BandRenumber::BandRenumber(std::span<Label> parents,
     band.tile_begin = t;
     band.tile_end = std::min(t + per_band, tiles.size());
     band.lo = tiles[t].base + 1;
-    // Full-width tiles issue labels in raster order (4-conn), or in the
-    // global two-line pair order when they start on even rows (8-conn,
-    // merge_row_pair_runs): the band's label order IS its visit order
-    // (DESIGN.md §3).
-    band.label_order =
-        grid_.grid_cols == 1 &&
-        (connectivity == Connectivity::Four ||
-         std::all_of(tiles.begin() + static_cast<std::ptrdiff_t>(t),
-                     tiles.begin() + static_cast<std::ptrdiff_t>(band.tile_end),
-                     [](const TileSpec& tile) {
-                       return tile.row_begin % 2 == 0;
-                     }));
+    // A tile starting on an even row pairs its rows like the global
+    // two-line scan does (merge_row_pair_runs), and 4-connectivity's units
+    // are single rows, so the band's units are global units. Odd tile
+    // heights (8-conn) pair two tile rows per band, and the second always
+    // starts on an odd row.
+    band.label_walk =
+        connectivity == Connectivity::Four ||
+        std::all_of(tiles.begin() + static_cast<std::ptrdiff_t>(t),
+                    tiles.begin() + static_cast<std::ptrdiff_t>(band.tile_end),
+                    [](const TileSpec& tile) {
+                      return tile.row_begin % 2 == 0;
+                    });
     bands_.push_back(band);
   }
 }
@@ -211,51 +215,57 @@ void BandRenumber::number(std::size_t b) {
   Band& band = bands_[b];
   Label* p = parents_.data();
   Label next = band.offset;
-  if (band.label_order) {
-    for_each_label(band, [&](Label i) {
-      if (p[i] == 0) p[i] = ++next;
-    });
-    band.numbered = next - band.offset;
-    return;
-  }
-  // A run's label is in this band's range, and so is its root unless the
+  const Label end = band.offset + band.roots;
+  // Label i is in this band's range, and so is its root unless the
   // component is rooted (and numbered) in an earlier band.
-  const auto visit = [&](const Run& run) {
-    const Label v = p[run.label];
-    const Label root = v < 0 ? -v : run.label;
+  const auto visit = [&](Label i) {
+    const Label v = p[i];
+    const Label root = v < 0 ? -v : i;
     if (root >= band.lo && p[root] == 0) p[root] = ++next;
   };
-  const Label end = band.offset + band.roots;
   const Coord row_begin = tiles_[band.tile_begin].row_begin;
   const Coord row_end = tiles_[band.tile_end - 1].row_end;
-  if (connectivity_ == Connectivity::Eight) {
-    // Two-line visit order: merge each row pair's two run streams by
-    // (col_begin, parity) — a component's first two-line-visited pixel
-    // is always one of its runs' col_begin (an earlier pixel of the same
-    // run would contradict minimality), so this walk meets components in
-    // exactly the order sequential AREMSP numbers them.
-    for (Coord r = row_begin; r < row_end && next < end; r += 2) {
-      RowRunCursor upper(tile_runs_, grid_, r);
-      RowRunCursor lower(tile_runs_, grid_, r + 1 < row_end ? r + 1 : -1);
-      const Run* u = upper.current();
-      const Run* l = lower.current();
-      while (u != nullptr || l != nullptr) {
-        if (l == nullptr || (u != nullptr && u->col_begin <= l->col_begin)) {
-          visit(*u);
-          upper.next();
-          u = upper.current();
-        } else {
-          visit(*l);
-          lower.next();
-          l = lower.current();
+  if (band.label_walk) {
+    // Unit by unit, tile by tile left to right, each tile's fresh labels
+    // of that unit in issue order: the band's fresh-label events in global
+    // visit order. A component's first-visited run has no earlier-visited
+    // neighbour in its tile, so it is one of these events.
+    const Coord unit = connectivity_ == Connectivity::Eight ? 2 : 1;
+    for (Coord r = row_begin; r < row_end && next < end; r += unit) {
+      const Coord last = std::min(r + unit, row_end) - 1;
+      for (std::size_t t = band.tile_begin; t < band.tile_end; ++t) {
+        const Label base = tiles_[t].base;
+        const Label hi = base + tile_runs_[t].issued_through(last);
+        for (Label i = base + tile_runs_[t].issued_through(r - 1) + 1;
+             i <= hi; ++i) {
+          visit(i);
         }
       }
     }
-  } else {
-    for (Coord r = row_begin; r < row_end && next < end; ++r) {
-      for (RowRunCursor cursor(tile_runs_, grid_, r);
-           cursor.current() != nullptr; cursor.next()) {
-        visit(*cursor.current());
+    band.numbered = next - band.offset;
+    return;
+  }
+  // 8-conn band holding an odd-aligned tile row: its tiles' local pairs
+  // straddle the global ones, so walk the runs in two-line visit order —
+  // merge each row pair's two run streams by (col_begin, parity). A
+  // component's first two-line-visited pixel is always one of its runs'
+  // col_begin (an earlier pixel of the same run would contradict
+  // minimality), so this walk meets components in exactly the order
+  // sequential AREMSP numbers them.
+  for (Coord r = row_begin; r < row_end && next < end; r += 2) {
+    RowRunCursor upper(tile_runs_, grid_, r);
+    RowRunCursor lower(tile_runs_, grid_, r + 1 < row_end ? r + 1 : -1);
+    const Run* u = upper.current();
+    const Run* l = lower.current();
+    while (u != nullptr || l != nullptr) {
+      if (l == nullptr || (u != nullptr && u->col_begin <= l->col_begin)) {
+        visit(u->label);
+        upper.next();
+        u = upper.current();
+      } else {
+        visit(l->label);
+        lower.next();
+        l = lower.current();
       }
     }
   }
@@ -297,16 +307,29 @@ Label resolve_final_run_labels(std::span<Label> parents,
 
 void rewrite_run_labels(const RunBuffer& runs, std::span<const Label> parents,
                         const TileSpec& tile, MutableImageView out) {
+  constexpr Coord kStore = 8;  // one fixed-width store: 32 bytes of labels
+  const Coord end = tile.col_end;
   for (Coord r = tile.row_begin; r < tile.row_end; ++r) {
     Label* dst = out.row(r);
-    // Background first in one streaming fill, then the foreground
-    // segments: half the fill calls of gap-by-gap interleaving, and the
-    // long memset-style zero fill vectorizes regardless of run lengths.
-    std::fill(dst + tile.col_begin, dst + tile.col_end, Label{0});
+    // The row's gap and run segments in order, left to right. A short
+    // segment whose fixed-width store stays inside the tile is written
+    // with that store; the overhang past its end lies in later segments
+    // of this row, which overwrite it.
+    const auto segment = [dst, end](Coord a, Coord b, Label v) {
+      if (b - a <= kStore && a + kStore <= end) {
+        std::fill_n(dst + a, kStore, v);
+      } else {
+        std::fill(dst + a, dst + b, v);
+      }
+    };
+    Coord x = tile.col_begin;
     for (const Run& run : runs.row(r)) {
-      std::fill(dst + run.col_begin, dst + run.col_end,
-                parents[static_cast<std::size_t>(run.label)]);
+      segment(x, run.col_begin, Label{0});
+      segment(run.col_begin, run.col_end,
+              parents[static_cast<std::size_t>(run.label)]);
+      x = run.col_end;
     }
+    std::fill(dst + x, dst + end, Label{0});
   }
 }
 

@@ -73,6 +73,8 @@ struct TileSpec {
 /// so BandRenumber's bands own increasing label ranges. Any tile size >= 1
 /// works (down to 1-pixel tiles); oversize tiles degenerate to one tile,
 /// which has no seams and whose renumber collapses to label order.
+/// Throws PreconditionError when rows * cols + 1 does not fit Label: the
+/// pixel-count bases would overflow.
 [[nodiscard]] std::vector<TileSpec> make_tile_grid(Coord rows, Coord cols,
                                                    Coord tile_rows,
                                                    Coord tile_cols);
@@ -214,9 +216,19 @@ void merge_run_seams(std::span<const TileSpec> tiles,
 /// also where the component is first visited. Numbering therefore splits
 /// by band: all components rooted in band b come before those rooted in
 /// band b+1, and inside a band they come in the band-local walk's order.
-/// A full-width band whose tiles start on even rows (8-conn), or any
-/// full-width band (4-conn), already issues labels in that order, so its
-/// walk is a plain pass over its labels in increasing order.
+///
+/// The walk costs O(labels) in every pair-aligned band: any 4-conn band,
+/// and any 8-conn band whose tiles start on even rows (even tile heights).
+/// There a tile's scan units (rows, or two-line row pairs) are global
+/// units, so each unit's fresh labels (RunBuffer::issued_through) come in
+/// global visit order; the tiles of one tile row cover disjoint columns,
+/// so unit by unit, tile by tile left to right, the fresh labels come in
+/// the band's visit order. A component's first-visited run has no
+/// earlier-visited neighbour in its tile, so it is a fresh-label event,
+/// and numbering each label's root on first sight reproduces the
+/// canonical order. With one tile per band the walk is plain label order.
+/// Only 8-conn bands of odd tile height, whose second tile row starts on
+/// an odd row, walk their runs in two-line visit order instead.
 ///
 /// Steps, each taking a band index; the executor schedules them:
 ///
@@ -228,8 +240,9 @@ void merge_run_seams(std::span<const TileSpec> tiles,
 ///                       ever stored names an ancestor or marks a root.
 ///   2. assign_offsets() prefix-sum the root counts; O(bands), one thread,
 ///                       after every flatten. Returns the component count.
-///   3. number(b)        walk b's runs in visit order and number the roots
-///                       b owns. Touches only b's own entries: race-free.
+///   3. number(b)        walk b's fresh labels (or runs) in visit order
+///                       and number the roots b owns. Touches only b's
+///                       own entries: race-free.
 ///   4. finalize(b)      give b's non-roots their root's final label. Reads
 ///                       only root entries, which no finalize writes.
 ///   5. check()          after every number: each band's walk assigned
@@ -261,7 +274,7 @@ class BandRenumber {
     std::size_t tile_begin = 0;  // [tile_begin, tile_end) in row-major order
     std::size_t tile_end = 0;
     Label lo = 0;                // smallest label the band can own
-    bool label_order = false;    // the walk collapses to label order
+    bool label_walk = false;     // number() walks labels, not runs
     Label roots = 0;             // written by flatten(b)
     Label offset = 0;            // final labels of b's roots exceed this
     Label numbered = 0;          // written by number(b)
@@ -288,11 +301,15 @@ class BandRenumber {
     std::span<const RunBuffer> tile_runs, Connectivity connectivity,
     Coord rows, std::span<Label> remap);
 
-/// Final labeling for one tile: expand each resolved run label into its
-/// row segment with std::fill, zero-filling the gaps — the only pass that
-/// writes the output raster. `out` may be
-/// strided (a caller's label_out ROI writes zero-copy). Thread-safe
-/// across distinct tiles (disjoint rectangles).
+/// Final labeling for one tile: write each row as its alternating gap
+/// (zero) and run (resolved label) segments, left to right — the only
+/// pass that writes the output raster. A segment of at most 8 pixels
+/// whose start + 8 stays within the tile's col_end is one fixed-width
+/// 8-label store; the next segment starts where it ends and overwrites
+/// the overhang. Longer segments and the row tail use std::fill. Nothing
+/// is written outside the tile rectangle, so `out` may be strided (a
+/// caller's label_out ROI writes zero-copy) and distinct tiles are
+/// thread-safe.
 void rewrite_run_labels(const RunBuffer& runs, std::span<const Label> parents,
                         const TileSpec& tile, MutableImageView out);
 

@@ -7,6 +7,8 @@
 // from plain std::threads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
@@ -202,6 +204,114 @@ TEST(TiledParemsp, ConfigValidation) {
   EXPECT_EQ(ok.config().tile_rows, 3);
   EXPECT_EQ(ok.name(), "paremsp2d");
   EXPECT_TRUE(ok.is_parallel());
+}
+
+TEST(TiledParemsp, ClippedTilesWithLoneLastRowMatchSequential) {
+  // Odd height: the last tile row (and the last unit of every tile in it)
+  // is one row. 8x16 tiles make 2-D bands, 6x80 full-width ones.
+  const BinaryImage image = gen::uniform_noise(97, 80, 0.5, 97);
+  for (const auto& [tr, tc] :
+       std::vector<std::pair<Coord, Coord>>{{8, 16}, {6, 80}}) {
+    for (const int threads : {1, 4, 64}) {
+      expect_matches_sequential(
+          tiled(tr, tc, threads), image,
+          "tiles " + std::to_string(tr) + "x" + std::to_string(tc) +
+              " threads " + std::to_string(threads));
+    }
+  }
+}
+
+TEST(TiledPhases, TileGridRefusesLabelOverflow) {
+  // 2.5 Gpx: pixel-count bases would pass 2^31. The grid is refused
+  // before any tile or pixel is allocated.
+  EXPECT_THROW(static_cast<void>(make_tile_grid(50000, 50000, 512, 512)),
+               PreconditionError);
+  EXPECT_THROW(static_cast<void>(make_tile_grid(46341, 46341, 512, 512)),
+               PreconditionError);
+  const std::vector<TileSpec> ok = make_tile_grid(46340, 46340, 4096, 4096);
+  EXPECT_EQ(ok.back().base + ok.back().pixels(),
+            std::int64_t{46340} * 46340);
+}
+
+TEST(TiledPhases, RewriteStaysInsideTheTileRectangle) {
+  // An interior tile whose rows hold runs of length 1-10 at every offset,
+  // alone or repeated with gaps of 1-10, many touching col_end. The plane
+  // around the tile holds a sentinel that no rewrite may touch, also
+  // through a strided ROI view of a larger plane.
+  constexpr Coord kWidth = 24;
+  constexpr Coord c0 = 5;
+  constexpr Coord c1 = c0 + kWidth;
+  constexpr Label kSentinel = -7;
+  std::vector<std::vector<std::uint8_t>> rows;
+  for (Coord len = 1; len <= 10; ++len) {
+    for (Coord offset = 0; offset + len <= kWidth; ++offset) {
+      std::vector<std::uint8_t> row(kWidth, 0);
+      std::fill_n(row.begin() + offset, len, std::uint8_t{1});
+      rows.push_back(row);
+    }
+    for (Coord gap = 1; gap <= 10; ++gap) {
+      for (const Coord phase : {Coord{0}, gap}) {
+        std::vector<std::uint8_t> row(kWidth, 0);
+        for (Coord c = phase; c < kWidth; c += len + gap) {
+          std::fill_n(row.begin() + c, std::min(len, kWidth - c),
+                      std::uint8_t{1});
+        }
+        rows.push_back(row);
+      }
+    }
+  }
+  const Coord r0 = 3;
+  const Coord r1 = r0 + static_cast<Coord>(rows.size());
+  BinaryImage image(r1 + 3, c1 + 12, 0);
+  for (Coord r = r0; r < r1; ++r) {
+    for (Coord c = 0; c < kWidth; ++c) {
+      image(r, c0 + c) = rows[static_cast<std::size_t>(r - r0)]
+                             [static_cast<std::size_t>(c)];
+    }
+  }
+  const TileSpec tile{r0, r1, c0, c1, 0, 0};
+  RunBuffer runs;
+  runs.extract(image, r0, r1, c0, c1);
+  std::vector<Label> parents{0};
+  for (Coord r = r0; r < r1; ++r) {
+    for (paremsp::Run& run : runs.row(r)) {
+      run.label = static_cast<Label>(parents.size());
+      parents.push_back(1000 + run.label);
+    }
+  }
+  const auto expected = [&](Coord r, Coord c) {
+    if (r < r0 || r >= r1 || c < c0 || c >= c1) return kSentinel;
+    for (const paremsp::Run& run : runs.row(r)) {
+      if (c >= run.col_begin && c < run.col_end) {
+        return parents[static_cast<std::size_t>(run.label)];
+      }
+    }
+    return Label{0};
+  };
+
+  LabelImage plane(image.rows(), image.cols(), kSentinel);
+  rewrite_run_labels(runs, parents, tile, plane);
+  for (Coord r = 0; r < plane.rows(); ++r) {
+    for (Coord c = 0; c < plane.cols(); ++c) {
+      ASSERT_EQ(plane(r, c), expected(r, c)) << r << "," << c;
+    }
+  }
+
+  constexpr Coord kRoiRow = 2;
+  constexpr Coord kRoiCol = 4;
+  LabelImage big(image.rows() + 5, image.cols() + 9, kSentinel);
+  const MutableImageView roi = MutableImageView(big).subview(
+      kRoiRow, kRoiCol, image.rows(), image.cols());
+  rewrite_run_labels(runs, parents, tile, roi);
+  for (Coord r = 0; r < big.rows(); ++r) {
+    for (Coord c = 0; c < big.cols(); ++c) {
+      const bool in_roi = r >= kRoiRow && r < kRoiRow + image.rows() &&
+                          c >= kRoiCol && c < kRoiCol + image.cols();
+      ASSERT_EQ(big(r, c),
+                in_roi ? expected(r - kRoiRow, c - kRoiCol) : kSentinel)
+          << r << "," << c;
+    }
+  }
 }
 
 /// Phases I and II on one thread: the grid, its runs and the merged

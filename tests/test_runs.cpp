@@ -19,13 +19,16 @@
 #include "analysis/validation.hpp"
 #include "core/aremsp.hpp"
 #include "core/cclremsp.hpp"
+#include "core/equiv_policies.hpp"
 #include "core/label_scratch.hpp"
 #include "core/paremsp.hpp"
 #include "core/registry.hpp"
 #include "core/rle_labelers.hpp"
 #include "core/runs.hpp"
+#include "core/scan_two_line.hpp"  // NoFeatureSink
 #include "engine/engine.hpp"
 #include "fixtures.hpp"
+#include "image/ascii.hpp"
 #include "image/generators.hpp"
 #include "image/row_bits.hpp"
 #include "image/threshold.hpp"
@@ -359,6 +362,99 @@ TEST(Runs, BufferReuseAcrossShrinkingImages) {
   EXPECT_EQ(buffer.row(1).front().col_end, 5);
   buffer.extract(small, 0, 2, 0, 5);  // idempotent on reuse
   EXPECT_EQ(buffer.size(), 2u);
+}
+
+// --- Per-unit label ranges (RunBuffer::issued_through) ---------------------
+
+/// Feature sink recording the row of every fresh-label event: fresh(l)
+/// immediately precedes the add_run of the run that took l.
+struct FreshRowSink {
+  std::vector<std::pair<Label, Coord>> events;
+  Label pending = 0;
+  void fresh(Label l) { pending = l; }
+  void add_run(Label l, Coord r, Coord, Coord) {
+    if (l == pending) events.emplace_back(l, r);
+    pending = 0;
+  }
+};
+
+TEST(Runs, IssuedThroughOnHandMadeImage) {
+  // Odd height: under 8-connectivity the last unit is the lone row 4.
+  const BinaryImage image = binary_from_ascii(R"(
+#..#....
+.#....#.
+........
+#......#
+.#.#....
+)");
+  const auto prefix = [&](Connectivity connectivity) {
+    RunBuffer runs;
+    std::vector<Label> parents(static_cast<std::size_t>(image.size()) + 1);
+    RemEquiv eq(parents);
+    NoFeatureSink sink;
+    scan_runs(image, runs, eq, sink, run_overlap_window(connectivity), 0,
+              image.rows(), 0, image.cols());
+    std::vector<Label> out;
+    for (Coord r = -1; r < image.rows(); ++r) {
+      out.push_back(runs.issued_through(r));
+    }
+    return out;
+  };
+  // Pairs (0,1), (2,3) and the lone row 4: three, two and one fresh
+  // labels (the pair visit issues r0c0, r0c3, r1c6; r1c1 copies r0c0).
+  EXPECT_EQ(prefix(Connectivity::Eight),
+            (std::vector<Label>{0, 3, 3, 5, 5, 6}));
+  // Rows one by one: 2, 2, 0, 2, 2 fresh labels.
+  EXPECT_EQ(prefix(Connectivity::Four),
+            (std::vector<Label>{0, 2, 4, 4, 6, 8}));
+}
+
+TEST(Runs, IssuedThroughHoldsEachUnitsFreshLabels) {
+  const BinaryImage image = gen::uniform_noise(41, 70, 0.5, 77);
+  for (const Connectivity connectivity :
+       {Connectivity::Eight, Connectivity::Four}) {
+    const Coord unit = connectivity == Connectivity::Eight ? 2 : 1;
+    // A rectangle starting mid-image on an odd row, clipped to columns
+    // [5, 61), ending on a lone row under 8-connectivity.
+    const Coord row_begin = 3;
+    const Coord row_end = 40;
+    const Label base = 100;
+    RunBuffer runs;
+    std::vector<Label> parents(static_cast<std::size_t>(image.size()) +
+                               base + 1);
+    RemEquiv eq(parents, base);
+    FreshRowSink sink;
+    const Label used =
+        scan_runs(image, runs, eq, sink, run_overlap_window(connectivity),
+                  row_begin, row_end, 5, 61);
+    ASSERT_GT(used, 0);
+    EXPECT_EQ(runs.issued_through(row_begin - 1), 0);
+    EXPECT_EQ(runs.issued_through(row_end - 1), used);
+    for (Coord r = row_begin; r < row_end; ++r) {
+      EXPECT_GE(runs.issued_through(r), runs.issued_through(r - 1)) << r;
+      if (unit == 2 && (r - row_begin) % 2 == 1) {
+        EXPECT_EQ(runs.issued_through(r), runs.issued_through(r - 1)) << r;
+      }
+    }
+    // Every fresh label lies in its unit's range, and each range holds
+    // exactly as many labels as its unit issued.
+    ASSERT_EQ(sink.events.size(), static_cast<std::size_t>(used));
+    std::vector<Label> per_unit(static_cast<std::size_t>(row_end - row_begin),
+                                0);
+    for (const auto& [label, r] : sink.events) {
+      const Coord first = row_begin + (r - row_begin) / unit * unit;
+      const Coord last = std::min(first + unit, row_end) - 1;
+      EXPECT_GT(label - base, runs.issued_through(first - 1)) << r;
+      EXPECT_LE(label - base, runs.issued_through(last)) << r;
+      ++per_unit[static_cast<std::size_t>(first - row_begin)];
+    }
+    for (Coord first = row_begin; first < row_end; first += unit) {
+      const Coord last = std::min(first + unit, row_end) - 1;
+      EXPECT_EQ(runs.issued_through(last) - runs.issued_through(first - 1),
+                per_unit[static_cast<std::size_t>(first - row_begin)])
+          << first;
+    }
+  }
 }
 
 // --- Bit-identity with the sequential pixel labelers -----------------------
