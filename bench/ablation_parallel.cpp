@@ -46,9 +46,9 @@ int main() {
     table.set_header(header);
 
     for (const int t : threads) {
-      const ParemspLabeler two_line(ParemspConfig{t});
-      const ParemspLabeler one_line(ParemspConfig{
-          t, MergeBackend::LockedRem, 12, ScanStrategy::OneLine});
+      const ParemspLabeler two_line(ParemspConfig{.threads = t});
+      const ParemspLabeler one_line(
+          ParemspConfig{.threads = t, .scan = ScanStrategy::OneLine});
       const TiledParemspLabeler tiled(RleConfig{.threads = t});
       const ParallelSuzukiLabeler psuzuki(Connectivity::Eight, t);
 

@@ -188,24 +188,6 @@ std::vector<int> sweep_thread_counts(const std::vector<int>& paper_counts) {
   return counts;
 }
 
-ThroughputMatrix make_throughput_matrix(const std::vector<double>& densities,
-                                        Coord rows, Coord cols,
-                                        const Labeler& reference,
-                                        const std::vector<int>& paper_counts) {
-  ThroughputMatrix matrix;
-  matrix.thread_counts = sweep_thread_counts(paper_counts);
-  matrix.cases.reserve(densities.size());
-  for (const double density : densities) {
-    DensityCase dc;
-    dc.density = density;
-    dc.image = gen::uniform_noise(
-        rows, cols, density, static_cast<std::uint64_t>(density * 1000) + 3);
-    dc.reference = reference.label(dc.image);
-    matrix.cases.push_back(std::move(dc));
-  }
-  return matrix;
-}
-
 std::string oversubscription_note(int threads) {
   const int hw = static_cast<int>(std::thread::hardware_concurrency());
   return (hw > 0 && threads > hw) ? " *" : "";

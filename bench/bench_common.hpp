@@ -103,31 +103,6 @@ Summary family_summary(const Labeler& labeler,
 /// capped by PAREMSP_BENCH_MAX_THREADS.
 std::vector<int> sweep_thread_counts(const std::vector<int>& paper_counts);
 
-/// One density rung of the throughput benches' shared measurement grid:
-/// the seeded noise image plus the sequential-reference labeling every
-/// cell must be bit-identical to before its timing counts.
-struct DensityCase {
-  double density = 0.0;
-  BinaryImage image;
-  LabelResponse reference;
-};
-
-/// The density x threads grid the throughput benches sweep: per density
-/// one uniform-noise image (seed derived from the density, the
-/// merge bench's historical formula, so refactored benches reproduce
-/// their committed trajectories) with its reference labeling computed
-/// once, plus the capped thread counts. Benches iterate
-/// `for (case) for (config) for (threads)` and gate every cell on
-/// `case.reference` before timing it.
-struct ThroughputMatrix {
-  std::vector<DensityCase> cases;
-  std::vector<int> thread_counts;
-};
-ThroughputMatrix make_throughput_matrix(const std::vector<double>& densities,
-                                        Coord rows, Coord cols,
-                                        const Labeler& reference,
-                                        const std::vector<int>& paper_counts);
-
 /// " (oversubscribed)" marker when `threads` exceeds physical cores.
 std::string oversubscription_note(int threads);
 

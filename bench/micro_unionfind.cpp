@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark): raw throughput of the hot kernels —
-// REM unite/find, FLATTEN, the parallel mergers, and end-to-end labeler
-// throughput in megapixels/second per algorithm.
+// REM unite/find, FLATTEN, the parallel seam merge, and end-to-end labeler
+// throughput in megapixels/second for every cataloged algorithm.
 #include <benchmark/benchmark.h>
 
 #include <numeric>
@@ -9,7 +9,6 @@
 #include "common/executor.hpp"
 #include "common/prng.hpp"
 #include "core/paremsp_all.hpp"
-#include "unionfind/lock_pool.hpp"
 #include "unionfind/parallel_rem.hpp"
 #include "unionfind/rem.hpp"
 
@@ -78,38 +77,27 @@ void BM_RemFlatten(benchmark::State& state) {
 }
 BENCHMARK(BM_RemFlatten)->Range(1 << 10, 1 << 20);
 
-void BM_ParallelMergeBackends(benchmark::State& state) {
-  // Fixed chain workload, split over the configured thread count.
+void BM_ParallelMerge(benchmark::State& state) {
+  // Fixed chain workload, split over the configured thread count, through
+  // the seam merge's own lock pool.
   constexpr Label n = 1 << 18;
   const int threads = static_cast<int>(state.range(0));
-  const bool use_cas = state.range(1) != 0;
   std::vector<Label> p(static_cast<std::size_t>(n));
-  uf::LockPool locks;
+  uf::LockPool& locks = uf::seam_locks();
   for (auto _ : state) {
     std::iota(p.begin(), p.end(), 0);
     const auto pieces = static_cast<std::size_t>(threads);
     parallel_for(pieces, n, threads, [&](std::size_t t) {
       const Label end = static_cast<Label>((n - 1) * (t + 1) / pieces);
       for (Label i = static_cast<Label>((n - 1) * t / pieces); i < end; ++i) {
-        if (use_cas) {
-          uf::cas_unite(p.data(), i, i + 1);
-        } else {
-          uf::locked_unite(p.data(), locks, i, i + 1);
-        }
+        uf::locked_unite(p.data(), locks, i, i + 1);
       }
     });
   }
   state.SetItemsProcessed(state.iterations() * (n - 1));
-  state.SetLabel(std::string(use_cas ? "cas" : "locked") + "/t" +
-                 std::to_string(threads));
+  state.SetLabel("t" + std::to_string(threads));
 }
-BENCHMARK(BM_ParallelMergeBackends)
-    ->Args({1, 0})
-    ->Args({2, 0})
-    ->Args({4, 0})
-    ->Args({1, 1})
-    ->Args({2, 1})
-    ->Args({4, 1});
+BENCHMARK(BM_ParallelMerge)->Arg(1)->Arg(2)->Arg(4);
 
 void BM_LabelerThroughput(benchmark::State& state) {
   const auto& info =
@@ -123,7 +111,8 @@ void BM_LabelerThroughput(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * image.size());
   state.SetLabel(std::string(info.name));
 }
-BENCHMARK(BM_LabelerThroughput)->DenseRange(0, 7);
+BENCHMARK(BM_LabelerThroughput)
+    ->DenseRange(0, static_cast<int>(algorithm_catalog().size()) - 1);
 
 }  // namespace
 

@@ -18,7 +18,7 @@
 //             disjoint parent-array ranges);
 //   merge     seam/boundary unions record which cells belong together in
 //             the union-find — the cells themselves are not touched, so
-//             the concurrent merge backends need no accumulator locking;
+//             the concurrent seam merge needs no accumulator locking;
 //   flatten   once resolve/FLATTEN has turned parents[l] into the final
 //             label of every issued provisional label l, fold_features
 //             reduces the cells through that mapping in O(labels issued).

@@ -51,14 +51,14 @@ enum class Algorithm {
 /// leave them zero. Invariant (asserted by tests/test_obs.cpp): every
 /// successful union joins two distinct REM trees, so
 ///   scan_unions + merge_unions == provisional_labels - num_components
-/// exactly, for every chunking, tile geometry, and merge backend.
+/// exactly, for every chunking, tile geometry, and thread count.
 struct PhaseCounters {
   Label provisional_labels = 0;      // labels issued by Phase I
   std::uint64_t scan_unions = 0;     // trees joined during the local scans
   std::uint64_t merge_pairs = 0;     // equivalences fed to the seam merger
   std::uint64_t merge_unions = 0;    // of those, how many joined trees
-  std::uint64_t merge_retries = 0;   // lock re-check / CAS failures (backend
-                                     // contention; 0 for Sequential)
+  std::uint64_t merge_retries = 0;   // lock re-checks that found the root
+                                     // re-parented (stripe contention)
   std::uint64_t runs_extracted = 0;  // maximal runs (rle pipelines only)
   std::uint64_t tiles = 0;           // tiles / chunks / shards scanned
 

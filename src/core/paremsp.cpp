@@ -54,7 +54,7 @@ std::vector<Chunk> make_chunks(Coord rows, Coord cols, int nchunks) {
 }
 
 /// Phase II: merge each chunk's top row with the row above (Algorithm 7
-/// lines 10-21). `unite` feeds one SeamMerger.
+/// lines 10-21). `unite` feeds uf::seam_unite.
 template <class UniteFn>
 void merge_boundary_row(const LabelImage& labels, Coord row, UniteFn&& unite) {
   const Coord cols = labels.cols();
@@ -83,8 +83,7 @@ void merge_boundary_row(const LabelImage& labels, Coord row, UniteFn&& unite) {
 
 ParemspLabeler::ParemspLabeler(ParemspConfig config)
     : Labeler(Algorithm::Paremsp, Connectivity::Eight),
-      config_(config),
-      merger_(config_) {
+      config_(config) {
   PAREMSP_REQUIRE(config_.threads >= 0, "threads must be >= 0");
 }
 
@@ -172,19 +171,18 @@ LabelResponse ParemspLabeler::label_impl(ConstImageView image,
   // row.
   std::vector<std::uint64_t> pair_slots(chunks.size() - 1, 0);
   std::vector<uf::UniteStats> unite_slots(chunks.size() - 1);
-  parallel_for(chunks.size() - 1, work, merger_.participants(nchunks),
-               [&](std::size_t t) {
-                 obs::Span span("paremsp.merge.boundary", "tile");
-                 std::uint64_t pairs = 0;
-                 uf::UniteStats us;
-                 merge_boundary_row(labels, chunks[t + 1].row_begin,
-                                    [&](Label x, Label y) {
-                                      ++pairs;
-                                      merger_.unite(p.data(), x, y, us);
-                                    });
-                 pair_slots[t] = pairs;
-                 unite_slots[t] = us;
-               });
+  parallel_for(chunks.size() - 1, work, nchunks, [&](std::size_t t) {
+    obs::Span span("paremsp.merge.boundary", "tile");
+    std::uint64_t pairs = 0;
+    uf::UniteStats us;
+    merge_boundary_row(labels, chunks[t + 1].row_begin,
+                       [&](Label x, Label y) {
+                         ++pairs;
+                         uf::seam_unite(p.data(), x, y, us);
+                       });
+    pair_slots[t] = pairs;
+    unite_slots[t] = us;
+  });
   result.timings.merge_ms = phase.elapsed_ms();
   {
     auto& counters = result.timings.counters;

@@ -14,9 +14,7 @@
 // chunking (see DESIGN.md §3); the test suite asserts this bit-for-bit.
 #pragma once
 
-#include "core/equiv_policies.hpp"
 #include "core/labeling.hpp"
-#include "unionfind/lock_pool.hpp"
 
 namespace paremsp {
 
@@ -36,18 +34,8 @@ enum class ScanStrategy {
 struct ParemspConfig {
   /// Worker threads; 0 means every hardware thread (hardware_threads()).
   int threads = 0;
-  /// Boundary-merge implementation.
-  MergeBackend merge_backend = MergeBackend::LockedRem;
-  /// log2 of the striped lock-pool size (LockedRem only).
-  int lock_bits = uf::LockPool::kDefaultBits;
   /// Phase-I scan kernel.
   ScanStrategy scan = ScanStrategy::TwoLine;
-  /// Post-link path compaction of the CAS backend (CasRem only).
-  uf::CasFind cas_find = uf::CasFind::Naive;
-  /// Walk-advancement splice of the CAS backend (CasRem only). The
-  /// defaults reproduce the historical cas_unite; every combination is
-  /// bit-identical (DESIGN.md §11) — throughput is the only difference.
-  uf::CasSplice cas_splice = uf::CasSplice::Atomic;
 };
 
 /// PAREMSP labeler (8-connectivity, like the paper).
@@ -86,9 +74,6 @@ class ParemspLabeler final : public Labeler {
       const;
 
   ParemspConfig config_;
-  // label() is safe to call concurrently — the lock stripes only
-  // serialize root updates.
-  SeamMerger merger_;
 };
 
 }  // namespace paremsp

@@ -84,11 +84,7 @@ void require_supported(Algorithm algorithm, Connectivity connectivity) {
 std::unique_ptr<Labeler> make_labeler(Algorithm algorithm,
                                       const LabelerOptions& options) {
   require_supported(algorithm, options.connectivity);
-  const RleConfig rle_config{.threads = options.threads,
-                             .merge_backend = options.merge_backend,
-                             .lock_bits = options.lock_bits,
-                             .cas_find = options.cas_find,
-                             .cas_splice = options.cas_splice};
+  const RleConfig rle_config{.threads = options.threads};
 
   switch (algorithm) {
     case Algorithm::FloodFill:
@@ -110,11 +106,7 @@ std::unique_ptr<Labeler> make_labeler(Algorithm algorithm,
       return std::make_unique<AremspLabeler>(options.connectivity);
     case Algorithm::Paremsp:
       return std::make_unique<ParemspLabeler>(
-          ParemspConfig{.threads = options.threads,
-                        .merge_backend = options.merge_backend,
-                        .lock_bits = options.lock_bits,
-                        .cas_find = options.cas_find,
-                        .cas_splice = options.cas_splice});
+          ParemspConfig{.threads = options.threads});
     case Algorithm::AremspRle:
       return std::make_unique<AremspRleLabeler>(options.connectivity);
     case Algorithm::ParemspRle:

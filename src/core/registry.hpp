@@ -67,14 +67,6 @@ struct LabelerOptions {
   /// Worker threads (0 = every hardware thread) of the parallel labelers:
   /// paremsp, paremsp_rle, paremsp2d and psuzuki.
   int threads = 0;
-  /// The merge fields below configure the seam merges of paremsp,
-  /// paremsp_rle and paremsp2d (one SeamMerger each).
-  MergeBackend merge_backend = MergeBackend::LockedRem;
-  /// log2 of the striped lock-pool size (LockedRem only).
-  int lock_bits = uf::LockPool::kDefaultBits;
-  /// CAS backend find × splice policy (CasRem only; see ParemspConfig).
-  uf::CasFind cas_find = uf::CasFind::Naive;
-  uf::CasSplice cas_splice = uf::CasSplice::Atomic;
 };
 
 /// Throw the registry's uniform PreconditionError when `algorithm` does

@@ -24,12 +24,10 @@
 #include <optional>
 
 #include "analysis/component_stats.hpp"
-#include "core/equiv_policies.hpp"  // MergeBackend
 #include "core/labeling.hpp"
 #include "core/qos.hpp"
 #include "image/connectivity.hpp"
 #include "image/view.hpp"
-#include "unionfind/lock_pool.hpp"
 
 namespace paremsp {
 
@@ -63,17 +61,6 @@ struct ShardOptions {
   Coord tile_cols = 512;
   /// Per-tile scan kernel; Runs is the only value (see ShardScan).
   ShardScan scan = ShardScan::Runs;
-  /// Seam-merge backend (shared with PAREMSP). Sequential runs every seam
-  /// in one job — the ablation lower bound — since rem_unite must not run
-  /// concurrently; the parallel backends get one merge job per tile.
-  MergeBackend merge_backend = MergeBackend::LockedRem;
-  /// log2 of the striped lock-pool size (LockedRem only).
-  int lock_bits = uf::LockPool::kDefaultBits;
-  /// CAS backend find × splice policy (CasRem only). Every combination is
-  /// bit-identical (DESIGN.md §11); requests select per call for the
-  /// ablation bench and the throughput-tuned production default.
-  uf::CasFind cas_find = uf::CasFind::Naive;
-  uf::CasSplice cas_splice = uf::CasSplice::Atomic;
 };
 
 /// One labeling request: what to label, under which connectivity, which

@@ -9,12 +9,10 @@
 #include "common/env.hpp"
 #include "common/executor.hpp"
 #include "common/timer.hpp"
-#include "core/equiv_policies.hpp"
 #include "core/label_scratch.hpp"
 #include "core/tiled_phases.hpp"
 #include "obs/trace.hpp"
 #include "unionfind/parallel_rem.hpp"
-#include "unionfind/rem.hpp"
 
 namespace paremsp {
 
@@ -79,19 +77,18 @@ LabelResponse label_runs_impl(ConstImageView image, Connectivity connectivity,
   const TileGridShape grid = tile_grid_shape(tiles);
   std::vector<std::uint64_t> pair_slots(tiles.size(), 0);
   std::vector<uf::UniteStats> unite_slots(tiles.size());
-  parallel_for(tiles.size(), work, plan.merger.participants(threads),
-               [&](std::size_t t) {
-                 obs::Span span("rle.merge.tile", "tile");
-                 std::uint64_t pairs = 0;
-                 uf::UniteStats us;
-                 merge_run_seams(tiles, tile_runs, t, grid, connectivity,
-                                 [&](Label x, Label y) {
-                                   ++pairs;
-                                   plan.merger.unite(p.data(), x, y, us);
-                                 });
-                 pair_slots[t] = pairs;
-                 unite_slots[t] = us;
-               });
+  parallel_for(tiles.size(), work, threads, [&](std::size_t t) {
+    obs::Span span("rle.merge.tile", "tile");
+    std::uint64_t pairs = 0;
+    uf::UniteStats us;
+    merge_run_seams(tiles, tile_runs, t, grid, connectivity,
+                    [&](Label x, Label y) {
+                      ++pairs;
+                      uf::seam_unite(p.data(), x, y, us);
+                    });
+    pair_slots[t] = pairs;
+    unite_slots[t] = us;
+  });
   result.timings.merge_ms = phase.elapsed_ms();
   {
     auto& counters = result.timings.counters;
@@ -149,9 +146,6 @@ LabelResponse label_runs_impl(ConstImageView image, Connectivity connectivity,
 
 namespace {
 
-/// aremsp_rle's merger: one thread, so the plain serial rem_unite.
-const SeamMerger kSerialMerger{MergeBackend::Sequential};
-
 /// Full-width row bands for paremsp_rle: about one band per thread,
 /// clamped so every band has at least one row, then rounded UP to even so
 /// every band starts on an even row — the 8-connected scan's pair order
@@ -174,14 +168,12 @@ int resolved_threads(int threads) {
 LabelResponse label_row_bands(ConstImageView image, Connectivity connectivity,
                               LabelScratch& scratch,
                               analysis::ComponentStats* stats,
-                              const RleConfig& config,
-                              const SeamMerger& merger, int threshold) {
+                              const RleConfig& config, int threshold) {
   const int threads = resolved_threads(config.threads);
   return label_runs_impl(image, connectivity, scratch, stats,
                          {.tile_rows = band_rows(image.rows(), threads),
                           .tile_cols = std::max<Coord>(image.cols(), 1),
                           .threads = threads,
-                          .merger = merger,
                           .threshold = threshold});
 }
 
@@ -189,13 +181,11 @@ LabelResponse label_row_bands(ConstImageView image, Connectivity connectivity,
 LabelResponse label_tiles(ConstImageView image, Connectivity connectivity,
                           LabelScratch& scratch,
                           analysis::ComponentStats* stats,
-                          const RleConfig& config, const SeamMerger& merger,
-                          int threshold) {
+                          const RleConfig& config, int threshold) {
   return label_runs_impl(image, connectivity, scratch, stats,
                          {.tile_rows = config.tile_rows,
                           .tile_cols = config.tile_cols,
                           .threads = resolved_threads(config.threads),
-                          .merger = merger,
                           .threshold = threshold});
 }
 
@@ -205,7 +195,6 @@ RunPlan whole_image_plan(ConstImageView image, int threshold) {
   return {.tile_rows = std::max<Coord>(image.rows(), 1),
           .tile_cols = std::max<Coord>(image.cols(), 1),
           .threads = 1,
-          .merger = kSerialMerger,
           .threshold = threshold};
 }
 
@@ -231,8 +220,7 @@ LabelResponse AremspRleLabeler::run_gray_impl(ConstImageView gray,
 ParemspRleLabeler::ParemspRleLabeler(RleConfig config,
                                      Connectivity connectivity)
     : Labeler(Algorithm::ParemspRle, connectivity),
-      config_(config),
-      merger_(config_) {
+      config_(config) {
   PAREMSP_REQUIRE(config_.threads >= 0, "threads must be >= 0");
 }
 
@@ -241,22 +229,20 @@ LabelResponse ParemspRleLabeler::run_impl(ConstImageView image,
                                           LabelScratch& scratch,
                                           analysis::ComponentStats* stats)
     const {
-  return label_row_bands(image, connectivity, scratch, stats, config_,
-                         merger_, -1);
+  return label_row_bands(image, connectivity, scratch, stats, config_, -1);
 }
 
 LabelResponse ParemspRleLabeler::run_gray_impl(
     ConstImageView gray, std::uint8_t cutoff, Connectivity connectivity,
     LabelScratch& scratch, analysis::ComponentStats* stats) const {
   return label_row_bands(gray, connectivity, scratch, stats, config_,
-                         merger_, cutoff);
+                         cutoff);
 }
 
 TiledParemspLabeler::TiledParemspLabeler(RleConfig config,
                                          Connectivity connectivity)
     : Labeler(Algorithm::ParemspTiled, connectivity),
-      config_(config),
-      merger_(config_) {
+      config_(config) {
   PAREMSP_REQUIRE(config_.threads >= 0, "threads must be >= 0");
   PAREMSP_REQUIRE(config_.tile_rows >= 1 && config_.tile_cols >= 1,
                   "tiles must be at least 1x1");
@@ -265,15 +251,13 @@ TiledParemspLabeler::TiledParemspLabeler(RleConfig config,
 LabelResponse TiledParemspLabeler::run_impl(
     ConstImageView image, Connectivity connectivity, LabelScratch& scratch,
     analysis::ComponentStats* stats) const {
-  return label_tiles(image, connectivity, scratch, stats, config_, merger_,
-                     -1);
+  return label_tiles(image, connectivity, scratch, stats, config_, -1);
 }
 
 LabelResponse TiledParemspLabeler::run_gray_impl(
     ConstImageView gray, std::uint8_t cutoff, Connectivity connectivity,
     LabelScratch& scratch, analysis::ComponentStats* stats) const {
-  return label_tiles(gray, connectivity, scratch, stats, config_, merger_,
-                     cutoff);
+  return label_tiles(gray, connectivity, scratch, stats, config_, cutoff);
 }
 
 }  // namespace paremsp

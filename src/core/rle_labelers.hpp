@@ -7,16 +7,15 @@
 //   aremsp_rle   one tile (the whole image), sequential — the run twin of
 //                sequential AREMSP;
 //   paremsp_rle  full-width row bands, about one per thread, boundary RUNS
-//                merged by the Algorithm-8 backends — the run twin of
-//                PAREMSP;
+//                merged by Algorithm 8 — the run twin of PAREMSP;
 //   paremsp2d    a 2-D tile grid with run seam merges on both axes — the
 //                2-D extension of PAREMSP's Algorithm 7.
 //
 // All three are presets of one entry, label_runs_impl, which the engine's
-// sharded requests call too (with the request's grid and merge backend,
-// the engine's worker count, and a QoS hook between phases), and which
-// labels every stream slab (stream/slab_session.cpp) through aremsp_rle's
-// one-tile plan, whole_image_plan.
+// sharded requests call too (with the request's grid, the engine's worker
+// count, and a QoS hook between phases), and which labels every stream
+// slab (stream/slab_session.cpp) through aremsp_rle's one-tile plan,
+// whole_image_plan.
 //
 // The pipeline per tile: RowBits packs each row into 64-pixel words, runs
 // are emitted by ctz/popcount word scanning, each run records ONE
@@ -37,11 +36,8 @@
 #include <functional>
 #include <optional>
 
-#include "core/equiv_policies.hpp"
 #include "core/labeling.hpp"
-#include "core/paremsp.hpp"
 #include "image/view.hpp"
-#include "unionfind/lock_pool.hpp"
 
 namespace paremsp {
 
@@ -54,8 +50,6 @@ struct RunPlan {
   /// Participants of every phase loop (common/executor.hpp); 1 runs the
   /// whole pipeline on the calling thread.
   int threads;
-  /// Seam-merge backend; Sequential merges with one participant.
-  const SeamMerger& merger;
   /// >= 0 scans a GRAYSCALE image through the fused pixel > threshold
   /// encoder; -1 is the plain binary mode.
   int threshold = -1;
@@ -87,8 +81,8 @@ struct RunPlan {
                                             analysis::ComponentStats* stats,
                                             const RunPlan& plan);
 
-/// aremsp_rle's plan: the whole image as one tile, on the calling thread,
-/// merged serially. Its one tile's runs sit in scratch.run_buffers(1)[0].
+/// aremsp_rle's plan: the whole image as one tile (no seams), on the
+/// calling thread. Its one tile's runs sit in scratch.run_buffers(1)[0].
 [[nodiscard]] RunPlan whole_image_plan(ConstImageView image,
                                        int threshold = -1);
 
@@ -102,13 +96,6 @@ struct RleConfig {
   Coord tile_rows = 256;
   /// Tile width in columns (paremsp2d only). Minimum 1.
   Coord tile_cols = 256;
-  /// Boundary-run merge backend (shared with the pixel algorithms).
-  MergeBackend merge_backend = MergeBackend::LockedRem;
-  /// log2 of the striped lock-pool size (LockedRem only).
-  int lock_bits = uf::LockPool::kDefaultBits;
-  /// CAS backend find × splice policy (CasRem only; see ParemspConfig).
-  uf::CasFind cas_find = uf::CasFind::Naive;
-  uf::CasSplice cas_splice = uf::CasSplice::Atomic;
 };
 
 /// Sequential run-based AREMSP. Supports both connectivities.
@@ -163,7 +150,6 @@ class ParemspRleLabeler final : public Labeler {
 
  private:
   RleConfig config_;
-  SeamMerger merger_;
 };
 
 /// 2-D tiled parallel PAREMSP over runs.
@@ -194,7 +180,6 @@ class TiledParemspLabeler final : public Labeler {
 
  private:
   RleConfig config_;
-  SeamMerger merger_;
 };
 
 }  // namespace paremsp

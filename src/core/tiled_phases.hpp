@@ -11,11 +11,10 @@
 //                                 columns outside the tile read as
 //                                 background;
 //   3. merge_run_seams          — re-establish the adjacencies suppressed at
-//                                 one tile's top/left seams through any
-//                                 union backend (Algorithm 8's parallel REM
-//                                 merger, its CAS variant, or sequential
-//                                 REM), one union per adjacent boundary-run
-//                                 pair;
+//                                 one tile's top/left seams through the
+//                                 caller's union (Algorithm 8's
+//                                 uf::seam_unite, or sequential REM), one
+//                                 union per adjacent boundary-run pair;
 //   4. BandRenumber             — FLATTEN every tile's used label range,
 //                                 then renumber components into the
 //                                 sequential scan's canonical order so the
@@ -141,8 +140,8 @@ struct TileGridShape {
 ///              horizontal seam too and are exactly the corner cases the
 ///              top seams above already cover).
 ///
-/// `unite` must be safe for the caller's schedule: uf::locked_unite /
-/// uf::cas_unite for concurrent tiles, uf::rem_unite when serialized.
+/// `unite` must be safe for the caller's schedule: uf::seam_unite for
+/// concurrent tiles, uf::rem_unite when serialized.
 template <class UniteFn>
 void merge_run_seams(std::span<const TileSpec> tiles,
                      std::span<const RunBuffer> tile_runs, std::size_t t,

@@ -214,9 +214,8 @@ void LabelingEngine::worker_main(ScratchArena& arena, int index) {
   obs::set_thread_name("worker-" + std::to_string(index));
   // parallel_for calls made by this worker's jobs post back to the pool.
   const PoolThreadScope pool_scope(*this);
-  // One labeler per worker for its whole lifetime: constructing e.g.
-  // PAREMSP's striped lock pool is exactly the per-call overhead this
-  // engine exists to amortize.
+  // One labeler per worker for its whole lifetime: per-call construction
+  // is exactly the overhead this engine exists to amortize.
   const std::unique_ptr<Labeler> labeler =
       make_labeler(config_.algorithm, config_.labeler);
   obs::Counter& jobs_metric = obs::counter("engine_jobs_total");

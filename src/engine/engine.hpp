@@ -45,7 +45,6 @@
 #include <vector>
 
 #include "common/executor.hpp"
-#include "core/equiv_policies.hpp"
 #include "core/label_scratch.hpp"
 #include "core/labeling.hpp"
 #include "core/registry.hpp"
@@ -151,8 +150,6 @@ class LabelingEngine : private Executor {
     LabelRequest request;  // borrows the caller's storage
     std::promise<LabelResponse> promise;  // unused by task jobs
     EngineStats::Clock::time_point submitted_at{};
-    // Sharded requests only: the request's validated merge backend.
-    std::optional<SeamMerger> merger;
     // Generic engine task: when set, the worker runs it instead of the
     // labeling path. Tasks own their error handling.
     std::function<void()> task;

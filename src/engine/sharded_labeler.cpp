@@ -25,9 +25,6 @@ void LabelingEngine::submit_sharded(Job job) {
   // connectivities — so request errors match Labeler::run's exactly.
   job.request.connectivity = validate_request(
       job.request, Algorithm::ParemspTiled, config_.labeler.connectivity);
-  // Construction validates the merge options, so a rejected request
-  // throws here, synchronously, before it counts as submitted.
-  job.merger.emplace(options);
   shards_submitted_.fetch_add(1, std::memory_order_relaxed);
   // A failed push leaves `job` untouched, promise included.
   if (!queue_.push(std::move(job))) {
@@ -64,7 +61,6 @@ void LabelingEngine::run_sharded(Job& job) {
         {.tile_rows = request.shard->tile_rows,
          .tile_cols = request.shard->tile_cols,
          .threads = workers(),
-         .merger = *job.merger,
          // Exact integer form of im2bw's compare (see LabelRequest).
          .threshold = request.threshold.has_value()
                           ? static_cast<int>(*request.threshold * 255.0)

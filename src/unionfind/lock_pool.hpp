@@ -6,7 +6,9 @@
 // a fixed power-of-two set of locks instead (DESIGN.md substitution S5).
 // Correctness is unaffected — the merger only ever holds one lock at a
 // time, so false sharing of a stripe can cause contention but never
-// deadlock. The stripe count is swept in bench/ablation_merge.
+// deadlock. Every seam merge shares one pool of kDefaultBits stripes
+// (uf::seam_locks); other sizes exist for the union-find tests, which
+// force a single stripe to maximize contention.
 //
 // A stripe is a test-and-test-and-set spinlock: the section it guards is
 // one root re-check and one store, far shorter than parking a thread.
@@ -46,24 +48,8 @@ class LockPool {
   /// Default 4096 stripes: large enough that two random roots collide with
   /// probability < 0.03% per pair, small enough to stay cache-resident.
   static constexpr int kDefaultBits = 12;
-  /// Largest supported pool: 2^24 locks (the ablation sweep's ceiling).
+  /// Largest supported pool: 2^24 locks.
   static constexpr int kMaxBits = 24;
-
-  /// Map an explicit stripe COUNT onto the constructor's log2 form.
-  /// Degenerate pools are precondition errors, not silent maskings: zero
-  /// stripes would leave lock_for with nothing to index, and a
-  /// non-power-of-two count would alias `& mask_` onto a fraction of the
-  /// allocated locks (the rest permanently idle). Bench sweeps and config
-  /// plumbing route stripe counts through here.
-  [[nodiscard]] static int bits_for_stripes(std::size_t stripes) {
-    PAREMSP_REQUIRE(stripes != 0, "lock pool needs at least one stripe");
-    PAREMSP_REQUIRE((stripes & (stripes - 1)) == 0,
-                    "stripe count must be a power of two");
-    int bits = 0;
-    while ((static_cast<std::size_t>(1) << bits) < stripes) ++bits;
-    PAREMSP_REQUIRE(bits <= kMaxBits, "stripe bits out of range");
-    return bits;
-  }
 
   explicit LockPool(int bits = kDefaultBits)
       : mask_((1ULL << checked_bits(bits)) - 1),

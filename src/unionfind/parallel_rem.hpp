@@ -1,30 +1,26 @@
-// Parallel REM union — the paper's Algorithm 8 (MERGER) plus a lock-free
-// compare-and-swap variant for the merge-backend ablation.
+// Parallel REM union — the paper's Algorithm 8 (MERGER), the one seam
+// merge of every parallel labeler and of sharded requests.
 //
-// Both operate on the same flat parent array the sequential scan built.
-// Shared accesses go through std::atomic_ref<Label> with relaxed ordering:
-// the algorithm tolerates stale reads by construction (Patwary, Refsnes &
+// It operates on the flat parent array the sequential scan built. Shared
+// accesses go through std::atomic_ref<Label> with relaxed ordering: the
+// algorithm tolerates stale reads by construction (Patwary, Refsnes &
 // Manne, IPDPS 2012 — paper reference [38]) and the fork-join that ends
 // the merge phase publishes all writes before FLATTEN runs, so relaxed is
 // sufficient and compiles to plain loads/stores on x86. What atomic_ref
 // buys is freedom from C++-level data-race UB, not extra synchronization.
 //
-// locked_unite (Algorithm 8): splicing steps run unlocked — each store
-// writes a strictly smaller, same-component parent, so trees stay acyclic
-// regardless of interleaving — while a *root*'s parent is only set under
-// that root's stripe lock with a re-check, which is the one step that must
-// not be lost (it is what actually joins two trees).
+// Splicing steps run unlocked — each store writes a strictly smaller,
+// same-component parent, so trees stay acyclic regardless of interleaving
+// (DESIGN.md §11) — while a *root*'s parent is only set under that root's
+// stripe lock with a re-check, which is the one step that must not be
+// lost (it is what actually joins two trees).
 //
-// cas_unite<Find, Splice>: replaces the root update with CAS (lock-free,
-// at the cost of retrying contended updates) and leaves the two auxiliary
-// axes of the Rem-CAS design space — how walk steps advance (the SPLICE
-// policy) and whether successful links compact the argument paths (the
-// FIND policy) — as compile-time template policies, following the catalog
-// of PASGAL's union_find_rules.h (find_atomic_split / find_atomic_halve
-// composed with unite_rem_cas over a splice functor). Every combination
-// preserves the label-minima invariant FLATTEN depends on (DESIGN.md §11),
-// so all of them are bit-identical through the labelers; which one is
-// FASTEST is an empirical question bench/throughput_merge answers.
+// cas_unite<Find, Splice> is a lock-free union-find primitive over the
+// same array: root updates use CAS, and how walk steps advance (SPLICE)
+// and whether a successful link compacts the argument paths (FIND) are
+// compile-time policies, after PASGAL's union_find_rules.h. No labeler
+// merges with it; it stays a standalone primitive with its own
+// concurrency tests (tests/test_unionfind_parallel.cpp).
 #pragma once
 
 #include <atomic>
@@ -36,9 +32,9 @@
 namespace paremsp::uf {
 
 /// Runtime selector for the FIND (post-link path compaction) policy of
-/// cas_unite. Runtime enums exist so configs and benches can route without
-/// templates; core/equiv_policies.hpp maps a (find, splice) pair onto the
-/// matching cas_unite<> instantiation.
+/// cas_unite. Runtime enums let tests and callers route without templates;
+/// cas_unite_fn maps a (find, splice) pair onto the matching cas_unite<>
+/// instantiation.
 enum class CasFind {
   Naive,  // no compaction (the historical cas_unite behavior)
   Split,  // path splitting: every visited node re-parented to grandparent
@@ -65,13 +61,12 @@ enum class CasSplice {
   return s == CasSplice::Atomic ? "atomic" : "simple";
 }
 
-/// Optional per-call accounting for the parallel backends. `joins` counts
-/// root updates that actually merged two trees (same semantics as the
-/// `joins` out-param of rem_unite — summed over a merge phase they equal
-/// the number of cross-boundary components eliminated). `retries` counts
+/// Optional per-call accounting for locked_unite and cas_unite. `joins` counts root
+/// updates that actually merged two trees (same semantics as the `joins`
+/// out-param of rem_unite — summed over a merge phase they equal the
+/// number of cross-boundary components eliminated). `retries` counts
 /// contention events: a lock-side re-check that found the root stolen, or
-/// a failed root CAS — the direct observable for lock-pool striping and
-/// the Rem-CAS ablation.
+/// a failed root CAS.
 struct UniteStats {
   std::uint64_t joins = 0;
   std::uint64_t retries = 0;
@@ -280,9 +275,41 @@ inline void cas_unite(Label* p, Label x, Label y,
   }
 }
 
-/// Signature shared by every cas_unite<> instantiation — what a config
-/// resolves its (find, splice) pair into, once per run, via
-/// paremsp::cas_unite_fn (core/equiv_policies.hpp).
+/// Signature shared by every cas_unite<> instantiation.
 using CasUniteFn = void (*)(Label*, Label, Label, UniteStats*);
+
+/// The cas_unite<> instantiation implementing a (find, splice) pair. Total
+/// over both enums.
+[[nodiscard]] constexpr CasUniteFn cas_unite_fn(CasFind find,
+                                                CasSplice splice) noexcept {
+  switch (find) {
+    case CasFind::Naive:
+      return splice == CasSplice::Atomic ? &cas_unite<FindNaive, SpliceAtomic>
+                                         : &cas_unite<FindNaive, SpliceSimple>;
+    case CasFind::Split:
+      return splice == CasSplice::Atomic ? &cas_unite<FindSplit, SpliceAtomic>
+                                         : &cas_unite<FindSplit, SpliceSimple>;
+    case CasFind::Halve:
+      return splice == CasSplice::Atomic ? &cas_unite<FindHalve, SpliceAtomic>
+                                         : &cas_unite<FindHalve, SpliceSimple>;
+  }
+  return &cas_unite<FindNaive, SpliceAtomic>;
+}
+
+/// The one lock pool every seam merge in the process shares, at
+/// LockPool::kDefaultBits. Sharing is safe: a stripe guards only one root
+/// re-check and store, so labelers and engine requests merging different
+/// parent arrays at once only ever contend, never interfere.
+[[nodiscard]] inline LockPool& seam_locks() {
+  static LockPool pool;
+  return pool;
+}
+
+/// The seam merge of every parallel labeler and of sharded requests:
+/// locked_unite over seam_locks(). Safe to call concurrently.
+inline void seam_unite(Label* p, Label x, Label y,
+                       UniteStats& stats) noexcept {
+  locked_unite(p, seam_locks(), x, y, &stats);
+}
 
 }  // namespace paremsp::uf

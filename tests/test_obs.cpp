@@ -386,43 +386,18 @@ TEST(ObsCounters, UnionOracleHoldsOnInstrumentedAlgorithms) {
   }
 }
 
-TEST(ObsCounters, UnionOracleHoldsAcrossMergeBackends) {
+TEST(ObsCounters, UnionOracleHoldsAcrossThreadCounts) {
   const BinaryImage image = gen::texture_like(80, 112, 99);
   LabelRequest request;
   request.input = image;
   for (const Algorithm algorithm :
        {Algorithm::Paremsp, Algorithm::ParemspTiled, Algorithm::ParemspRle}) {
-    for (const MergeBackend backend :
-         {MergeBackend::LockedRem, MergeBackend::CasRem,
-          MergeBackend::Sequential}) {
-      // CasRem additionally sweeps its find × splice policy pairs; the
-      // oracle must hold for every combination (each is a complete REM
-      // merger, only the compaction traffic differs).
-      std::vector<std::pair<uf::CasFind, uf::CasSplice>> policies = {
-          {uf::CasFind::Naive, uf::CasSplice::Atomic}};
-      if (backend == MergeBackend::CasRem) {
-        for (const uf::CasFind find :
-             {uf::CasFind::Naive, uf::CasFind::Split, uf::CasFind::Halve}) {
-          for (const uf::CasSplice splice :
-               {uf::CasSplice::Atomic, uf::CasSplice::Simple}) {
-            if (find == uf::CasFind::Naive && splice == uf::CasSplice::Atomic)
-              continue;  // already present as the default entry
-            policies.emplace_back(find, splice);
-          }
-        }
-      }
-      for (const auto& [find, splice] : policies) {
-        LabelerOptions options;
-        options.merge_backend = backend;
-        options.threads = 4;
-        options.cas_find = find;
-        options.cas_splice = splice;
-        const auto labeler = make_labeler(algorithm, options);
-        const LabelResponse response = labeler->run(request);
-        expect_union_oracle(response.timings.counters, response.num_components,
-                            std::string(algorithm_info(algorithm).name) + "/" +
-                                merge_backend_label(backend, find, splice));
-      }
+    for (const int threads : {1, 2, 4, 8}) {
+      const auto labeler = make_labeler(algorithm, {.threads = threads});
+      const LabelResponse response = labeler->run(request);
+      expect_union_oracle(response.timings.counters, response.num_components,
+                          std::string(algorithm_info(algorithm).name) +
+                              " threads=" + std::to_string(threads));
     }
   }
 }
@@ -430,22 +405,16 @@ TEST(ObsCounters, UnionOracleHoldsAcrossMergeBackends) {
 TEST(ObsCounters, ShardedRunsFillCountersAndQueueWait) {
   const BinaryImage image = gen::aerial_like(160, 200, 4242);
   LabelingEngine eng({.workers = 3});
-  for (const MergeBackend backend :
-       {MergeBackend::LockedRem, MergeBackend::CasRem,
-        MergeBackend::Sequential}) {
-    LabelRequest request;
-    request.input = image;
-    request.shard = ShardOptions{
-        .tile_rows = 64, .tile_cols = 64, .merge_backend = backend};
-    LabelResponse response = eng.submit(std::move(request)).get();
-    const std::string context = to_string(backend);
-    expect_union_oracle(response.timings.counters, response.num_components,
-                        context);
-    EXPECT_GT(response.timings.counters.tiles, 1u) << context;
-    EXPECT_GE(response.timings.queue_wait_ms, 0.0) << context;
-    EXPECT_GT(response.timings.counters.runs_extracted, 0u) << context;
-    EXPECT_GT(response.timings.counters.merge_pairs, 0u) << context;
-  }
+  LabelRequest request;
+  request.input = image;
+  request.shard = ShardOptions{.tile_rows = 64, .tile_cols = 64};
+  LabelResponse response = eng.submit(std::move(request)).get();
+  expect_union_oracle(response.timings.counters, response.num_components,
+                      "sharded");
+  EXPECT_GT(response.timings.counters.tiles, 1u);
+  EXPECT_GE(response.timings.queue_wait_ms, 0.0);
+  EXPECT_GT(response.timings.counters.runs_extracted, 0u);
+  EXPECT_GT(response.timings.counters.merge_pairs, 0u);
 }
 
 TEST(ObsCounters, PhaseSumStaysWithinTotal) {

@@ -1,19 +1,13 @@
 // PAREMSP-specific tests: thread-count invariance (bit-identical output),
-// merge-backend equivalence, chunk-boundary adversaries, and configuration
+// seam-merge stress, chunk-boundary adversaries, and configuration
 // validation. These are the properties §IV of the paper depends on.
 #include <gtest/gtest.h>
 
 #include <string>
-#include <tuple>
-#include <utility>
 
 #include "analysis/validation.hpp"
 #include "core/aremsp.hpp"
 #include "core/paremsp.hpp"
-#include "core/registry.hpp"
-#include "core/request.hpp"
-#include "core/rle_labelers.hpp"
-#include "engine/engine.hpp"
 #include "image/ascii.hpp"
 #include "image/generators.hpp"
 #include "fixtures.hpp"
@@ -21,10 +15,8 @@
 namespace paremsp {
 namespace {
 
-ParemspLabeler with(int threads,
-                    MergeBackend backend = MergeBackend::LockedRem,
-                    int lock_bits = 12) {
-  return ParemspLabeler(ParemspConfig{threads, backend, lock_bits});
+ParemspLabeler with(int threads) {
+  return ParemspLabeler(ParemspConfig{threads});
 }
 
 // --- Bit-identical output across thread counts ---------------------------------
@@ -93,12 +85,9 @@ INSTANTIATE_TEST_SUITE_P(ThreadCounts, ParemspThreads,
                            return "t" + std::to_string(pinfo.param);
                          });
 
-// --- Merge backends --------------------------------------------------------------
+// --- Seam merge ------------------------------------------------------------------
 
-class ParemspBackend : public ::testing::TestWithParam<MergeBackend> {};
-
-TEST_P(ParemspBackend, AgreesWithSequentialOnStressImages) {
-  const MergeBackend backend = GetParam();
+TEST(ParemspMerge, AgreesWithSequentialOnStressImages) {
   const AremspLabeler seq;
   // Comb teeth cross every boundary: maximum merge traffic.
   for (const int threads : {2, 4, 8}) {
@@ -106,89 +95,12 @@ TEST_P(ParemspBackend, AgreesWithSequentialOnStressImages) {
       const auto image = gen::landcover_like(96, 48, seed, 2);
       SCOPED_TRACE("threads=" + std::to_string(threads) + " seed=" +
                    std::to_string(seed));
-      EXPECT_EQ(with(threads, backend).label(image).labels,
-                seq.label(image).labels);
+      EXPECT_EQ(with(threads).label(image).labels, seq.label(image).labels);
     }
     const auto comb = gen::stripes(96, 48, 2, 1, /*vertical=*/true);
-    EXPECT_EQ(with(threads, backend).label(comb).labels,
-              seq.label(comb).labels);
+    EXPECT_EQ(with(threads).label(comb).labels, seq.label(comb).labels);
   }
 }
-
-TEST_P(ParemspBackend, TinyLockPoolStillCorrect) {
-  // One-lock pool (bits=0) serializes every root update but must stay
-  // correct — catches accidental lock-identity assumptions.
-  const auto image = gen::uniform_noise(80, 40, 0.55, 12);
-  const auto seq = AremspLabeler().label(image);
-  const auto got = with(8, GetParam(), /*lock_bits=*/0).label(image);
-  EXPECT_EQ(got.labels, seq.labels);
-}
-
-INSTANTIATE_TEST_SUITE_P(Backends, ParemspBackend,
-                         ::testing::Values(MergeBackend::LockedRem,
-                                           MergeBackend::CasRem,
-                                           MergeBackend::Sequential),
-                         [](const auto& pinfo) {
-                           return std::string(to_string(pinfo.param));
-                         });
-
-// --- CAS find × splice policy matrix ----------------------------------------
-//
-// Every combination must leave the CasRem merger bit-identical to
-// sequential AREMSP — the policies only change which compression hints
-// are written, never which component minimum survives as root
-// (DESIGN.md §11). Checked on the row-banded and the 2-D tiled labeler.
-
-class ParemspCasPolicy
-    : public ::testing::TestWithParam<std::pair<uf::CasFind, uf::CasSplice>> {
-};
-
-TEST_P(ParemspCasPolicy, BandedLabelerBitIdenticalToSequential) {
-  const auto [find, splice] = GetParam();
-  const AremspLabeler seq;
-  for (const int threads : {2, 4, 8}) {
-    for (std::uint64_t seed = 0; seed < 3; ++seed) {
-      const auto image = gen::landcover_like(96, 48, seed, 2);
-      SCOPED_TRACE("threads=" + std::to_string(threads) + " seed=" +
-                   std::to_string(seed));
-      const ParemspLabeler par(ParemspConfig{.threads = threads,
-                                             .merge_backend =
-                                                 MergeBackend::CasRem,
-                                             .cas_find = find,
-                                             .cas_splice = splice});
-      EXPECT_EQ(par.label(image).labels, seq.label(image).labels);
-    }
-  }
-}
-
-TEST_P(ParemspCasPolicy, TiledLabelerBitIdenticalToSequential) {
-  const auto [find, splice] = GetParam();
-  const AremspLabeler seq;
-  // Small tiles maximize seam-merge traffic through the policy under test.
-  const auto image = gen::uniform_noise(96, 96, 0.55, 77);
-  const TiledParemspLabeler tiled(
-      RleConfig{.threads = 4,
-                .tile_rows = 16,
-                .tile_cols = 16,
-                .merge_backend = MergeBackend::CasRem,
-                .cas_find = find,
-                .cas_splice = splice});
-  EXPECT_EQ(tiled.label(image).labels, seq.label(image).labels);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Policies, ParemspCasPolicy,
-    ::testing::Values(
-        std::pair{uf::CasFind::Naive, uf::CasSplice::Atomic},
-        std::pair{uf::CasFind::Naive, uf::CasSplice::Simple},
-        std::pair{uf::CasFind::Split, uf::CasSplice::Atomic},
-        std::pair{uf::CasFind::Split, uf::CasSplice::Simple},
-        std::pair{uf::CasFind::Halve, uf::CasSplice::Atomic},
-        std::pair{uf::CasFind::Halve, uf::CasSplice::Simple}),
-    [](const auto& pinfo) {
-      return std::string(uf::to_string(pinfo.param.first)) + "_" +
-             uf::to_string(pinfo.param.second);
-    });
 
 // --- Chunk-boundary adversaries ----------------------------------------------------
 
@@ -251,95 +163,7 @@ TEST(ParemspBoundaries, MoreThreadsThanRowPairs) {
 
 TEST(ParemspConfigTest, RejectsInvalidConfig) {
   EXPECT_THROW(ParemspLabeler(ParemspConfig{-1}), PreconditionError);
-  EXPECT_THROW(
-      ParemspLabeler(ParemspConfig{2, MergeBackend::LockedRem, 30}),
-      PreconditionError);
-  EXPECT_THROW(
-      ParemspLabeler(ParemspConfig{2, MergeBackend::LockedRem, -1}),
-      PreconditionError);
 }
-
-// Every executor that takes a merge config validates it through the same
-// SeamMerger, so an out-of-range lock pool is rejected synchronously with
-// the same PreconditionError on every path — and for every backend, not
-// only the one that builds the pool.
-struct MergeExecutor {
-  const char* name;
-  void (*build)(MergeBackend backend, int lock_bits);
-};
-
-void build_through_registry(Algorithm algorithm, MergeBackend backend,
-                            int bits) {
-  (void)make_labeler(
-      algorithm, LabelerOptions{.merge_backend = backend, .lock_bits = bits});
-}
-
-const MergeExecutor kMergeExecutors[] = {
-    {"paremsp",
-     [](MergeBackend backend, int bits) {
-       (void)ParemspLabeler(
-           ParemspConfig{.merge_backend = backend, .lock_bits = bits});
-     }},
-    {"paremsp_registry",
-     [](MergeBackend backend, int bits) {
-       build_through_registry(Algorithm::Paremsp, backend, bits);
-     }},
-    {"paremsp_rle",
-     [](MergeBackend backend, int bits) {
-       (void)ParemspRleLabeler(
-           RleConfig{.merge_backend = backend, .lock_bits = bits});
-     }},
-    {"paremsp_rle_registry",
-     [](MergeBackend backend, int bits) {
-       build_through_registry(Algorithm::ParemspRle, backend, bits);
-     }},
-    {"paremsp2d",
-     [](MergeBackend backend, int bits) {
-       (void)TiledParemspLabeler(
-           RleConfig{.merge_backend = backend, .lock_bits = bits});
-     }},
-    {"paremsp2d_registry",
-     [](MergeBackend backend, int bits) {
-       build_through_registry(Algorithm::ParemspTiled, backend, bits);
-     }},
-    {"sharded_submit",
-     [](MergeBackend backend, int bits) {
-       engine::LabelingEngine eng({.workers = 1});
-       const BinaryImage image(8, 8, 1);
-       LabelRequest request;
-       request.input = image;
-       request.shard = ShardOptions{.tile_rows = 4,
-                                    .tile_cols = 4,
-                                    .merge_backend = backend,
-                                    .lock_bits = bits};
-       (void)eng.submit(std::move(request)).get();
-     }},
-};
-
-class MergeConfigLockBits
-    : public ::testing::TestWithParam<std::tuple<MergeExecutor, int>> {};
-
-TEST_P(MergeConfigLockBits, RejectsOutOfRangeLockBits) {
-  const auto& [executor, bits] = GetParam();
-  for (const MergeBackend backend :
-       {MergeBackend::LockedRem, MergeBackend::CasRem,
-        MergeBackend::Sequential}) {
-    SCOPED_TRACE(to_string(backend));
-    EXPECT_THROW(executor.build(backend, bits), PreconditionError);
-    // Control: the same executor accepts the default pool size.
-    EXPECT_NO_THROW(executor.build(backend, uf::LockPool::kDefaultBits));
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Executors, MergeConfigLockBits,
-    ::testing::Combine(::testing::ValuesIn(kMergeExecutors),
-                       ::testing::Values(-1, uf::LockPool::kMaxBits + 1)),
-    [](const ::testing::TestParamInfo<MergeConfigLockBits::ParamType>& info) {
-      const int bits = std::get<1>(info.param);
-      return std::string(std::get<0>(info.param).name) + "_bits" +
-             (bits < 0 ? "m" + std::to_string(-bits) : std::to_string(bits));
-    });
 
 TEST(ParemspConfigTest, ReportsIdentity) {
   const ParemspLabeler labeler(ParemspConfig{4});

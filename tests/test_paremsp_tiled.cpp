@@ -26,12 +26,10 @@ namespace paremsp {
 namespace {
 
 TiledParemspLabeler tiled(Coord tile_rows, Coord tile_cols, int threads = 3,
-                          MergeBackend backend = MergeBackend::LockedRem,
                           Connectivity connectivity = Connectivity::Eight) {
   return TiledParemspLabeler(RleConfig{.threads = threads,
                                        .tile_rows = tile_rows,
-                                       .tile_cols = tile_cols,
-                                       .merge_backend = backend},
+                                       .tile_cols = tile_cols},
                              connectivity);
 }
 
@@ -51,7 +49,7 @@ void expect_matches_sequential(const TiledParemspLabeler& labeler,
 
   const RleConfig& config = labeler.config();
   const auto four = tiled(config.tile_rows, config.tile_cols, config.threads,
-                          config.merge_backend, Connectivity::Four)
+                          Connectivity::Four)
                         .label(image);
   const auto expected4 = CclremspLabeler(Connectivity::Four).label(image);
   EXPECT_EQ(four.num_components, expected4.num_components);
@@ -122,15 +120,6 @@ TEST(TiledParemsp, DeterministicAcrossThreadCounts) {
   }
 }
 
-TEST(TiledParemsp, AllMergeBackends) {
-  const auto image = gen::uniform_noise(64, 64, 0.55, 17);
-  for (const auto backend : {MergeBackend::LockedRem, MergeBackend::CasRem,
-                             MergeBackend::Sequential}) {
-    expect_matches_sequential(tiled(8, 8, 4, backend), image,
-                              to_string(backend));
-  }
-}
-
 TEST(TiledParemsp, CornerOnlyContacts) {
   // Diagonal line hits every tile corner of an 8x8 grid: all merges are
   // corner-diagonal, the hardest boundary case.
@@ -195,8 +184,6 @@ TEST(TiledParemsp, ConfigValidation) {
   EXPECT_THROW(TiledParemspLabeler(RleConfig{.tile_rows = 0}),
                PreconditionError);
   EXPECT_THROW(TiledParemspLabeler(RleConfig{.tile_cols = 0}),
-               PreconditionError);
-  EXPECT_THROW(TiledParemspLabeler(RleConfig{.lock_bits = 99}),
                PreconditionError);
   // Odd tile heights are legal: the canonical renumber makes any grid
   // geometry bit-identical, so no even-rounding is needed.

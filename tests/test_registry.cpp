@@ -115,15 +115,10 @@ TEST(Registry, FactoryProducesMatchingNames) {
 }
 
 TEST(Registry, FactoryForwardsParemspConfig) {
-  const LabelerOptions opts{.threads = 3,
-                            .merge_backend = MergeBackend::CasRem,
-                            .lock_bits = 8};
-  const auto labeler = make_labeler(Algorithm::Paremsp, opts);
+  const auto labeler = make_labeler(Algorithm::Paremsp, {.threads = 3});
   const auto* paremsp = dynamic_cast<const ParemspLabeler*>(labeler.get());
   ASSERT_NE(paremsp, nullptr);
   EXPECT_EQ(paremsp->config().threads, 3);
-  EXPECT_EQ(paremsp->config().merge_backend, MergeBackend::CasRem);
-  EXPECT_EQ(paremsp->config().lock_bits, 8);
 }
 
 TEST(Registry, FourConnectivityGatingMatchesCatalog) {

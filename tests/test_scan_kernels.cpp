@@ -166,8 +166,8 @@ TEST(ParemspOneLine, MatchesSequentialCclremspExactly) {
     const auto image = gen::landcover_like(66, 44, seed);
     const auto expected = seq.label(image);
     for (const int threads : {1, 2, 4, 8}) {
-      const ParemspLabeler par(ParemspConfig{
-          threads, MergeBackend::LockedRem, 12, ScanStrategy::OneLine});
+      const ParemspLabeler par(
+          ParemspConfig{.threads = threads, .scan = ScanStrategy::OneLine});
       const auto got = par.label(image);
       EXPECT_EQ(got.labels, expected.labels)
           << "threads=" << threads << " seed=" << seed;
@@ -178,7 +178,7 @@ TEST(ParemspOneLine, MatchesSequentialCclremspExactly) {
 
 TEST(ParemspOneLine, HandlesFixtures) {
   const ParemspLabeler par(
-      ParemspConfig{3, MergeBackend::CasRem, 12, ScanStrategy::OneLine});
+      ParemspConfig{.threads = 3, .scan = ScanStrategy::OneLine});
   for (const auto& fx : testing::fixtures()) {
     SCOPED_TRACE(fx.name);
     EXPECT_EQ(par.label(fx.image).num_components, fx.components8);

@@ -6,7 +6,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <future>
+#include <latch>
 #include <memory>
 #include <string>
 #include <thread>
@@ -19,6 +21,7 @@
 #include "core/aremsp.hpp"
 #include "core/cclremsp.hpp"
 #include "core/qos.hpp"
+#include "core/rle_labelers.hpp"
 #include "engine/engine.hpp"
 #include "fixtures.hpp"
 #include "image/generators.hpp"
@@ -228,42 +231,51 @@ TEST(Sharded, WithStatsEmptyAndDegenerateImages) {
   }
 }
 
-TEST(Sharded, AllMergeBackendsMatch) {
-  const BinaryImage image = gen::uniform_noise(64, 64, 0.55, 17);
-  const LabelResponse want = AremspLabeler().label(image);
-  LabelingEngine eng({.workers = 3});
-  for (const auto backend : {MergeBackend::LockedRem, MergeBackend::CasRem,
-                             MergeBackend::Sequential}) {
-    const LabelResponse got =
-        eng.submit(sharded(image, {.tile_rows = 8,
-                                   .tile_cols = 8,
-                                   .merge_backend = backend}))
-            .get();
-    expect_bit_identical(got, want, to_string(backend));
+TEST(Sharded, ConcurrentLabelersAndRequestShareTheSeamLockPool) {
+  // Every seam merge in the process goes through one striped lock pool
+  // (uf::seam_locks). Two paremsp2d labelers and one sharded request
+  // merge different parent arrays through it at the same time, and each
+  // stays bit-identical to sequential AREMSP. The images are above the
+  // executor's inline grain, so every phase loop fans out.
+  constexpr Coord kSide = 320;
+  constexpr std::size_t kCallers = 3;
+  constexpr int kRounds = 4;
+  std::vector<BinaryImage> images;
+  std::vector<LabelResponse> want;
+  for (std::size_t i = 0; i < kCallers; ++i) {
+    images.push_back(gen::uniform_noise(kSide, kSide, 0.55, 300 + i));
+    want.push_back(AremspLabeler().label(images.back()));
   }
-}
-
-TEST(Sharded, CasPolicyRoutesPerRequestAndStaysBitIdentical) {
-  // ShardOptions carries the CasRem find x splice selection per request:
-  // the same engine must honor a different combination on every submit
-  // (no labeler reconstruction, no cross-request state) and each one
-  // must stay bit-identical to sequential AREMSP.
-  const BinaryImage image = gen::uniform_noise(64, 64, 0.55, 17);
-  const LabelResponse want = AremspLabeler().label(image);
+  const TiledParemspLabeler first(
+      RleConfig{.threads = 4, .tile_rows = 16, .tile_cols = 16});
+  const TiledParemspLabeler second(
+      RleConfig{.threads = 3, .tile_rows = 24, .tile_cols = 40});
   LabelingEngine eng({.workers = 3});
-  for (const uf::CasFind find :
-       {uf::CasFind::Naive, uf::CasFind::Split, uf::CasFind::Halve}) {
-    for (const uf::CasSplice splice :
-         {uf::CasSplice::Atomic, uf::CasSplice::Simple}) {
-      const LabelResponse got =
-          eng.submit(sharded(image, {.tile_rows = 8,
-                                     .tile_cols = 8,
-                                     .merge_backend = MergeBackend::CasRem,
-                                     .cas_find = find,
-                                     .cas_splice = splice}))
-              .get();
-      expect_bit_identical(
-          got, want, merge_backend_label(MergeBackend::CasRem, find, splice));
+  const std::function<LabelResponse()> callers[kCallers] = {
+      [&] { return first.label(images[0]); },
+      [&] { return second.label(images[1]); },
+      [&] {
+        return eng
+            .submit(sharded(images[2], {.tile_rows = 32, .tile_cols = 32}))
+            .get();
+      }};
+
+  std::latch start(kCallers);
+  std::vector<std::vector<LabelResponse>> got(kCallers);
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < kCallers; ++i) {
+    threads.emplace_back([&, i] {
+      start.arrive_and_wait();
+      for (int round = 0; round < kRounds; ++round) {
+        got[i].push_back(callers[i]());
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (std::size_t i = 0; i < kCallers; ++i) {
+    ASSERT_EQ(got[i].size(), static_cast<std::size_t>(kRounds));
+    for (const LabelResponse& response : got[i]) {
+      expect_bit_identical(response, want[i], "caller " + std::to_string(i));
     }
   }
 }
@@ -385,8 +397,6 @@ TEST(Sharded, RejectsInvalidOptions) {
   EXPECT_THROW((void)eng.submit(sharded(image, {.tile_rows = 0})),
                PreconditionError);
   EXPECT_THROW((void)eng.submit(sharded(image, {.tile_cols = 0})),
-               PreconditionError);
-  EXPECT_THROW((void)eng.submit(sharded(image, {.lock_bits = 99})),
                PreconditionError);
 }
 

@@ -73,13 +73,10 @@ TEST(Stress, ParemspRandomThreadAndConfigMatrix) {
     const auto expected = sequential.label(image);
 
     const int threads = static_cast<int>(rng.next_in(1, 16));
-    const auto backend = static_cast<MergeBackend>(rng.next_below(3));
-    const int lock_bits = static_cast<int>(rng.next_in(0, 14));
     SCOPED_TRACE("round " + std::to_string(round) + " threads=" +
-                 std::to_string(threads) + " backend=" +
-                 to_string(backend) + " bits=" + std::to_string(lock_bits));
+                 std::to_string(threads));
 
-    const ParemspLabeler par(ParemspConfig{threads, backend, lock_bits});
+    const ParemspLabeler par(ParemspConfig{threads});
     const auto got = par.label(image);
     ASSERT_EQ(got.labels, expected.labels);  // bit-identical, always
   }
@@ -96,8 +93,7 @@ TEST(Stress, TiledParemspRandomGridMatrix) {
     const RleConfig config{
         .threads = static_cast<int>(rng.next_in(1, 8)),
         .tile_rows = static_cast<Coord>(rng.next_in(2, 48)),
-        .tile_cols = static_cast<Coord>(rng.next_in(2, 48)),
-        .merge_backend = static_cast<MergeBackend>(rng.next_below(3))};
+        .tile_cols = static_cast<Coord>(rng.next_in(2, 48))};
     SCOPED_TRACE("round " + std::to_string(round) + " tile=" +
                  std::to_string(config.tile_rows) + "x" +
                  std::to_string(config.tile_cols));

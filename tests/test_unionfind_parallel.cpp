@@ -1,16 +1,18 @@
-// Concurrency tests for the parallel REM mergers (paper Algorithm 8 and
-// the CAS variant): many threads hammer the same parent array; the final
-// partition must equal what sequential REM produces, under every backend,
-// schedule, and lock-stripe configuration.
+// Concurrency tests for the parallel REM unions (paper Algorithm 8, the
+// seam merge, and the lock-free cas_unite primitive): many threads hammer
+// the same parent array; the final partition must equal what sequential
+// REM produces, under every schedule and lock-stripe configuration, down
+// to one stripe (maximal contention).
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/executor.hpp"
 #include "common/prng.hpp"
-#include "core/equiv_policies.hpp"
 #include "unionfind/lock_pool.hpp"
 #include "unionfind/parallel_rem.hpp"
 #include "unionfind/rem.hpp"
@@ -42,13 +44,15 @@ std::vector<Label> sequential_roots(Label n, const std::vector<Edge>& edges) {
   return roots;
 }
 
+/// Which union runs; the lock-bits parameter only applies to Locked, where
+/// bits = 0 is one stripe shared by every root.
 enum class Merger { Locked, Cas };
 
 void run_parallel(Merger backend, Label n, const std::vector<Edge>& edges,
-                  std::vector<Label>& p, int threads, int lock_bits) {
+                  std::vector<Label>& p, int threads, int bits) {
   p.resize(static_cast<std::size_t>(n));
   std::iota(p.begin(), p.end(), 0);
-  LockPool locks(lock_bits);
+  LockPool locks(bits);
   // One contiguous edge range per thread, through the labelers' executor;
   // kInlineGrain as the work estimate makes it fan out however few edges
   // there are.
@@ -70,14 +74,14 @@ class ParallelMerge
     : public ::testing::TestWithParam<std::tuple<Merger, int, int>> {};
 
 TEST_P(ParallelMerge, PartitionMatchesSequentialRem) {
-  const auto [backend, threads, lock_bits] = GetParam();
+  const auto [backend, threads, bits] = GetParam();
   constexpr Label n = 2000;
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     const auto edges = random_edges(n, 6000, seed);
     const auto expected = sequential_roots(n, edges);
 
     std::vector<Label> p;
-    run_parallel(backend, n, edges, p, threads, lock_bits);
+    run_parallel(backend, n, edges, p, threads, bits);
     for (Label i = 0; i < n; ++i) {
       ASSERT_EQ(rem_find(p.data(), i), expected[static_cast<std::size_t>(i)])
           << "element " << i << " seed " << seed;
@@ -86,7 +90,7 @@ TEST_P(ParallelMerge, PartitionMatchesSequentialRem) {
 }
 
 TEST_P(ParallelMerge, HighContentionSingleComponent) {
-  const auto [backend, threads, lock_bits] = GetParam();
+  const auto [backend, threads, bits] = GetParam();
   // Every edge touches a hub: worst case for root-lock contention.
   constexpr Label n = 1024;
   std::vector<Edge> edges;
@@ -94,32 +98,32 @@ TEST_P(ParallelMerge, HighContentionSingleComponent) {
   for (Label i = 1; i < n; ++i) edges.emplace_back(i, n - i);
 
   std::vector<Label> p;
-  run_parallel(backend, n, edges, p, threads, lock_bits);
+  run_parallel(backend, n, edges, p, threads, bits);
   for (Label i = 0; i < n; ++i) {
     ASSERT_EQ(rem_find(p.data(), i), 0);
   }
 }
 
 TEST_P(ParallelMerge, ChainWorkload) {
-  const auto [backend, threads, lock_bits] = GetParam();
+  const auto [backend, threads, bits] = GetParam();
   // Long chains maximize splicing activity.
   constexpr Label n = 4096;
   std::vector<Edge> edges;
   for (Label i = 0; i + 1 < n; ++i) edges.emplace_back(i, i + 1);
 
   std::vector<Label> p;
-  run_parallel(backend, n, edges, p, threads, lock_bits);
+  run_parallel(backend, n, edges, p, threads, bits);
   for (Label i = 0; i < n; ++i) {
     ASSERT_EQ(rem_find(p.data(), i), 0);
   }
 }
 
 TEST_P(ParallelMerge, ParentsStayBelowIndices) {
-  const auto [backend, threads, lock_bits] = GetParam();
+  const auto [backend, threads, bits] = GetParam();
   constexpr Label n = 3000;
   const auto edges = random_edges(n, 9000, 0xFEED);
   std::vector<Label> p;
-  run_parallel(backend, n, edges, p, threads, lock_bits);
+  run_parallel(backend, n, edges, p, threads, bits);
   for (Label i = 0; i < n; ++i) {
     ASSERT_LE(p[static_cast<std::size_t>(i)], i) << "REM invariant broken";
   }
@@ -129,7 +133,7 @@ INSTANTIATE_TEST_SUITE_P(
     Backends, ParallelMerge,
     ::testing::Combine(::testing::Values(Merger::Locked, Merger::Cas),
                        ::testing::Values(2, 4, 8),
-                       ::testing::Values(2, 12)),
+                       ::testing::Values(0, 2, 12)),
     [](const auto& pinfo) {
       std::string name =
           std::get<0>(pinfo.param) == Merger::Locked ? "locked" : "cas";
@@ -147,10 +151,10 @@ INSTANTIATE_TEST_SUITE_P(
 void run_parallel_std_thread(Merger backend, Label n,
                              const std::vector<Edge>& edges,
                              std::vector<Label>& p, int threads,
-                             int lock_bits) {
+                             int bits) {
   p.resize(static_cast<std::size_t>(n));
   std::iota(p.begin(), p.end(), 0);
-  LockPool locks(lock_bits);
+  LockPool locks(bits);
   std::vector<std::thread> pool;
   for (int t = 0; t < threads; ++t) {
     pool.emplace_back([&, t] {
@@ -171,13 +175,13 @@ class ParallelMergeStdThread
     : public ::testing::TestWithParam<std::tuple<Merger, int, int>> {};
 
 TEST_P(ParallelMergeStdThread, PartitionMatchesSequentialRem) {
-  const auto [backend, threads, lock_bits] = GetParam();
+  const auto [backend, threads, bits] = GetParam();
   constexpr Label n = 2000;
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     const auto edges = random_edges(n, 6000, seed);
     const auto expected = sequential_roots(n, edges);
     std::vector<Label> p;
-    run_parallel_std_thread(backend, n, edges, p, threads, lock_bits);
+    run_parallel_std_thread(backend, n, edges, p, threads, bits);
     for (Label i = 0; i < n; ++i) {
       ASSERT_EQ(rem_find(p.data(), i), expected[static_cast<std::size_t>(i)])
           << "element " << i << " seed " << seed;
@@ -186,13 +190,13 @@ TEST_P(ParallelMergeStdThread, PartitionMatchesSequentialRem) {
 }
 
 TEST_P(ParallelMergeStdThread, HighContentionSingleComponent) {
-  const auto [backend, threads, lock_bits] = GetParam();
+  const auto [backend, threads, bits] = GetParam();
   constexpr Label n = 1024;
   std::vector<Edge> edges;
   for (Label i = 1; i < n; ++i) edges.emplace_back(0, i);
   for (Label i = 1; i < n; ++i) edges.emplace_back(i, n - i);
   std::vector<Label> p;
-  run_parallel_std_thread(backend, n, edges, p, threads, lock_bits);
+  run_parallel_std_thread(backend, n, edges, p, threads, bits);
   for (Label i = 0; i < n; ++i) {
     ASSERT_EQ(rem_find(p.data(), i), 0);
   }
@@ -202,7 +206,7 @@ INSTANTIATE_TEST_SUITE_P(
     Backends, ParallelMergeStdThread,
     ::testing::Combine(::testing::Values(Merger::Locked, Merger::Cas),
                        ::testing::Values(2, 4, 8),
-                       ::testing::Values(2, 12)),
+                       ::testing::Values(0, 2, 12)),
     [](const auto& pinfo) {
       std::string name =
           std::get<0>(pinfo.param) == Merger::Locked ? "locked" : "cas";
@@ -241,7 +245,7 @@ class ParallelMergeStdThreadPolicies
 
 TEST_P(ParallelMergeStdThreadPolicies, PartitionMatchesSequentialRem) {
   const auto [find, splice, threads] = GetParam();
-  const CasUniteFn unite = paremsp::cas_unite_fn(find, splice);
+  const CasUniteFn unite = cas_unite_fn(find, splice);
   constexpr Label n = 2000;
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     const auto edges = random_edges(n, 6000, seed);
@@ -257,7 +261,7 @@ TEST_P(ParallelMergeStdThreadPolicies, PartitionMatchesSequentialRem) {
 
 TEST_P(ParallelMergeStdThreadPolicies, HighContentionSingleComponent) {
   const auto [find, splice, threads] = GetParam();
-  const CasUniteFn unite = paremsp::cas_unite_fn(find, splice);
+  const CasUniteFn unite = cas_unite_fn(find, splice);
   constexpr Label n = 1024;
   std::vector<Edge> edges;
   for (Label i = 1; i < n; ++i) edges.emplace_back(0, i);
@@ -271,7 +275,7 @@ TEST_P(ParallelMergeStdThreadPolicies, HighContentionSingleComponent) {
 
 TEST_P(ParallelMergeStdThreadPolicies, ParentsStayBelowIndices) {
   const auto [find, splice, threads] = GetParam();
-  const CasUniteFn unite = paremsp::cas_unite_fn(find, splice);
+  const CasUniteFn unite = cas_unite_fn(find, splice);
   constexpr Label n = 3000;
   const auto edges = random_edges(n, 9000, 0xFEED);
   std::vector<Label> p;
@@ -317,28 +321,6 @@ TEST(LockPool, GuardIsReentrantAcrossDifferentStripes) {
 TEST(LockPool, RejectsOutOfRangeBits) {
   EXPECT_THROW(LockPool(-1), PreconditionError);
   EXPECT_THROW(LockPool(30), PreconditionError);
-}
-
-TEST(LockPool, BitsForStripesRoundTrips) {
-  EXPECT_EQ(LockPool::bits_for_stripes(1), 0);
-  EXPECT_EQ(LockPool::bits_for_stripes(2), 1);
-  EXPECT_EQ(LockPool::bits_for_stripes(4096), LockPool::kDefaultBits);
-  EXPECT_EQ(LockPool::bits_for_stripes(std::size_t{1} << LockPool::kMaxBits),
-            LockPool::kMaxBits);
-  const LockPool pool(LockPool::bits_for_stripes(64));
-  EXPECT_EQ(pool.stripe_count(), 64u);
-}
-
-TEST(LockPool, BitsForStripesRejectsDegeneratePools) {
-  // Zero stripes and non-power-of-two counts must be precondition
-  // errors, never silently masked onto a smaller pool.
-  EXPECT_THROW((void)LockPool::bits_for_stripes(0), PreconditionError);
-  EXPECT_THROW((void)LockPool::bits_for_stripes(3), PreconditionError);
-  EXPECT_THROW((void)LockPool::bits_for_stripes(4095), PreconditionError);
-  EXPECT_THROW(
-      (void)LockPool::bits_for_stripes(std::size_t{1}
-                                       << (LockPool::kMaxBits + 1)),
-      PreconditionError);
 }
 
 }  // namespace
