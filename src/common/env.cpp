@@ -57,7 +57,11 @@ std::uint64_t env_uint64(const char* name, std::uint64_t fallback) {
 }
 
 int hardware_threads() {
-  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  // hardware_concurrency() asks the OS on every call (microseconds);
+  // the count is read once per process.
+  static const int threads =
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  return threads;
 }
 
 std::string environment_banner() {

@@ -27,7 +27,7 @@ int env_int(const char* name, int fallback);
 std::uint64_t env_uint64(const char* name, std::uint64_t fallback);
 
 /// Number of hardware threads (at least 1): what `threads = 0` means for
-/// the parallel labelers.
+/// the parallel labelers. Read once per process and cached.
 int hardware_threads();
 
 /// One-line description of the execution environment for table headers.

@@ -146,19 +146,6 @@ LabelResponse label_runs_impl(ConstImageView image, Connectivity connectivity,
 
 namespace {
 
-/// Full-width row bands for paremsp_rle: about one band per thread,
-/// clamped so every band has at least one row, then rounded UP to even so
-/// every band starts on an even row — the 8-connected scan's pair order
-/// then aligns with the global two-line pairing and the canonical
-/// renumber walk collapses to label order (BandRenumber).
-Coord band_rows(Coord rows, int threads) {
-  const int n = std::clamp<int>(threads, 1, static_cast<int>(
-                                                std::max<Coord>(rows, 1)));
-  Coord band = std::max<Coord>(1, (rows + n - 1) / n);
-  if (band < rows && band % 2 != 0) ++band;
-  return band;
-}
-
 /// `threads` as configured, 0 meaning every hardware thread.
 int resolved_threads(int threads) {
   return threads > 0 ? threads : hardware_threads();
@@ -169,12 +156,9 @@ LabelResponse label_row_bands(ConstImageView image, Connectivity connectivity,
                               LabelScratch& scratch,
                               analysis::ComponentStats* stats,
                               const RleConfig& config, int threshold) {
-  const int threads = resolved_threads(config.threads);
-  return label_runs_impl(image, connectivity, scratch, stats,
-                         {.tile_rows = band_rows(image.rows(), threads),
-                          .tile_cols = std::max<Coord>(image.cols(), 1),
-                          .threads = threads,
-                          .threshold = threshold});
+  return label_runs_impl(
+      image, connectivity, scratch, stats,
+      row_band_plan(image, resolved_threads(config.threads), threshold));
 }
 
 /// paremsp2d: the configured 2-D tile grid.
@@ -191,10 +175,14 @@ LabelResponse label_tiles(ConstImageView image, Connectivity connectivity,
 
 }  // namespace
 
-RunPlan whole_image_plan(ConstImageView image, int threshold) {
-  return {.tile_rows = std::max<Coord>(image.rows(), 1),
+RunPlan row_band_plan(ConstImageView image, int threads, int threshold) {
+  const Coord rows = std::max<Coord>(image.rows(), 1);
+  const int n = std::clamp<int>(threads, 1, static_cast<int>(rows));
+  Coord band = (rows + n - 1) / n;
+  if (band < rows && band % 2 != 0) ++band;
+  return {.tile_rows = band,
           .tile_cols = std::max<Coord>(image.cols(), 1),
-          .threads = 1,
+          .threads = threads,
           .threshold = threshold};
 }
 
@@ -204,7 +192,7 @@ LabelResponse AremspRleLabeler::run_impl(ConstImageView image,
                                          analysis::ComponentStats* stats)
     const {
   return label_runs_impl(image, connectivity, scratch, stats,
-                         whole_image_plan(image));
+                         row_band_plan(image, 1));
 }
 
 LabelResponse AremspRleLabeler::run_gray_impl(ConstImageView gray,
@@ -214,7 +202,7 @@ LabelResponse AremspRleLabeler::run_gray_impl(ConstImageView gray,
                                               analysis::ComponentStats* stats)
     const {
   return label_runs_impl(gray, connectivity, scratch, stats,
-                         whole_image_plan(gray, cutoff));
+                         row_band_plan(gray, 1, cutoff));
 }
 
 ParemspRleLabeler::ParemspRleLabeler(RleConfig config,

@@ -14,8 +14,8 @@
 // All three are presets of one entry, label_runs_impl, which the engine's
 // sharded requests call too (with the request's grid, the engine's worker
 // count, and a QoS hook between phases), and which labels every stream
-// slab (stream/slab_session.cpp) through aremsp_rle's one-tile plan,
-// whole_image_plan.
+// slab (stream/slab_session.cpp) through paremsp_rle's row-band plan,
+// row_band_plan, with participants taken from the slab's size.
 //
 // The pipeline per tile: RowBits packs each row into 64-pixel words, runs
 // are emitted by ctz/popcount word scanning, each run records ONE
@@ -81,10 +81,16 @@ struct RunPlan {
                                             analysis::ComponentStats* stats,
                                             const RunPlan& plan);
 
-/// aremsp_rle's plan: the whole image as one tile (no seams), on the
-/// calling thread. Its one tile's runs sit in scratch.run_buffers(1)[0].
-[[nodiscard]] RunPlan whole_image_plan(ConstImageView image,
-                                       int threshold = -1);
+/// paremsp_rle's plan: full-width row bands, about one per participant.
+/// `threads` (>= 1) is clamped to the row count; bands are rounded UP to
+/// an even height, so every band starts on an even row — the 8-connected
+/// scan's pair order then aligns with the global two-line pairing and
+/// the canonical renumber walks labels (BandRenumber). Band b's runs sit
+/// in scratch.run_buffers(bands)[b], bands = ceil(rows / tile_rows).
+/// `threads` = 1 is aremsp_rle's plan: the whole image as one tile (no
+/// seams) on the calling thread.
+[[nodiscard]] RunPlan row_band_plan(ConstImageView image, int threads,
+                                    int threshold = -1);
 
 /// Shared tuning knobs of the parallel rle labelers.
 struct RleConfig {

@@ -10,7 +10,9 @@
 // each task processes one queued op (slab or finish) and re-enqueues if
 // more are pending. Serial per session — but the engine interleaves any
 // number of sessions and one-shot jobs between those tasks, so a slow
-// streaming client never monopolizes the pool.
+// streaming client never monopolizes the pool. Within one op, a slab of
+// at least 1 Mi pixels is labeled as row bands whose helpers are posted
+// to this engine's own workers, like a sharded request's tile loops.
 //
 // Dataflow per op, on whichever worker picks the task up:
 //

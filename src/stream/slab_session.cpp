@@ -1,8 +1,8 @@
 // SlabSession implementation: each slab is labeled by the one run
-// pipeline (label_runs_impl, aremsp_rle's one-tile plan); what stays here
-// is the session-global tracking forest that carries component identity
-// across slabs. See slab_session.hpp for the dataflow; the invariants
-// each step relies on are restated inline where they are used.
+// pipeline (label_runs_impl, paremsp_rle's row-band plan); what stays
+// here is the session-global tracking forest that carries component
+// identity across slabs. See slab_session.hpp for the dataflow; the
+// invariants each step relies on are restated inline where they are used.
 #include "stream/slab_session.hpp"
 
 #include <algorithm>
@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "common/contracts.hpp"
+#include "common/env.hpp"
 #include "core/rle_labelers.hpp"
 #include "obs/trace.hpp"
 
@@ -19,6 +20,19 @@ namespace paremsp::stream {
 namespace {
 
 constexpr std::int64_t kNoKey = std::numeric_limits<std::int64_t>::max();
+
+/// Slab pixels per participant of a slab's row-band plan. Smaller slabs
+/// run as one band on the calling thread: 256-row slabs of 512 columns
+/// are about 50 us of work each, and fanning them out over 4 bands was
+/// measured about 3x slower than one band (DESIGN.md §12.1).
+constexpr std::int64_t kSlabPixelsPerParticipant = std::int64_t{512} << 10;
+
+/// One participant per kSlabPixelsPerParticipant pixels, at least one
+/// and at most one per hardware thread.
+int slab_participants(std::int64_t pixels) {
+  return static_cast<int>(std::clamp<std::int64_t>(
+      pixels / kSlabPixelsPerParticipant, 1, hardware_threads()));
+}
 
 /// A slab component's exact sums as a cell in GLOBAL rows: the one-shot
 /// cells of the concatenated image accumulate global rows, and shifting
@@ -104,19 +118,24 @@ SlabResult SlabSession::push_slab(ConstImageView slab) {
 
   obs::Span span("stream.slab", "stream");
 
-  // 1. Label the slab on its own with aremsp_rle's one-tile plan: the
-  // dense ids 1..local_components are the slab's one-shot canonical
-  // labels. By label_runs_impl's postcondition the slab's runs stay in
-  // the scratch, each resolving to its dense id through `dense_of`.
-  RunPlan plan = whole_image_plan(slab, cutoff_);
+  // 1. Label the slab on its own with paremsp_rle's row-band plan, one
+  // band per participant: the dense ids 1..local_components are the
+  // slab's one-shot canonical labels for any band count. By
+  // label_runs_impl's postcondition each band's runs stay in the
+  // scratch, each resolving to its dense id through `dense_of`.
+  RunPlan plan =
+      row_band_plan(slab, slab_participants(slab.size()), cutoff_);
   plan.labels = options_.labels;
   LabelResponse labeled =
       label_runs_impl(slab, options_.connectivity, scratch_,
                       options_.stats ? &slab_stats_ : nullptr, plan);
   const Label local_components = labeled.num_components;
-  const RunBuffer& runs = scratch_.run_buffers(1)[0];
-  const std::span<const Label> dense_of = scratch_.parents(label_space);
   const Coord rows = slab.rows();
+  const std::span<const RunBuffer> bands = scratch_.run_buffers(
+      static_cast<std::size_t>((rows + plan.tile_rows - 1) / plan.tile_rows));
+  const std::span<const Label> dense_of = scratch_.parents(label_space);
+  std::size_t slab_runs = 0;
+  for (const RunBuffer& band : bands) slab_runs += band.size();
   const std::size_t m = carried_runs_.size();
 
   // 2. Unite the seam at track level: every first-row run overlapping a
@@ -128,7 +147,7 @@ SlabResult SlabSession::push_slab(ConstImageView slab) {
   // never dense ids.
   dense_track_.assign(static_cast<std::size_t>(local_components) + 1, 0);
   unite_overlapping_runs(
-      runs.row(0), std::span<const Run>(carried_runs_), window_,
+      bands.front().row(0), std::span<const Run>(carried_runs_), window_,
       [this, dense_of](Label run_label, Label carried_track) {
         const Label t = track_find(carried_track);
         Label& assigned = dense_track_[static_cast<std::size_t>(
@@ -155,12 +174,15 @@ SlabResult SlabSession::push_slab(ConstImageView slab) {
   // Per run, not per dense id: a slab starting on an odd global row
   // straddles a two-line pair, so a slab's canonical first run need not
   // be the component's first in the global visit order.
-  for (Coord r = 0; r < rows; ++r) {
-    const std::int64_t global_r = static_cast<std::int64_t>(global_row_) + r;
-    for (const Run& run : runs.row(r)) {
-      std::int64_t& mk =
-          track_min_key_[static_cast<std::size_t>(track_of(run))];
-      mk = std::min(mk, first_appearance_key(global_r, run.col_begin));
+  for (const RunBuffer& band : bands) {
+    for (Coord r = band.row_begin(); r < band.row_end(); ++r) {
+      const std::int64_t global_r =
+          static_cast<std::int64_t>(global_row_) + r;
+      for (const Run& run : band.row(r)) {
+        std::int64_t& mk =
+            track_min_key_[static_cast<std::size_t>(track_of(run))];
+        mk = std::min(mk, first_appearance_key(global_r, run.col_begin));
+      }
     }
   }
   if (options_.stats) {
@@ -183,7 +205,7 @@ SlabResult SlabSession::push_slab(ConstImageView slab) {
 
   // The slab's bottom-row runs, labeled with their tracks, become the
   // next carried seam.
-  const std::span<const Run> bottom = runs.row(rows - 1);
+  const std::span<const Run> bottom = bands.back().row(rows - 1);
   const std::size_t seam_out = bottom.size();
   carried_runs_.assign(bottom.begin(), bottom.end());
   open_scratch_.clear();
@@ -203,7 +225,7 @@ SlabResult SlabSession::push_slab(ConstImageView slab) {
                  slab_stats_.components.capacity() *
                      sizeof(analysis::ComponentInfo)
            : 0) +
-      runs.size() * sizeof(Run) +
+      slab_runs * sizeof(Run) +
       (options_.labels ? static_cast<std::size_t>(slab.size()) * sizeof(Label)
                        : 0) +
       (dense_track_.capacity() + open_scratch_.capacity()) * sizeof(Label);
@@ -215,7 +237,7 @@ SlabResult SlabSession::push_slab(ConstImageView slab) {
   result.slab_index = slab_index_;
   result.local_components = local_components;
   result.labels = std::move(labeled.labels);
-  result.runs = runs.size();
+  result.runs = slab_runs;
   result.carried_in = m;
   result.seam_runs_out = seam_out;
   result.open_components = open;

@@ -33,14 +33,18 @@
 // 64-bit first-appearance key folded per component as slabs stream by,
 // so the numbering does not depend on where the cuts fall.
 //
-// How a slab is processed (single-threaded; the ENGINE provides
-// cross-slab pipelining, see engine/stream_session.hpp):
+// How a slab is processed (slabs one after another; each slab's
+// pipeline fans out over the caller's pool, the engine's workers when
+// called from engine/stream_session.hpp):
 //
 //   1. label the slab on its own through the one run pipeline
-//      (label_runs_impl with aremsp_rle's one-tile plan,
-//      core/rle_labelers.hpp): the dense ids 1..local_components are
-//      the slab's own one-shot canonical labels, and the slab's runs
-//      with their dense ids stay in the session's scratch;
+//      (label_runs_impl with paremsp_rle's row-band plan,
+//      core/rle_labelers.hpp): one band per participant, one participant
+//      per 512 Ki pixels up to the hardware threads, so small slabs stay
+//      one band on the calling thread. The dense ids 1..local_components
+//      are the slab's own one-shot canonical labels for any band count,
+//      and the slab's runs with their dense ids stay in the session's
+//      scratch;
 //   2. unite the seam at track level: every first-row run overlapping
 //      a carried seam run (unite_overlapping_runs — the same
 //      one-union-per-overlapping-pair sweep the tile seams use) ties
@@ -161,9 +165,10 @@ struct StreamResult {
   std::optional<analysis::ComponentStats> stats;
 };
 
-/// One streaming labeling session. Single-threaded: push_slab/finish
+/// One streaming labeling session. Not thread-safe: push_slab/finish
 /// must be externally serialized (the engine's StreamSession does this
-/// while pipelining slabs of DIFFERENT sessions across workers).
+/// while pipelining slabs of DIFFERENT sessions across workers). A push
+/// of at least 1 Mi pixels labels its slab across the caller's pool.
 class SlabSession {
  public:
   /// Validates options (cols >= 1, threshold within [0, 1]) — throws
@@ -203,9 +208,9 @@ class SlabSession {
   /// height, and it grows with COMPONENTS, not pixels.
   [[nodiscard]] std::size_t seam_state_bytes() const noexcept;
 
-  /// High-water bytes of per-slab scratch (parents, cells, stats, run
-  /// buffer, planes) across pushes so far. seam_state_bytes() + this is the
-  /// session's resident footprint.
+  /// High-water bytes of per-slab scratch (parents, cells, stats, every
+  /// band's run buffer, planes) across pushes so far. seam_state_bytes()
+  /// + this is the session's resident footprint.
   [[nodiscard]] std::size_t slab_working_bytes() const noexcept {
     return slab_working_high_water_;
   }

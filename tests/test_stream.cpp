@@ -17,6 +17,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -25,6 +26,7 @@
 #include "core/registry.hpp"
 #include "core/request.hpp"
 #include "image/generators.hpp"
+#include "obs/trace.hpp"
 #include "stream/slab_session.hpp"
 
 namespace paremsp {
@@ -298,6 +300,62 @@ TEST(Stream, ResidentFootprintStaysBelowOneShotWorkingSet) {
           << session.slab_working_bytes() << " B";
     }
   }
+}
+
+TEST(Stream, LargeSlabsFanOutAndMatchOneShot) {
+  // Slabs of >= 1 Mi pixels are labeled as row bands across the pool, two
+  // bands here on any host with two or more cores. The first slab's odd
+  // height puts the second on an odd global row: it straddles a two-line
+  // pair at the slab cut and at its band cut, where a component's global
+  // first run can sit in the next band's first row.
+  constexpr Coord kCols = 4096;
+  const std::vector<Coord> heights = {257, 256};
+  const Coord rows = heights[0] + heights[1];
+  const std::uint64_t seed = env_uint64("PAREMSP_TEST_SEED", 0xfea7);
+  BinaryImage image = gen::uniform_noise(rows, kCols, 0.5, seed);
+  // Left of the noise, on a blank field, one motif per odd row s in its
+  // own 12-column block at x: component X is first met at (s - 1, x + 6)
+  // in a slab's row order, but its global first pixel is (s, x + 1),
+  // reached through row s + 1; the lone pixel Y at (s - 1, x + 3) lies
+  // between the two in the two-line order of pair (s - 1, s). If a band
+  // cut falls at s and X's key missed row s, Y would number before X.
+  for (Coord r = 0; r < rows; ++r) {
+    std::fill_n(image.row(r), 12 * (rows / 2) + 4, 0);
+  }
+  for (Coord s = 1; s + 1 < rows; s += 2) {
+    const Coord x = 12 * (s / 2);
+    image(s - 1, x + 6) = image(s, x + 7) = image(s, x + 1) = 1;  // X
+    std::fill_n(image.row(s + 1) + x + 2, 5, 1);                  // X
+    image(s - 1, x + 3) = 1;                                      // Y
+  }
+  for (const Connectivity conn : {Connectivity::Eight, Connectivity::Four}) {
+    StreamOptions opts;
+    opts.connectivity = conn;
+    opts.stats = true;
+    expect_stream_matches(ConstImageView(image), opts, heights,
+                          case_name(conn, rows, kCols, seed, heights));
+  }
+
+  // Fan-out: each slab's pipeline scans min(2, hardware threads) bands.
+  StreamOptions opts;
+  opts.cols = kCols;
+  opts.labels = false;
+  SlabSession session(opts);
+  obs::TraceSession trace;
+  (void)session.push_slab(
+      ConstImageView(image).subview(0, 0, heights[0], kCols));
+  (void)session.push_slab(
+      ConstImageView(image).subview(heights[0], 0, heights[1], kCols));
+  const obs::TraceReport report = trace.stop();
+  std::size_t band_scans = 0;
+  for (const obs::ThreadTrace& t : report.threads) {
+    for (const obs::TraceEvent& e : t.events) {
+      band_scans += std::string_view(e.name) == "rle.scan.tile" ? 1 : 0;
+    }
+  }
+  EXPECT_EQ(band_scans, session.slabs_pushed() *
+                            static_cast<std::size_t>(
+                                std::min(2, hardware_threads())));
 }
 
 TEST(Stream, EmptySessionFinishResolvesToNothing) {

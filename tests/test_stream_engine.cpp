@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdint>
 #include <future>
+#include <latch>
 #include <optional>
 #include <thread>
 #include <utility>
@@ -117,6 +118,50 @@ TEST(StreamEngine, SessionMatchesOneShotAcrossWindowsAndConnectivities) {
   EXPECT_EQ(stats.stream_slabs_completed, 80u);
   EXPECT_EQ(stats.jobs_shed, 0u);
   EXPECT_EQ(stats.jobs_cancelled, 0u);
+}
+
+TEST(StreamEngine, LargeSlabSessionsAndShardedRequestRunAtOnce) {
+  // Slabs of >= 1 Mi pixels fan out as row bands whose helpers run on the
+  // engine's own workers, next to the other session's slabs and a sharded
+  // request's tile loops. Two sessions (8- and 4-conn; the second slab of
+  // each starts on an odd row) and one sharded request run at once on
+  // four workers, and each result equals one-shot labeling.
+  constexpr Coord kCols = 4096;
+  constexpr Coord kSlabRows = 257;
+  LabelingEngine eng({.workers = 4});
+  const BinaryImage noise =
+      gen::uniform_noise(2 * kSlabRows, kCols, 0.5, 24);
+  const BinaryImage landcover = gen::landcover_like(2 * kSlabRows, kCols, 24);
+  const BinaryImage tiled = gen::uniform_noise(1024, 1024, 0.55, 25);
+  const LabelResponse want = make_labeler(Algorithm::AremspRle)->label(tiled);
+
+  StreamConfig eight;
+  eight.options.stats = true;
+  StreamConfig four = eight;
+  four.options.connectivity = Connectivity::Four;
+  LabelResponse got;
+  std::latch start(3);
+  std::vector<std::thread> callers;
+  callers.emplace_back([&] {
+    start.arrive_and_wait();
+    expect_engine_stream_matches(eng, ConstImageView(noise), eight, kSlabRows);
+  });
+  callers.emplace_back([&] {
+    start.arrive_and_wait();
+    expect_engine_stream_matches(eng, ConstImageView(landcover), four,
+                                 kSlabRows);
+  });
+  callers.emplace_back([&] {
+    LabelRequest request;
+    request.input = ConstImageView(tiled);
+    request.shard = ShardOptions{.tile_rows = 256, .tile_cols = 256};
+    start.arrive_and_wait();
+    got = eng.submit(std::move(request)).get();
+  });
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(got.num_components, want.num_components);
+  EXPECT_EQ(got.labels, want.labels);
+  EXPECT_EQ(eng.stats().stream_sessions_completed, 2u);
 }
 
 TEST(StreamEngine, WindowOneIsLockstep) {
