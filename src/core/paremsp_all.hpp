@@ -8,11 +8,8 @@
 #pragma once
 
 #include "analysis/component_stats.hpp"
-#include "analysis/contours.hpp"
 #include "analysis/feature_accumulator.hpp"
 #include "analysis/equivalence.hpp"
-#include "analysis/shape.hpp"
-#include "analysis/filtering.hpp"
 #include "analysis/validation.hpp"
 #include "baselines/arun.hpp"
 #include "baselines/ccllrpc.hpp"

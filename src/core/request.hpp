@@ -12,8 +12,8 @@
 // GPU union-find line of Chen et al., the run-based analysis API of
 // Lemaitre & Lacassagne) converge on exactly this shape: a single call
 // over a non-owning image view, parameterized by connectivity and the
-// requested outputs. Future capabilities (filtering, contours, new
-// backends) become request fields here, not new method families.
+// requested outputs. A new capability becomes a request field here, not
+// a new method family.
 //
 // Ownership and lifetime: a request BORROWS everything it references.
 // `input` (and `label_out`, when set) must stay alive and unmodified for
