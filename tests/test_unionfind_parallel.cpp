@@ -1,9 +1,9 @@
-// Concurrency tests for locked_unite, the parallel REM union of paper
-// Algorithm 8 and the seam merge: many threads hammer the same parent
-// array; the final partition must equal what sequential REM produces, and
-// the threads' joins must add up to the trees eliminated, under every
-// schedule and lock-stripe configuration, down to one stripe (maximal
-// contention).
+// Concurrency tests for the parallel REM unions (paper Algorithm 8, the
+// seam merge, and the lock-free cas_unite primitive): many threads hammer
+// the same parent array; the final partition must equal what sequential
+// REM produces, and the threads' joins must add up to the trees
+// eliminated, under every schedule and lock-stripe configuration, down to
+// one stripe (maximal contention).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -55,10 +55,20 @@ std::uint64_t component_count(const std::vector<Label>& roots) {
   return count;
 }
 
-/// Runs every edge through locked_unite on a pool of 2^bits stripes
-/// (bits = 0 is one stripe shared by every root) and returns the joins
-/// summed over the threads' own UniteStats.
-std::uint64_t run_parallel(Label n, const std::vector<Edge>& edges,
+/// Which union runs; the lock-bits parameter only applies to Locked, where
+/// bits = 0 is one stripe shared by every root.
+enum class Merger { Locked, Cas };
+
+std::uint64_t total_joins(const std::vector<UniteStats>& stats) {
+  std::uint64_t joins = 0;
+  for (const UniteStats& s : stats) joins += s.joins;
+  return joins;
+}
+
+/// Runs every edge through the chosen union and returns the joins summed
+/// over the threads' own UniteStats.
+std::uint64_t run_parallel(Merger backend, Label n,
+                           const std::vector<Edge>& edges,
                            std::vector<Label>& p, int threads, int bits) {
   p.resize(static_cast<std::size_t>(n));
   std::iota(p.begin(), p.end(), 0);
@@ -72,37 +82,30 @@ std::uint64_t run_parallel(Label n, const std::vector<Edge>& edges,
   parallel_for(pieces, kInlineGrain, threads, [&](std::size_t t) {
     const std::size_t end = m * (t + 1) / pieces;
     for (std::size_t i = m * t / pieces; i < end; ++i) {
-      locked_unite(p.data(), locks, edges[i].first, edges[i].second,
-                   &stats[t]);
+      if (backend == Merger::Locked) {
+        locked_unite(p.data(), locks, edges[i].first, edges[i].second,
+                     &stats[t]);
+      } else {
+        cas_unite(p.data(), edges[i].first, edges[i].second, &stats[t]);
+      }
     }
   });
-  std::uint64_t joins = 0;
-  for (const UniteStats& s : stats) joins += s.joins;
-  return joins;
-}
-
-/// threads x stripe bits, both suites named locked_t<threads>_b<bits>.
-const auto kThreadsByBits = ::testing::Combine(::testing::Values(2, 4, 8),
-                                               ::testing::Values(0, 2, 12));
-
-std::string param_name(
-    const ::testing::TestParamInfo<std::tuple<int, int>>& pinfo) {
-  return "locked_t" + std::to_string(std::get<0>(pinfo.param)) + "_b" +
-         std::to_string(std::get<1>(pinfo.param));
+  return total_joins(stats);
 }
 
 class ParallelMerge
-    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+    : public ::testing::TestWithParam<std::tuple<Merger, int, int>> {};
 
 TEST_P(ParallelMerge, PartitionMatchesSequentialRem) {
-  const auto [threads, bits] = GetParam();
+  const auto [backend, threads, bits] = GetParam();
   constexpr Label n = 2000;
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     const auto edges = random_edges(n, 6000, seed);
     const auto expected = sequential_roots(n, edges);
 
     std::vector<Label> p;
-    const std::uint64_t joins = run_parallel(n, edges, p, threads, bits);
+    const std::uint64_t joins =
+        run_parallel(backend, n, edges, p, threads, bits);
     for (Label i = 0; i < n; ++i) {
       ASSERT_EQ(rem_find(p.data(), i), expected[static_cast<std::size_t>(i)])
           << "element " << i << " seed " << seed;
@@ -113,7 +116,7 @@ TEST_P(ParallelMerge, PartitionMatchesSequentialRem) {
 }
 
 TEST_P(ParallelMerge, HighContentionSingleComponent) {
-  const auto [threads, bits] = GetParam();
+  const auto [backend, threads, bits] = GetParam();
   // Every edge touches a hub: worst case for root-lock contention.
   constexpr Label n = 1024;
   std::vector<Edge> edges;
@@ -121,7 +124,7 @@ TEST_P(ParallelMerge, HighContentionSingleComponent) {
   for (Label i = 1; i < n; ++i) edges.emplace_back(i, n - i);
 
   std::vector<Label> p;
-  const std::uint64_t joins = run_parallel(n, edges, p, threads, bits);
+  const std::uint64_t joins = run_parallel(backend, n, edges, p, threads, bits);
   for (Label i = 0; i < n; ++i) {
     ASSERT_EQ(rem_find(p.data(), i), 0);
   }
@@ -129,39 +132,51 @@ TEST_P(ParallelMerge, HighContentionSingleComponent) {
 }
 
 TEST_P(ParallelMerge, ChainWorkload) {
-  const auto [threads, bits] = GetParam();
+  const auto [backend, threads, bits] = GetParam();
   // Long chains maximize splicing activity.
   constexpr Label n = 4096;
   std::vector<Edge> edges;
   for (Label i = 0; i + 1 < n; ++i) edges.emplace_back(i, i + 1);
 
   std::vector<Label> p;
-  run_parallel(n, edges, p, threads, bits);
+  run_parallel(backend, n, edges, p, threads, bits);
   for (Label i = 0; i < n; ++i) {
     ASSERT_EQ(rem_find(p.data(), i), 0);
   }
 }
 
 TEST_P(ParallelMerge, ParentsStayBelowIndices) {
-  const auto [threads, bits] = GetParam();
+  const auto [backend, threads, bits] = GetParam();
   constexpr Label n = 3000;
   const auto edges = random_edges(n, 9000, 0xFEED);
   std::vector<Label> p;
-  run_parallel(n, edges, p, threads, bits);
+  run_parallel(backend, n, edges, p, threads, bits);
   for (Label i = 0; i < n; ++i) {
     ASSERT_LE(p[static_cast<std::size_t>(i)], i) << "REM invariant broken";
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Backends, ParallelMerge, kThreadsByBits, param_name);
+INSTANTIATE_TEST_SUITE_P(
+    Backends, ParallelMerge,
+    ::testing::Combine(::testing::Values(Merger::Locked, Merger::Cas),
+                       ::testing::Values(2, 4, 8),
+                       ::testing::Values(0, 2, 12)),
+    [](const auto& pinfo) {
+      std::string name =
+          std::get<0>(pinfo.param) == Merger::Locked ? "locked" : "cas";
+      name += "_t" + std::to_string(std::get<1>(pinfo.param));
+      name += "_b" + std::to_string(std::get<2>(pinfo.param));
+      return name;
+    });
 
 // --- std::thread variants (ThreadSanitizer coverage) -----------------------
 //
-// The tests above drive locked_unite through the labelers' executor;
-// these drive it from plain std::thread, interleaving the edges instead
-// of splitting them into ranges.
+// The tests above drive the mergers through the labelers' executor;
+// these drive the same backends from plain std::thread, interleaving the
+// edges instead of splitting them into ranges.
 
-std::uint64_t run_parallel_std_thread(Label n, const std::vector<Edge>& edges,
+std::uint64_t run_parallel_std_thread(Merger backend, Label n,
+                                      const std::vector<Edge>& edges,
                                       std::vector<Label>& p, int threads,
                                       int bits) {
   p.resize(static_cast<std::size_t>(n));
@@ -171,31 +186,34 @@ std::uint64_t run_parallel_std_thread(Label n, const std::vector<Edge>& edges,
   std::vector<std::thread> pool;
   for (int t = 0; t < threads; ++t) {
     pool.emplace_back([&, t] {
-      UniteStats& own = stats[static_cast<std::size_t>(t)];
       for (std::size_t i = static_cast<std::size_t>(t); i < edges.size();
            i += static_cast<std::size_t>(threads)) {
-        locked_unite(p.data(), locks, edges[i].first, edges[i].second, &own);
+        const auto st = static_cast<std::size_t>(t);
+        if (backend == Merger::Locked) {
+          locked_unite(p.data(), locks, edges[i].first, edges[i].second,
+                       &stats[st]);
+        } else {
+          cas_unite(p.data(), edges[i].first, edges[i].second, &stats[st]);
+        }
       }
     });
   }
   for (std::thread& t : pool) t.join();
-  std::uint64_t joins = 0;
-  for (const UniteStats& s : stats) joins += s.joins;
-  return joins;
+  return total_joins(stats);
 }
 
 class ParallelMergeStdThread
-    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+    : public ::testing::TestWithParam<std::tuple<Merger, int, int>> {};
 
 TEST_P(ParallelMergeStdThread, PartitionMatchesSequentialRem) {
-  const auto [threads, bits] = GetParam();
+  const auto [backend, threads, bits] = GetParam();
   constexpr Label n = 2000;
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     const auto edges = random_edges(n, 6000, seed);
     const auto expected = sequential_roots(n, edges);
     std::vector<Label> p;
     const std::uint64_t joins =
-        run_parallel_std_thread(n, edges, p, threads, bits);
+        run_parallel_std_thread(backend, n, edges, p, threads, bits);
     for (Label i = 0; i < n; ++i) {
       ASSERT_EQ(rem_find(p.data(), i), expected[static_cast<std::size_t>(i)])
           << "element " << i << " seed " << seed;
@@ -206,22 +224,116 @@ TEST_P(ParallelMergeStdThread, PartitionMatchesSequentialRem) {
 }
 
 TEST_P(ParallelMergeStdThread, HighContentionSingleComponent) {
-  const auto [threads, bits] = GetParam();
+  const auto [backend, threads, bits] = GetParam();
   constexpr Label n = 1024;
   std::vector<Edge> edges;
   for (Label i = 1; i < n; ++i) edges.emplace_back(0, i);
   for (Label i = 1; i < n; ++i) edges.emplace_back(i, n - i);
   std::vector<Label> p;
   const std::uint64_t joins =
-      run_parallel_std_thread(n, edges, p, threads, bits);
+      run_parallel_std_thread(backend, n, edges, p, threads, bits);
   for (Label i = 0; i < n; ++i) {
     ASSERT_EQ(rem_find(p.data(), i), 0);
   }
   EXPECT_EQ(joins, static_cast<std::uint64_t>(n - 1));
 }
 
-INSTANTIATE_TEST_SUITE_P(Backends, ParallelMergeStdThread, kThreadsByBits,
-                         param_name);
+INSTANTIATE_TEST_SUITE_P(
+    Backends, ParallelMergeStdThread,
+    ::testing::Combine(::testing::Values(Merger::Locked, Merger::Cas),
+                       ::testing::Values(2, 4, 8),
+                       ::testing::Values(0, 2, 12)),
+    [](const auto& pinfo) {
+      std::string name =
+          std::get<0>(pinfo.param) == Merger::Locked ? "locked" : "cas";
+      name += "_t" + std::to_string(std::get<1>(pinfo.param));
+      name += "_b" + std::to_string(std::get<2>(pinfo.param));
+      return name;
+    });
+
+// --- find × splice policy matrix (std::thread, TSan-covered) ----------------
+//
+// Every combination of path-compaction (find) and walk-advancement
+// (splice) policy is a complete CAS merger: the final partition must
+// match sequential REM and keep the parents-below-indices invariant, for
+// every thread count. Named *ParallelMergeStdThread* so the CI TSan
+// job's existing wildcard picks the whole matrix up.
+
+void run_policy_std_thread(uf::CasUniteFn unite, Label n,
+                           const std::vector<Edge>& edges,
+                           std::vector<Label>& p, int threads) {
+  p.resize(static_cast<std::size_t>(n));
+  std::iota(p.begin(), p.end(), 0);
+  std::vector<std::thread> pool;
+  for (int t = 0; t < threads; ++t) {
+    pool.emplace_back([&, t] {
+      for (std::size_t i = static_cast<std::size_t>(t); i < edges.size();
+           i += static_cast<std::size_t>(threads)) {
+        unite(p.data(), edges[i].first, edges[i].second, nullptr);
+      }
+    });
+  }
+  for (std::thread& t : pool) t.join();
+}
+
+class ParallelMergeStdThreadPolicies
+    : public ::testing::TestWithParam<std::tuple<CasFind, CasSplice, int>> {};
+
+TEST_P(ParallelMergeStdThreadPolicies, PartitionMatchesSequentialRem) {
+  const auto [find, splice, threads] = GetParam();
+  const CasUniteFn unite = cas_unite_fn(find, splice);
+  constexpr Label n = 2000;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const auto edges = random_edges(n, 6000, seed);
+    const auto expected = sequential_roots(n, edges);
+    std::vector<Label> p;
+    run_policy_std_thread(unite, n, edges, p, threads);
+    for (Label i = 0; i < n; ++i) {
+      ASSERT_EQ(rem_find(p.data(), i), expected[static_cast<std::size_t>(i)])
+          << "element " << i << " seed " << seed;
+    }
+  }
+}
+
+TEST_P(ParallelMergeStdThreadPolicies, HighContentionSingleComponent) {
+  const auto [find, splice, threads] = GetParam();
+  const CasUniteFn unite = cas_unite_fn(find, splice);
+  constexpr Label n = 1024;
+  std::vector<Edge> edges;
+  for (Label i = 1; i < n; ++i) edges.emplace_back(0, i);
+  for (Label i = 1; i < n; ++i) edges.emplace_back(i, n - i);
+  std::vector<Label> p;
+  run_policy_std_thread(unite, n, edges, p, threads);
+  for (Label i = 0; i < n; ++i) {
+    ASSERT_EQ(rem_find(p.data(), i), 0);
+  }
+}
+
+TEST_P(ParallelMergeStdThreadPolicies, ParentsStayBelowIndices) {
+  const auto [find, splice, threads] = GetParam();
+  const CasUniteFn unite = cas_unite_fn(find, splice);
+  constexpr Label n = 3000;
+  const auto edges = random_edges(n, 9000, 0xFEED);
+  std::vector<Label> p;
+  run_policy_std_thread(unite, n, edges, p, threads);
+  for (Label i = 0; i < n; ++i) {
+    ASSERT_LE(p[static_cast<std::size_t>(i)], i) << "REM invariant broken";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Policies, ParallelMergeStdThreadPolicies,
+    ::testing::Combine(::testing::Values(CasFind::Naive, CasFind::Split,
+                                         CasFind::Halve),
+                       ::testing::Values(CasSplice::Atomic,
+                                         CasSplice::Simple),
+                       ::testing::Values(2, 4, 8)),
+    [](const auto& pinfo) {
+      std::string name = to_string(std::get<0>(pinfo.param));
+      name += std::string("_") + to_string(std::get<1>(pinfo.param));
+      name += "_t" + std::to_string(std::get<2>(pinfo.param));
+      return name;
+    });
 
 TEST(LockPool, StripesCoverAllIndices) {
   LockPool pool(4);
