@@ -19,7 +19,9 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "analysis/feature_accumulator.hpp"
@@ -59,11 +61,29 @@ class LabelScratch {
   [[nodiscard]] std::span<Label> aux(std::size_t n) { return grown(aux_, n); }
 
   /// Per-provisional-label feature cells for the fused stats-request
-  /// paths, indexed like parents(). Same grow-once contract; contents are
-  /// unspecified — FeatureAccumulator::fresh initializes each cell at its
-  /// new-label event, so no O(label-space) clear ever runs.
+  /// paths, indexed like parents(), with the same grow-once contract:
+  /// contents are unspecified and growth initializes nothing.
+  /// FeatureAccumulator::fresh writes each cell at its new-label event, and
+  /// readers visit only issued labels, so neither a request nor a stream
+  /// slab pays 40 bytes per pixel before its scan — the pages of labels a
+  /// scan never issues are never touched. FeatureCell is an
+  /// implicit-lifetime aggregate, so raw storage holds its objects without
+  /// a constructor run (tests/test_analysis.cpp pre-fills the cells with
+  /// garbage to hold every stats path to this contract).
   [[nodiscard]] std::span<analysis::FeatureCell> feature_cells(std::size_t n) {
-    return grown(feature_cells_, n);
+    static_assert(std::is_aggregate_v<analysis::FeatureCell> &&
+                  std::is_trivially_copyable_v<analysis::FeatureCell> &&
+                  std::is_trivially_destructible_v<analysis::FeatureCell>);
+    if (feature_cells_size_ < n) {
+      feature_cells_.reset(static_cast<analysis::FeatureCell*>(
+          ::operator new(n * sizeof(analysis::FeatureCell))));
+      reserved_bytes_.fetch_add(
+          (n - feature_cells_size_) * sizeof(analysis::FeatureCell),
+          std::memory_order_relaxed);
+      grows_.fetch_add(1, std::memory_order_relaxed);
+      feature_cells_size_ = n;
+    }
+    return {feature_cells_.get(), n};
   }
 
   /// Per-chunk/tile run buffers for the run-based scan layer
@@ -165,7 +185,13 @@ class LabelScratch {
   std::unique_ptr<Label[]> parents_;
   std::size_t parents_size_ = 0;
   std::vector<Label> aux_;
-  std::vector<analysis::FeatureCell> feature_cells_;
+  struct ReleaseCells {
+    void operator()(analysis::FeatureCell* cells) const noexcept {
+      ::operator delete(cells);
+    }
+  };
+  std::unique_ptr<analysis::FeatureCell, ReleaseCells> feature_cells_;
+  std::size_t feature_cells_size_ = 0;
   std::vector<RunBuffer> run_buffers_;
   std::vector<LabelImage> planes_;
   std::atomic<std::uint64_t> grows_{0};

@@ -106,10 +106,11 @@ class LabelingEngine : private Executor {
 
   /// Open a streaming slab session (engine/stream_session.hpp): label an
   /// arbitrarily tall image one row-band slab at a time through the
-  /// worker pool, carrying only seam state between slabs. Slab jobs are
-  /// serialized per session (slab k+1 needs k's seam) but pipeline
-  /// against everything else the engine runs; push_slab applies a
-  /// bounded in-flight window (backpressure) and the session honors the
+  /// worker pool, carrying only seam state between slabs. Up to the
+  /// window's slabs are labeled at once and folded into the seam state
+  /// in slab order (slab k+1's fold needs k's seam), pipelined against
+  /// everything else the engine runs; push_slab applies the bounded
+  /// in-flight window (backpressure) and the session honors the
   /// config's deadline/cancellation at every slab boundary. The session
   /// outlives the engine reference it holds only until shutdown():
   /// shutting down mid-session fails the remaining futures cleanly.
@@ -141,11 +142,11 @@ class LabelingEngine : private Executor {
   }
 
  private:
-  friend class StreamSession;   // stream_session.cpp: slab job chains
+  friend class StreamSession;   // stream_session.cpp: slab label tasks
 
   /// The ONE job shape: a labeling request plus the promise its response
   /// is delivered through — or a task (a fork-join helper, or a stream
-  /// slab continuation).
+  /// slab's label task).
   struct Job {
     LabelRequest request;  // borrows the caller's storage
     std::promise<LabelResponse> promise;  // unused by task jobs

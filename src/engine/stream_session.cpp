@@ -2,13 +2,11 @@
 // stream_session.hpp for the contract and engine.hpp / DESIGN.md §12 for
 // where it sits in the architecture.
 //
-// Concurrency shape: the session is a single-consumer op queue. Producers
-// (push_slab / finish) append under the mutex and ensure exactly one
-// chained worker task exists (running_); the task processes ONE op, then
-// re-enqueues itself if more are pending. Processing one op per task —
-// rather than draining the whole deque — is deliberate fairness: between
-// two slabs of a long stream, the worker returns to the shared queue and
-// every other session/job gets a turn.
+// Concurrency shape: producers (push_slab / finish) admit ops under the
+// mutex, in slab order, and queue one label task per op. Label tasks run
+// concurrently, each on its own work area; the fold of the op at the
+// front of ops_ runs on whichever thread completes the later of its
+// label and the previous fold (fold_loop, serialized by folding_).
 #include "engine/stream_session.hpp"
 
 #include <chrono>
@@ -55,7 +53,7 @@ std::future<stream::SlabResult> StreamSession::push_slab(
   Op op;
   op.view = slab;
   std::future<stream::SlabResult> future = op.slab_promise.get_future();
-  bool must_enqueue = false;
+  std::uint64_t seq = 0;
   {
     std::unique_lock lock(mutex_);
     PAREMSP_REQUIRE(!finish_requested_,
@@ -69,14 +67,9 @@ std::future<stream::SlabResult> StreamSession::push_slab(
       op.slab_promise.set_exception(poison_);
       return future;
     }
-    ++inflight_;
-    ops_.push_back(std::move(op));
-    if (!running_) {
-      running_ = true;
-      must_enqueue = true;
-    }
+    seq = admit(std::move(op));
   }
-  if (must_enqueue) enqueue_chain(/*bounded=*/true);
+  enqueue_label(seq);
   return future;
 }
 
@@ -84,7 +77,7 @@ std::future<stream::StreamResult> StreamSession::finish() {
   Op op;
   op.is_finish = true;
   std::future<stream::StreamResult> future = op.finish_promise.get_future();
-  bool must_enqueue = false;
+  std::uint64_t seq = 0;
   {
     std::unique_lock lock(mutex_);
     PAREMSP_REQUIRE(!finish_requested_,
@@ -94,14 +87,9 @@ std::future<stream::StreamResult> StreamSession::finish() {
       op.finish_promise.set_exception(poison_);
       return future;
     }
-    ++inflight_;
-    ops_.push_back(std::move(op));
-    if (!running_) {
-      running_ = true;
-      must_enqueue = true;
-    }
+    seq = admit(std::move(op));
   }
-  if (must_enqueue) enqueue_chain(/*bounded=*/true);
+  enqueue_label(seq);
   return future;
 }
 
@@ -110,94 +98,162 @@ void StreamSession::recycle(LabelImage&& plane) {
   returned_planes_.push_back(std::move(plane));
 }
 
-void StreamSession::enqueue_chain(bool bounded) {
+std::size_t StreamSession::slab_working_bytes() const {
+  std::lock_guard lock(mutex_);
+  return working_bytes_;
+}
+
+std::uint64_t StreamSession::admit(Op op) {
+  if (!op.is_finish) {
+    // A slab holds its area from admission to delivery and at most
+    // `window` slabs are admitted, so the pool never exceeds the window.
+    if (free_areas_.empty()) {
+      areas_.push_back(std::make_unique<stream::SlabWork>());
+      free_areas_.push_back(areas_.back().get());
+    }
+    op.work = free_areas_.back();
+    free_areas_.pop_back();
+  }
+  ++inflight_;
+  ops_.push_back(std::move(op));
+  return front_seq_ + ops_.size() - 1;
+}
+
+void StreamSession::enqueue_label(std::uint64_t seq) {
   auto self = shared_from_this();
   const bool accepted = engine_.enqueue_task(
-      [self] { self->step(); }, bounded);
+      [self, seq] { self->label_task(seq); }, /*bounded=*/true);
   if (!accepted) {
-    {
-      std::lock_guard lock(mutex_);
-      running_ = false;
-    }
     poison(std::make_exception_ptr(
         PreconditionError("LabelingEngine shut down mid-session")));
   }
 }
 
-void StreamSession::step() {
-  Op op;
+std::exception_ptr StreamSession::qos_error(bool count) const {
+  // Checked at slab boundaries, not inside the scan — slab granularity IS
+  // the preemption granularity.
+  if (config_.cancel.cancel_requested()) {
+    if (count) {
+      engine_.jobs_cancelled_.fetch_add(1, std::memory_order_relaxed);
+    }
+    return std::make_exception_ptr(
+        CancelledError("stream session cancelled"));
+  }
+  if (config_.deadline.has_value() &&
+      std::chrono::steady_clock::now() - opened_at_ >= *config_.deadline) {
+    if (count) engine_.jobs_shed_.fetch_add(1, std::memory_order_relaxed);
+    return std::make_exception_ptr(DeadlineExceededError(
+        "stream session deadline expired; remaining slabs shed"));
+  }
+  return nullptr;
+}
+
+void StreamSession::label_task(std::uint64_t seq) {
+  ConstImageView view;
+  stream::SlabWork* work = nullptr;
   std::vector<LabelImage> planes;
   {
     std::lock_guard lock(mutex_);
-    if (ops_.empty()) {
-      // Poisoned between enqueue and pickup: the queue was already
-      // drained and failed; nothing left to run.
-      running_ = false;
-      return;
-    }
-    op = std::move(ops_.front());
-    ops_.pop_front();
-    planes.swap(returned_planes_);
+    // Ops are popped only once labeled, so this op is still in ops_.
+    Op& op = ops_[static_cast<std::size_t>(seq - front_seq_)];
+    if (op.state == Op::State::Failed) return;  // poisoned since admission
+    op.state = Op::State::Labeling;
+    view = op.view;
+    work = op.work;
+    if (work != nullptr) planes.swap(returned_planes_);
   }
-  // Adopt client-recycled planes into the core's scratch here — on the
-  // serialized consumer — so recycle() never races the core session.
-  for (LabelImage& plane : planes) core_.recycle(std::move(plane));
-
-  // QoS gate at the slab boundary: a fired token or an expired budget
-  // sheds this op and everything behind it. Checked once per op, not
-  // inside the scan — slab granularity IS the preemption granularity.
   std::exception_ptr error;
-  if (config_.cancel.cancel_requested()) {
-    engine_.jobs_cancelled_.fetch_add(1, std::memory_order_relaxed);
-    error = std::make_exception_ptr(
-        CancelledError("stream session cancelled"));
-  } else if (config_.deadline.has_value() &&
-             std::chrono::steady_clock::now() - opened_at_ >=
-                 *config_.deadline) {
-    engine_.jobs_shed_.fetch_add(1, std::memory_order_relaxed);
-    error = std::make_exception_ptr(DeadlineExceededError(
-        "stream session deadline expired; remaining slabs shed"));
-  } else {
-    try {
-      // The core session opens the op's one stream.slab / stream.finish
-      // span itself.
-      if (op.is_finish) {
-        stream::StreamResult done = core_.finish();
-        // Count before fulfilling: a caller returning from future.get()
-        // must already observe the completion in stats().
-        engine_.stream_sessions_completed_.fetch_add(
-            1, std::memory_order_relaxed);
-        op.finish_promise.set_value(std::move(done));
-      } else {
-        stream::SlabResult result = core_.push_slab(op.view);
-        engine_.stream_slabs_completed_.fetch_add(1,
-                                                  std::memory_order_relaxed);
-        engine_.stream_carried_components_.fetch_add(
-            static_cast<std::uint64_t>(result.open_components),
-            std::memory_order_relaxed);
-        op.slab_promise.set_value(std::move(result));
+  if (work != nullptr) {
+    // Adopt client-recycled planes into this op's own work area, so
+    // recycle() never races a scratch in use.
+    for (LabelImage& plane : planes) {
+      work->scratch.recycle_plane(std::move(plane));
+    }
+    // QoS before the label too, so a cancelled stream stops scanning
+    // slabs it will drop anyway; the fold's check is the one that counts.
+    error = qos_error(/*count=*/false);
+    if (error == nullptr) {
+      try {
+        core_.label(view, *work);
+      } catch (...) {
+        error = std::current_exception();
       }
-    } catch (...) {
-      error = std::current_exception();
     }
   }
-  if (error != nullptr) {
-    fail_op(op, error);
-    poison(error);  // fails every queued op, wakes blocked producers
-  }
-
-  bool chain = false;
   {
     std::lock_guard lock(mutex_);
-    --inflight_;
-    if (!ops_.empty()) {
-      chain = true;  // running_ stays true across the re-enqueue
-    } else {
-      running_ = false;
+    Op& op = ops_[static_cast<std::size_t>(seq - front_seq_)];
+    if (poison_ != nullptr) {
+      drop(op);  // poisoned while labeling: the view is no longer read
+      return;
     }
+    op.state = Op::State::Labeled;
+    op.error = error;
+    // The later finisher folds: fold seq-1 is still running or pending
+    // unless this op is at the front with no fold loop active.
+    if (folding_ || seq != front_seq_) return;
+    folding_ = true;
   }
-  window_cv_.notify_all();
-  if (chain) enqueue_chain(/*bounded=*/false);
+  fold_loop();
+}
+
+void StreamSession::fold_loop() {
+  for (;;) {
+    Op op;
+    {
+      std::lock_guard lock(mutex_);
+      if (poison_ != nullptr || ops_.empty() ||
+          ops_.front().state != Op::State::Labeled) {
+        folding_ = false;  // the front's label task folds it
+        return;
+      }
+      op = std::move(ops_.front());
+      ops_.pop_front();
+      ++front_seq_;
+    }
+    std::exception_ptr error = qos_error(/*count=*/true);
+    if (error == nullptr) error = op.error;
+    const std::size_t working_before =
+        op.work != nullptr ? op.work->working_bytes : 0;
+    if (error == nullptr) {
+      try {
+        // The core session opens the op's stream.fold / stream.finish
+        // span itself.
+        if (op.is_finish) {
+          stream::StreamResult done = core_.finish();
+          // Count before fulfilling: a caller returning from future.get()
+          // must already observe the completion in stats().
+          engine_.stream_sessions_completed_.fetch_add(
+              1, std::memory_order_relaxed);
+          op.finish_promise.set_value(std::move(done));
+        } else {
+          stream::SlabResult result = core_.fold(*op.work);
+          engine_.stream_slabs_completed_.fetch_add(1,
+                                                    std::memory_order_relaxed);
+          engine_.stream_carried_components_.fetch_add(
+              static_cast<std::uint64_t>(result.open_components),
+              std::memory_order_relaxed);
+          op.slab_promise.set_value(std::move(result));
+        }
+      } catch (...) {
+        error = std::current_exception();
+      }
+    }
+    if (error != nullptr) {
+      fail_op(op, error);
+      // Fails every later op, labeled or not; the loop then stops.
+      poison(error);
+    }
+    {
+      std::lock_guard lock(mutex_);
+      if (op.work != nullptr) {
+        working_bytes_ += op.work->working_bytes - working_before;
+        free_areas_.push_back(op.work);
+      }
+      --inflight_;
+    }
+    window_cv_.notify_all();
+  }
 }
 
 void StreamSession::fail_op(Op& op, const std::exception_ptr& error) {
@@ -208,15 +264,22 @@ void StreamSession::fail_op(Op& op, const std::exception_ptr& error) {
   }
 }
 
+void StreamSession::drop(Op& op) {
+  fail_op(op, poison_);
+  op.state = Op::State::Failed;
+  --inflight_;
+}
+
 void StreamSession::poison(std::exception_ptr error) {
-  std::deque<Op> pending;
   {
     std::lock_guard lock(mutex_);
     if (poison_ == nullptr) poison_ = error;
-    pending.swap(ops_);
-    inflight_ -= pending.size();
+    for (Op& op : ops_) {
+      if (op.state == Op::State::Admitted || op.state == Op::State::Labeled) {
+        drop(op);
+      }
+    }
   }
-  for (Op& op : pending) fail_op(op, error);
   window_cv_.notify_all();
 }
 

@@ -4,29 +4,46 @@
 // cancellation honored at every slab boundary, and a clean failure
 // for every pending op if the engine shuts down mid-session.
 //
-// Why a session and not N submits: slab k+1's scan needs slab k's seam
-// state, so the slabs of one session are inherently serial. The session
-// therefore keeps AT MOST ONE worker task in flight and chains itself:
-// each task processes one queued op (slab or finish) and re-enqueues if
-// more are pending. Serial per session — but the engine interleaves any
-// number of sessions and one-shot jobs between those tasks, so a slow
-// streaming client never monopolizes the pool. Within one op, a slab of
-// at least 1 Mi pixels is labeled as row bands whose helpers are posted
-// to this engine's own workers, like a sharded request's tile loops.
+// Slabs in flight: slab k+1's pixels do not need slab k's seam — only
+// its fold does. So each admitted slab is LABELED on its own worker task
+// as soon as it is admitted (stream::SlabSession::label, into a work area
+// of its own), up to `window` slabs at once, and the FOLDS (seam unite,
+// track, key and cell folds) run strictly in slab order. Fold k runs on
+// whichever thread finishes later — label k's or fold k-1's: the thread
+// that ends label k folds it if fold k-1 is done, and the thread that
+// ends fold k-1 goes on to fold k if label k is done. No worker ever
+// waits for a queued task, so even a one-worker engine cannot deadlock.
+// The engine interleaves any number of sessions and one-shot jobs
+// between those tasks, and a slab of at least 1 Mi pixels is labeled as
+// row bands whose helpers are posted to this engine's own workers, like
+// a sharded request's tile loops.
 //
-// Dataflow per op, on whichever worker picks the task up:
+// Work areas come from a pool the session owns: created on first need,
+// at most `window` of them (a slab holds one from admission until its
+// fold delivers it), reused across slabs. slab_working_bytes() sums
+// them, so it stays within `window` times the core session's
+// slab_working_bytes() on the same stream.
 //
-//   adopt recycled planes -> QoS gate (cancel token, elapsed-vs-deadline)
-//     -> core.push_slab(view) / core.finish() -> fulfill the op's future
+// Dataflow per slab:
+//
+//   push_slab: admit (window) -> enqueue label task
+//   label task: adopt recycled planes -> QoS gate -> core.label(view, area)
+//     -> if fold k-1 is done: fold loop
+//   fold loop, in slab order: QoS gate -> core.fold(area) / core.finish()
+//     -> fulfill the op's future -> next op, if it is labeled
 //
 // Any failure — QoS, a core exception, engine shutdown — POISONS the
-// session: the current op's future and every queued future fail with the
-// same cause, and later push_slab/finish calls return already-failed
-// futures. Poisoning is one-way; a poisoned session only releases its
-// seam state when destroyed. Caller bugs (wrong slab width, zero rows,
-// push after finish, double finish) are the exception: they throw
-// synchronously from the calling thread and do NOT poison, so a client
-// can recover from its own argument mistakes.
+// session at the first failing op in slab order: that op's future and
+// every later future fail with the same cause (slabs already labeled
+// past it are dropped; a slab still being labeled fails when its label
+// returns, so the borrow contract below holds for failed futures too),
+// and later push_slab/finish calls return already-failed futures. QoS is checked before each label and again
+// before each fold; a label skipped by QoS fails at its fold. Poisoning
+// is one-way; a poisoned session only releases its state when destroyed.
+// Caller bugs (wrong slab width, zero rows, push after finish, double
+// finish) are the exception: they throw synchronously from the calling
+// thread and do NOT poison, so a client can recover from its own
+// argument mistakes.
 //
 // Borrow contract: push_slab borrows the slab view — keep its storage
 // alive and unmodified until that slab's future is ready. SlabResult
@@ -44,6 +61,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <exception>
 #include <future>
@@ -106,8 +124,8 @@ class StreamSession : public std::enable_shared_from_this<StreamSession> {
   [[nodiscard]] std::future<stream::StreamResult> finish();
 
   /// Hand a SlabResult plane back for reuse. Parked under the session
-  /// lock and adopted by the worker before its next op, so the caller
-  /// never races the core session's scratch.
+  /// lock and adopted by the next label task into its work area, so the
+  /// caller never races a work area's scratch.
   void recycle(LabelImage&& plane);
 
   [[nodiscard]] const stream::StreamOptions& options() const noexcept {
@@ -115,51 +133,92 @@ class StreamSession : public std::enable_shared_from_this<StreamSession> {
   }
   [[nodiscard]] std::size_t window() const noexcept { return config_.window; }
 
+  /// Working bytes of the session's slab work areas: the sum over areas
+  /// of each area's SlabWork::working_bytes, as of the last delivered
+  /// slab. At most window() times the core session's
+  /// slab_working_bytes() on the same stream.
+  [[nodiscard]] std::size_t slab_working_bytes() const;
+
  private:
   friend class LabelingEngine;  // sole constructor caller (open_stream)
 
-  /// One queued unit of work: exactly one of the promises is active.
+  /// One admitted unit of work, in slab order: exactly one of the
+  /// promises is active.
   struct Op {
+    enum class State {
+      Admitted,  // its label task has not started
+      Labeling,  // its label task runs (and may read `view`)
+      Labeled,   // ready to fold (or its label failed: see `error`)
+      Failed,    // dropped by a poison; its promise holds the cause
+    };
     bool is_finish = false;
-    ConstImageView view;  // slab ops: borrowed caller storage
+    ConstImageView view;            // slab ops: borrowed caller storage
+    stream::SlabWork* work = nullptr;  // slab ops: the op's work area
+    State state = State::Admitted;
+    std::exception_ptr error;  // why its label failed or was skipped
     std::promise<stream::SlabResult> slab_promise;
     std::promise<stream::StreamResult> finish_promise;
   };
 
   StreamSession(LabelingEngine& engine, StreamConfig config);
 
-  /// Push the chained worker task into the engine queue (call WITHOUT
-  /// mutex_; the caller already set running_). `bounded` is true only
-  /// from producer threads (push_slab/finish); the worker's
-  /// self-re-enqueue must stay unbounded or the pool could deadlock on
-  /// its own queue. Poisons the session if the engine has shut down.
-  void enqueue_chain(bool bounded);
+  /// Admit `op` (mutex_ held, window checked) and return its sequence
+  /// number; slab ops take a work area from the pool.
+  std::uint64_t admit(Op op);
 
-  /// Process ONE op on a worker, then re-chain if more are queued.
-  void step();
+  /// Queue op `seq`'s label task (call WITHOUT mutex_). Bounded: only
+  /// producer threads call it. Poisons the session if the engine has
+  /// shut down.
+  void enqueue_label(std::uint64_t seq);
+
+  /// Worker task of op `seq`: label its slab (finish ops have nothing to
+  /// label), then fold if every earlier op is folded.
+  void label_task(std::uint64_t seq);
+
+  /// Fold every labeled op at the front, in slab order, on the calling
+  /// thread. Entered with folding_ set; clears it once the front op is
+  /// still being labeled (its label task then folds it) or the session
+  /// is poisoned.
+  void fold_loop();
+
+  /// The CancelledError / DeadlineExceededError the session's QoS owes
+  /// now, or null; `count` tallies it in the engine's counters.
+  std::exception_ptr qos_error(bool count) const;
 
   /// Fail `op`'s promise with `error`.
   static void fail_op(Op& op, const std::exception_ptr& error);
 
-  /// One-way failure: record the cause, fail every queued op, wake
-  /// blocked producers. Caller must NOT hold mutex_.
+  /// Fail an admitted op with the poison cause (mutex_ held).
+  void drop(Op& op);
+
+  /// One-way failure: record the cause, fail every admitted op not yet
+  /// delivered, wake blocked producers. An op whose label is running is
+  /// failed by its label task once the label returns, so a ready future
+  /// still means no worker reads its slab. Caller must NOT hold mutex_.
   void poison(std::exception_ptr error);
 
   LabelingEngine& engine_;
   const StreamConfig config_;
   const std::chrono::steady_clock::time_point opened_at_;
 
-  // Everything below mutex_ is guarded by it, EXCEPT core_: the core
-  // session is touched only by the single chained worker task (plus the
-  // destructor), which the running_ flag serializes.
+  // The core session: label() only reads its options, so label tasks
+  // call it concurrently; fold() and finish() run inside fold_loop,
+  // which the folding_ flag serializes.
   stream::SlabSession core_;
 
-  std::mutex mutex_;
+  // Everything below is guarded by mutex_. A work area in use belongs to
+  // its op's label task until the op is labeled, then to the fold loop.
+  mutable std::mutex mutex_;
   std::condition_variable window_cv_;  // producers blocked on the window
-  std::deque<Op> ops_;
+  std::deque<Op> ops_;  // admitted, not yet folded, in slab order
+                        // (a poisoned session keeps its failed ops)
+  std::uint64_t front_seq_ = 0;  // sequence number of ops_.front()
+  std::vector<std::unique_ptr<stream::SlabWork>> areas_;  // <= window
+  std::vector<stream::SlabWork*> free_areas_;
+  std::size_t working_bytes_ = 0;  // slab_working_bytes()
   std::vector<LabelImage> returned_planes_;  // recycle() parking lot
   std::size_t inflight_ = 0;  // admitted, future not yet fulfilled
-  bool running_ = false;      // a worker task is chained
+  bool folding_ = false;      // a thread is inside fold_loop
   bool finish_requested_ = false;
   std::exception_ptr poison_;  // non-null once the session failed
 };

@@ -103,17 +103,12 @@ Label SlabSession::track_new() {
   return t;
 }
 
-SlabResult SlabSession::push_slab(ConstImageView slab) {
-  PAREMSP_REQUIRE(!finished_,
-                  "push_slab on a finished session (finish() was called)");
+void SlabSession::label(ConstImageView slab, SlabWork& work) const {
   PAREMSP_REQUIRE(slab.cols() == options_.cols,
                   "slab width must match StreamOptions::cols");
   PAREMSP_REQUIRE(slab.rows() >= 1, "slab must contain at least one row");
-  PAREMSP_REQUIRE(static_cast<std::int64_t>(global_row_) + slab.rows() <=
-                      std::numeric_limits<Coord>::max(),
-                  "stream height exceeds the Coord range");
-  const std::size_t label_space = static_cast<std::size_t>(slab.size()) + 1;
-  PAREMSP_REQUIRE(label_space < (std::size_t{1} << 31),
+  PAREMSP_REQUIRE(static_cast<std::size_t>(slab.size()) + 1 <
+                      (std::size_t{1} << 31),
                   "slab label space must fit in the Label range");
 
   obs::Span span("stream.slab", "stream");
@@ -122,18 +117,36 @@ SlabResult SlabSession::push_slab(ConstImageView slab) {
   // band per participant: the dense ids 1..local_components are the
   // slab's one-shot canonical labels for any band count. By
   // label_runs_impl's postcondition each band's runs stay in the
-  // scratch, each resolving to its dense id through `dense_of`.
+  // scratch, each resolving to its dense id through its parent entry.
   RunPlan plan =
       row_band_plan(slab, slab_participants(slab.size()), cutoff_);
   plan.labels = options_.labels;
   LabelResponse labeled =
-      label_runs_impl(slab, options_.connectivity, scratch_,
-                      options_.stats ? &slab_stats_ : nullptr, plan);
-  const Label local_components = labeled.num_components;
-  const Coord rows = slab.rows();
-  const std::span<const RunBuffer> bands = scratch_.run_buffers(
-      static_cast<std::size_t>((rows + plan.tile_rows - 1) / plan.tile_rows));
-  const std::span<const Label> dense_of = scratch_.parents(label_space);
+      label_runs_impl(slab, options_.connectivity, work.scratch,
+                      options_.stats ? &work.stats : nullptr, plan);
+  work.labels = std::move(labeled.labels);
+  work.local_components = labeled.num_components;
+  work.rows = slab.rows();
+  work.bands = static_cast<std::size_t>((slab.rows() + plan.tile_rows - 1) /
+                                        plan.tile_rows);
+}
+
+SlabResult SlabSession::fold(SlabWork& work) {
+  PAREMSP_REQUIRE(!finished_,
+                  "push_slab on a finished session (finish() was called)");
+  const Coord rows = work.rows;
+  PAREMSP_REQUIRE(static_cast<std::int64_t>(global_row_) + rows <=
+                      std::numeric_limits<Coord>::max(),
+                  "stream height exceeds the Coord range");
+
+  obs::Span span("stream.fold", "stream");
+
+  const Label local_components = work.local_components;
+  const std::size_t label_space =
+      static_cast<std::size_t>(rows) * static_cast<std::size_t>(options_.cols) +
+      1;
+  const std::span<const RunBuffer> bands = work.scratch.run_buffers(work.bands);
+  const std::span<const Label> dense_of = work.scratch.parents(label_space);
   std::size_t slab_runs = 0;
   for (const RunBuffer& band : bands) slab_runs += band.size();
   const std::size_t m = carried_runs_.size();
@@ -192,7 +205,7 @@ SlabResult SlabSession::push_slab(ConstImageView slab) {
       track_cells_[static_cast<std::size_t>(
                        dense_track_[static_cast<std::size_t>(d)])]
           .merge(global_cell(
-              slab_stats_.components[static_cast<std::size_t>(d) - 1],
+              work.stats.components[static_cast<std::size_t>(d) - 1],
               global_row_));
     }
   }
@@ -222,13 +235,13 @@ SlabResult SlabSession::push_slab(ConstImageView slab) {
       label_space * sizeof(Label) +
       (options_.stats
            ? label_space * sizeof(analysis::FeatureCell) +
-                 slab_stats_.components.capacity() *
+                 work.stats.components.capacity() *
                      sizeof(analysis::ComponentInfo)
            : 0) +
       slab_runs * sizeof(Run) +
-      (options_.labels ? static_cast<std::size_t>(slab.size()) * sizeof(Label)
-                       : 0) +
+      (options_.labels ? (label_space - 1) * sizeof(Label) : 0) +
       (dense_track_.capacity() + open_scratch_.capacity()) * sizeof(Label);
+  work.working_bytes = std::max(work.working_bytes, working);
   slab_working_high_water_ = std::max(slab_working_high_water_, working);
 
   SlabResult result;
@@ -236,7 +249,7 @@ SlabResult SlabSession::push_slab(ConstImageView slab) {
   result.rows = rows;
   result.slab_index = slab_index_;
   result.local_components = local_components;
-  result.labels = std::move(labeled.labels);
+  result.labels = std::move(work.labels);
   result.runs = slab_runs;
   result.carried_in = m;
   result.seam_runs_out = seam_out;

@@ -33,9 +33,14 @@
 // 64-bit first-appearance key folded per component as slabs stream by,
 // so the numbering does not depend on where the cuts fall.
 //
-// How a slab is processed (slabs one after another; each slab's
-// pipeline fans out over the caller's pool, the engine's workers when
-// called from engine/stream_session.hpp):
+// How a slab is processed — two steps. label() (step 1) writes only a
+// per-slab work area (SlabWork) and reads only the session's options, so
+// several slabs may be labeled at once; fold() (steps 2-4) updates the
+// session and runs strictly in slab order. push_slab is label + fold on
+// the session's own work area; engine/stream_session.hpp labels up to
+// its window of slabs at once, each in its own work area, and folds them
+// in order. Each slab's pipeline fans out over the caller's pool, the
+// engine's workers when called from the engine:
 //
 //   1. label the slab on its own through the one run pipeline
 //      (label_runs_impl with paremsp_rle's row-band plan,
@@ -43,7 +48,7 @@
 //      per 512 Ki pixels up to the hardware threads, so small slabs stay
 //      one band on the calling thread. The dense ids 1..local_components
 //      are the slab's own one-shot canonical labels for any band count,
-//      and the slab's runs with their dense ids stay in the session's
+//      and the slab's runs with their dense ids stay in the work area's
 //      scratch;
 //   2. unite the seam at track level: every first-row run overlapping
 //      a carried seam run (unite_overlapping_runs — the same
@@ -65,11 +70,13 @@
 // global first-appearance key to assign final labels 1..K, resolves the
 // per-slab tables to final labels, and finalizes stats.
 //
-// Memory: steady-state pushes allocate nothing (LabelScratch pools the
-// parent/cell/run/plane storage; the track arrays grow by components,
-// not pixels). seam_state_bytes() + slab_working_bytes() is the resident
-// footprint; tests/test_stream.cpp holds it below the one-shot working
-// set once an image spans at least four slabs.
+// Memory: steady-state pushes allocate nothing (a work area's
+// LabelScratch pools the parent/cell/run/plane storage; the track arrays
+// grow by components, not pixels). seam_state_bytes() +
+// slab_working_bytes() is the resident footprint of push_slab;
+// tests/test_stream.cpp holds it below the one-shot working set once an
+// image spans at least four slabs. Each work area labeling a slab in
+// flight adds at most one more slab_working_bytes().
 #pragma once
 
 #include <cstdint>
@@ -165,10 +172,29 @@ struct StreamResult {
   std::optional<analysis::ComponentStats> stats;
 };
 
-/// One streaming labeling session. Not thread-safe: push_slab/finish
-/// must be externally serialized (the engine's StreamSession does this
-/// while pipelining slabs of DIFFERENT sessions across workers). A push
-/// of at least 1 Mi pixels labels its slab across the caller's pool.
+/// Everything labeling one slab writes (SlabSession::label): the slab's
+/// own scratch, stats and plane. fold() reads it back; the session owns
+/// one for push_slab, and the engine keeps one per slab in flight.
+struct SlabWork {
+  LabelScratch scratch;           // parents, cells, band runs, planes
+  analysis::ComponentStats stats;  // per-component sums (stats only)
+  LabelImage labels;              // local dense ids (labels only)
+  Label local_components = 0;
+  Coord rows = 0;
+  /// Band count of the slab's row-band plan: its runs sit in
+  /// scratch.run_buffers(bands).
+  std::size_t bands = 0;
+  /// High-water working bytes of the slabs folded from this area (the
+  /// per-area share of SlabSession::slab_working_bytes()).
+  std::size_t working_bytes = 0;
+};
+
+/// One streaming labeling session. Not thread-safe, except that label()
+/// only reads the options: fold/push_slab/finish must be externally
+/// serialized and fold()s issued in slab order (the engine's
+/// StreamSession does this while labeling later slabs of the window
+/// across workers). A slab of at least 1 Mi pixels is labeled across the
+/// caller's pool.
 class SlabSession {
  public:
   /// Validates options (cols >= 1, threshold within [0, 1]) — throws
@@ -178,10 +204,28 @@ class SlabSession {
   SlabSession(const SlabSession&) = delete;
   SlabSession& operator=(const SlabSession&) = delete;
 
-  /// Label the next `slab.rows()` rows of the stream. The view must
-  /// match options().cols and have >= 1 row; throws PreconditionError
-  /// on mismatch or when the session is already finished.
-  SlabResult push_slab(ConstImageView slab);
+  /// Label the next `slab.rows()` rows of the stream: label() then
+  /// fold() on the session's own work area. The view must match
+  /// options().cols and have >= 1 row; throws PreconditionError on
+  /// mismatch or when the session is already finished.
+  SlabResult push_slab(ConstImageView slab) {
+    label(slab, work_);
+    return fold(work_);
+  }
+
+  /// Step 1 of a push: label `slab` by itself into `work`, whose previous
+  /// slab must already be folded. Reads only the session's options and
+  /// touches no session state, so label() calls on different work areas
+  /// may run at once and alongside fold(). Throws PreconditionError when
+  /// the view does not match options().cols or has no row.
+  void label(ConstImageView slab, SlabWork& work) const;
+
+  /// Step 2: fold a labeled work area into the session as its next slab —
+  /// seam unite, track assignment, key and cell folds, carried runs — and
+  /// hand the slab's plane over to the result. Work areas must be folded
+  /// in the order their slabs stand in the stream. Throws
+  /// PreconditionError when the session is already finished.
+  SlabResult fold(SlabWork& work);
 
   /// Resolve the stream: assign final global labels, produce the
   /// per-slab remap tables and (optionally) fused stats, and release
@@ -190,7 +234,9 @@ class SlabSession {
   StreamResult finish();
 
   /// Return a slab plane for reuse by the next push_slab.
-  void recycle(LabelImage&& plane) { scratch_.recycle_plane(std::move(plane)); }
+  void recycle(LabelImage&& plane) {
+    work_.scratch.recycle_plane(std::move(plane));
+  }
 
   [[nodiscard]] const StreamOptions& options() const noexcept {
     return options_;
@@ -209,8 +255,9 @@ class SlabSession {
   [[nodiscard]] std::size_t seam_state_bytes() const noexcept;
 
   /// High-water bytes of per-slab scratch (parents, cells, stats, every
-  /// band's run buffer, planes) across pushes so far. seam_state_bytes()
-  /// + this is the session's resident footprint.
+  /// band's run buffer, planes) across the slabs folded so far.
+  /// seam_state_bytes() + this is push_slab's resident footprint; each
+  /// work area keeps its own share in SlabWork::working_bytes.
   [[nodiscard]] std::size_t slab_working_bytes() const noexcept {
     return slab_working_high_water_;
   }
@@ -236,8 +283,7 @@ class SlabSession {
   Coord global_row_ = 0;      // rows consumed so far
   std::size_t slab_index_ = 0;
 
-  LabelScratch scratch_;  // per-slab parents/cells/runs/planes (pooled)
-  analysis::ComponentStats slab_stats_;  // per-slab stats (stats only)
+  SlabWork work_;  // push_slab's work area (pooled scratch)
 
   // ---- Seam state carried between slabs --------------------------------
   // Bottom-row runs of the last slab; each run's label is its track.

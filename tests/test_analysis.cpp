@@ -4,11 +4,17 @@
 // of the suite trusts it).
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "analysis/component_stats.hpp"
 #include "analysis/equivalence.hpp"
 #include "analysis/feature_accumulator.hpp"
 #include "analysis/validation.hpp"
 #include "baselines/flood_fill.hpp"
+#include "core/label_scratch.hpp"
+#include "core/registry.hpp"
+#include "core/request.hpp"
 #include "image/ascii.hpp"
 #include "image/generators.hpp"
 
@@ -103,6 +109,60 @@ TEST(FeatureCell, FoldAndFinalizeMatchComputeStats) {
 TEST(FeatureCell, FinalizeRejectsEmptyComponent) {
   std::vector<ComponentInfo> components(1);  // claims a pixel-less component
   EXPECT_THROW(finalize_components(components), PreconditionError);
+}
+
+TEST(FeatureCells, GarbageFilledScratchMatchesPostPassOracle) {
+  // LabelScratch::feature_cells initializes nothing: each fused stats
+  // path must write a cell at its new-label event before anything reads
+  // it. Fill the cells with a non-zero byte pattern before every request
+  // and hold each result to the post-pass compute_stats oracle over its
+  // own labels. 384x384 images fan the parallel labelers out over 4
+  // chunks/bands/tiles.
+  const Coord n = 384;
+  const BinaryImage noise = gen::uniform_noise(n, n, 0.5, 2606);
+  const BinaryImage landcover = gen::landcover_like(n, n, 2606);
+  const GrayImage plasma = gen::plasma(n, n, 2606);
+  LabelerOptions options;
+  options.threads = 4;
+  LabelScratch scratch;
+  const auto expect_oracle = [&](Algorithm algorithm, LabelRequest request,
+                                 const char* image) {
+    const std::span<FeatureCell> cells =
+        scratch.feature_cells(static_cast<std::size_t>(n) * n + 1);
+    std::memset(static_cast<void*>(cells.data()), 0xa5, cells.size_bytes());
+    request.outputs.stats = true;
+    const LabelResponse got =
+        make_labeler(algorithm, options)->run(request, scratch);
+    ASSERT_TRUE(got.stats.has_value());
+    EXPECT_GT(got.num_components, 1);
+    EXPECT_EQ(got.stats->components,
+              compute_stats(got.labels, got.num_components).components)
+        << algorithm_info(algorithm).name << " on " << image << ", "
+        << (request.connectivity == Connectivity::Eight ? "8" : "4")
+        << "-conn" << (request.threshold.has_value() ? ", gray" : "");
+  };
+  for (const Algorithm algorithm :
+       {Algorithm::Aremsp, Algorithm::Paremsp, Algorithm::ParemspRle,
+        Algorithm::ParemspTiled}) {
+    for (const Connectivity conn :
+         {Connectivity::Eight, Connectivity::Four}) {
+      if (conn == Connectivity::Four &&
+          !algorithm_info(algorithm).supports_four_connectivity) {
+        continue;
+      }
+      for (const BinaryImage* image : {&noise, &landcover}) {
+        LabelRequest request;
+        request.input = ConstImageView(*image);
+        request.connectivity = conn;
+        expect_oracle(algorithm, request,
+                      image == &noise ? "noise" : "landcover");
+      }
+    }
+    LabelRequest gray;
+    gray.input = ConstImageView(plasma);
+    gray.threshold = 0.5;
+    expect_oracle(algorithm, gray, "plasma");
+  }
 }
 
 TEST(ComponentStats, MeasuresAreasBoxesCentroids) {

@@ -34,6 +34,7 @@ namespace {
 
 using stream::SlabResult;
 using stream::SlabSession;
+using stream::SlabWork;
 using stream::StreamOptions;
 using stream::StreamResult;
 
@@ -356,6 +357,51 @@ TEST(Stream, LargeSlabsFanOutAndMatchOneShot) {
   EXPECT_EQ(band_scans, session.slabs_pushed() *
                             static_cast<std::size_t>(
                                 std::min(2, hardware_threads())));
+}
+
+TEST(Stream, SlabsLabeledAheadFoldInOrderLikePushSlab) {
+  // label() reads only the options, so every slab may be labeled — here
+  // last slab first, each in its own work area — before any is folded.
+  // Folding the areas in slab order must give exactly what push_slab
+  // gives: the same SlabResults, remaps and stats.
+  const Coord rows = 90, cols = 77;
+  const BinaryImage image = stream_image(rows, cols, 11);
+  const std::vector<Coord> heights = {7, 1, 16, 13, 20, 33};
+  for (const Connectivity conn : {Connectivity::Eight, Connectivity::Four}) {
+    StreamOptions opts;
+    opts.cols = cols;
+    opts.connectivity = conn;
+    opts.stats = true;
+    SlabSession ahead(opts);
+    SlabSession pushed(opts);
+    std::vector<SlabWork> areas(heights.size());
+    Coord row = rows;
+    for (std::size_t k = heights.size(); k-- > 0;) {
+      row -= heights[k];
+      ahead.label(ConstImageView(image).subview(row, 0, heights[k], cols),
+                  areas[k]);
+    }
+    ASSERT_EQ(row, 0);
+    for (std::size_t k = 0; k < heights.size(); ++k) {
+      const SlabResult want = pushed.push_slab(
+          ConstImageView(image).subview(row, 0, heights[k], cols));
+      const SlabResult got = ahead.fold(areas[k]);
+      EXPECT_EQ(got.row_begin, want.row_begin);
+      EXPECT_EQ(got.local_components, want.local_components);
+      EXPECT_EQ(got.labels, want.labels);
+      EXPECT_EQ(got.runs, want.runs);
+      EXPECT_EQ(got.carried_in, want.carried_in);
+      EXPECT_EQ(got.seam_runs_out, want.seam_runs_out);
+      EXPECT_EQ(got.open_components, want.open_components);
+      row += heights[k];
+    }
+    const StreamResult got = ahead.finish();
+    const StreamResult want = pushed.finish();
+    EXPECT_EQ(got.num_components, want.num_components);
+    EXPECT_EQ(got.slab_remaps, want.slab_remaps);
+    ASSERT_TRUE(got.stats.has_value());
+    EXPECT_EQ(got.stats->components, want.stats->components);
+  }
 }
 
 TEST(Stream, EmptySessionFinishResolvesToNothing) {

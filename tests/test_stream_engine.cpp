@@ -8,6 +8,7 @@
 //   ./paremsp_tests --gtest_filter='Stream*'
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <future>
@@ -183,6 +184,201 @@ TEST(StreamEngine, WindowOneIsLockstep) {
             std::future_status::ready);
   (void)f2.get();
   (void)session->finish().get();
+}
+
+// --- Slabs in flight: labels run ahead, folds run in slab order ----------
+
+TEST(StreamEngineInFlight, OneWorkerLabelsAheadWithoutDeadlock) {
+  // One worker, window 4, slabs of >= 1 Mi pixels: every label task fans
+  // its bands out to the one worker it runs on, and the fold of each slab
+  // runs on whichever task finishes later — no task ever waits on another
+  // queued behind it. The first slab's odd height puts every later slab
+  // on an odd global row.
+  constexpr Coord kCols = 4096;
+  constexpr Coord kSlabRows = 257;
+  LabelingEngine eng({.workers = 1});
+  const BinaryImage image = gen::uniform_noise(4 * kSlabRows, kCols, 0.5, 31);
+  for (const Connectivity conn : {Connectivity::Eight, Connectivity::Four}) {
+    StreamConfig config;
+    config.options.connectivity = conn;
+    config.options.stats = true;
+    config.window = 4;
+    expect_engine_stream_matches(eng, ConstImageView(image), config,
+                                 kSlabRows);
+  }
+  EXPECT_EQ(eng.stats().stream_slabs_completed, 8u);
+}
+
+TEST(StreamEngineInFlight, CancelAfterDeliveryDropsLabeledLaterSlabs) {
+  // Slabs 0 and 1 are small; slab 2 is 4 Mi pixels, so it is still being
+  // labeled when slab 1 has been delivered, while the small slabs 3..5
+  // are labeled on the other worker and wait for fold 2. Cancelling right
+  // after slab 1's delivery fails the first fold in slab order that sees
+  // it — slab 2 — and with it the already-labeled slabs behind it.
+  constexpr Coord kCols = 2048;
+  const std::vector<Coord> heights = {4, 4, 2048, 4, 4, 4};
+  constexpr std::size_t kDelivered = 2;  // slabs 0..1 succeed
+  Coord rows = 0;
+  for (const Coord h : heights) rows += h;
+  const BinaryImage image = gen::uniform_noise(rows, kCols, 0.5, 32);
+  LabelingEngine eng({.workers = 2});
+  // A slow host could finish labeling slab 2 before the cancel; such an
+  // attempt still has to fail a suffix of the slabs, and is retried.
+  bool observed = false;
+  for (int attempt = 0; attempt < 3 && !observed; ++attempt) {
+    CancelSource source;
+    StreamConfig config;
+    config.options.cols = kCols;
+    config.window = 4;
+    config.cancel = source.token();
+    auto session = eng.open_stream(config);
+    std::vector<std::future<SlabResult>> futures;
+    Coord r = 0;
+    for (const Coord h : heights) {
+      futures.push_back(
+          session->push_slab(ConstImageView(image).subview(r, 0, h, kCols)));
+      r += h;
+    }
+    for (std::size_t k = 0; k < kDelivered; ++k) {
+      EXPECT_EQ(futures[k].get().slab_index, k);
+    }
+    source.request_cancel();
+    std::size_t first_failed = heights.size();
+    for (std::size_t k = kDelivered; k < heights.size(); ++k) {
+      try {
+        (void)futures[k].get();
+        EXPECT_EQ(first_failed, heights.size())
+            << "slab " << k << " delivered after a failed slab";
+      } catch (const CancelledError&) {
+        first_failed = std::min(first_failed, k);
+      }
+    }
+    EXPECT_THROW((void)session->finish().get(), CancelledError);
+    observed = first_failed == kDelivered;
+  }
+  EXPECT_TRUE(observed) << "slab 2 was folded before the cancel every time";
+  EXPECT_GE(eng.stats().jobs_cancelled, 1u);
+}
+
+TEST(StreamEngineInFlight, FailedFutureMeansTheSlabIsNoLongerRead) {
+  // The borrow contract holds for failed futures too. Slabs 0 (2 Mi px)
+  // and 1 (3 Mi px) are labeled at once on two workers; the cancel comes
+  // while both labels run, so fold 0 poisons the session while slab 1 is
+  // most likely still being labeled. Slab 1's future may fail only once
+  // that label has returned: the test overwrites the slab right after,
+  // which TSan reports as a race if a label still reads it.
+  constexpr Coord kCols = 2048;
+  const BinaryImage first_slab = gen::uniform_noise(1024, kCols, 0.5, 36);
+  const BinaryImage small = gen::uniform_noise(8, kCols, 0.5, 36);
+  LabelingEngine eng({.workers = 2});
+  const auto cancelled = [](auto& future) {
+    try {
+      (void)future.get();
+      return false;  // labeled and folded before the cancel
+    } catch (const CancelledError&) {
+      return true;
+    }
+  };
+  int exercised = 0;
+  for (int round = 0; round < 2; ++round) {
+    BinaryImage lent = gen::uniform_noise(1536, kCols, 0.5, 37);
+    CancelSource source;
+    StreamConfig config;
+    config.options.cols = kCols;
+    config.cancel = source.token();
+    auto session = eng.open_stream(config);
+    auto slab0 = session->push_slab(ConstImageView(first_slab));
+    auto slab1 = session->push_slab(ConstImageView(lent));
+    auto slab2 = session->push_slab(ConstImageView(small));
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    source.request_cancel();
+    exercised += cancelled(slab1) ? 1 : 0;
+    std::fill_n(lent.row(0), lent.size(), std::uint8_t{1});
+    lent = BinaryImage();  // and free it
+    (void)cancelled(slab0);
+    (void)cancelled(slab2);
+    EXPECT_THROW((void)session->finish().get(), CancelledError);
+  }
+  EXPECT_GE(exercised, 1) << "both slabs were folded before the cancel";
+}
+
+TEST(StreamEngineInFlight, TwoSessionsInFlightAndShardedRequestAtOnce) {
+  // Two sessions with three 1 Mi-pixel slabs each keep two slabs in
+  // flight apiece (the third reuses the first one's work area), next to
+  // a sharded request's tile loops, on four workers; each result equals
+  // one-shot labeling.
+  constexpr Coord kCols = 4096;
+  constexpr Coord kSlabRows = 257;
+  LabelingEngine eng({.workers = 4});
+  const BinaryImage noise =
+      gen::uniform_noise(3 * kSlabRows, kCols, 0.5, 33);
+  const BinaryImage landcover = gen::landcover_like(3 * kSlabRows, kCols, 33);
+  const BinaryImage tiled = gen::uniform_noise(1024, 1024, 0.55, 34);
+  const LabelResponse want = make_labeler(Algorithm::AremspRle)->label(tiled);
+
+  StreamConfig eight;
+  eight.options.stats = true;
+  eight.window = 2;
+  StreamConfig four = eight;
+  four.options.connectivity = Connectivity::Four;
+  LabelResponse got;
+  std::latch start(3);
+  std::vector<std::thread> callers;
+  callers.emplace_back([&] {
+    start.arrive_and_wait();
+    expect_engine_stream_matches(eng, ConstImageView(noise), eight, kSlabRows);
+  });
+  callers.emplace_back([&] {
+    start.arrive_and_wait();
+    expect_engine_stream_matches(eng, ConstImageView(landcover), four,
+                                 kSlabRows);
+  });
+  callers.emplace_back([&] {
+    LabelRequest request;
+    request.input = ConstImageView(tiled);
+    request.shard = ShardOptions{.tile_rows = 256, .tile_cols = 256};
+    start.arrive_and_wait();
+    got = eng.submit(std::move(request)).get();
+  });
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(got.num_components, want.num_components);
+  EXPECT_EQ(got.labels, want.labels);
+  EXPECT_EQ(eng.stats().stream_slabs_completed, 6u);
+}
+
+TEST(StreamEngineInFlight, WorkingBytesStayWithinWindowTimesCoreSession) {
+  // Each slab in flight holds a work area of its own, so the session's
+  // slab bytes may grow by the window factor over push_slab's — and by
+  // no more: areas are capped at the window and reused.
+  constexpr Coord kCols = 1024;
+  constexpr Coord kSlabRows = 64;
+  constexpr std::size_t kWindow = 3;
+  const BinaryImage image = gen::uniform_noise(12 * kSlabRows, kCols, 0.5, 35);
+  StreamOptions opts;
+  opts.cols = kCols;
+  opts.stats = true;
+  stream::SlabSession core(opts);
+  for (Coord r = 0; r < image.rows(); r += kSlabRows) {
+    (void)core.push_slab(
+        ConstImageView(image).subview(r, 0, kSlabRows, kCols));
+  }
+  ASSERT_GT(core.slab_working_bytes(), 0u);
+
+  LabelingEngine eng({.workers = 4});
+  StreamConfig config;
+  config.options = opts;
+  config.window = kWindow;
+  auto session = eng.open_stream(config);
+  std::vector<std::future<SlabResult>> futures;
+  for (Coord r = 0; r < image.rows(); r += kSlabRows) {
+    futures.push_back(session->push_slab(
+        ConstImageView(image).subview(r, 0, kSlabRows, kCols)));
+  }
+  for (auto& f : futures) session->recycle(std::move(f.get().labels));
+  (void)session->finish().get();
+  EXPECT_GT(session->slab_working_bytes(), 0u);
+  EXPECT_LE(session->slab_working_bytes(),
+            kWindow * core.slab_working_bytes());
 }
 
 // --- Validation (caller bugs throw synchronously, nothing poisons) ---------
