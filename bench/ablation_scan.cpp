@@ -5,9 +5,9 @@
 //   equiv axis:  Wu array union-find  vs  REM splicing  vs  He rtable
 //
 // The paper's Table II covers four of the six combinations; this bench
-// reports the full cross product plus the multi-pass and run-based
-// baselines, isolating where AREMSP's advantage comes from (the paper's
-// claim: the two-line scan buys more than the union-find swap).
+// reports those four plus the flood-fill oracle, isolating where AREMSP's
+// advantage comes from (the paper's claim: the two-line scan buys more
+// than the union-find swap).
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -33,8 +33,6 @@ int main() {
       {"cclremsp", "one-line tree", "REM splice", Algorithm::Cclremsp},
       {"arun", "two-line", "He rtable", Algorithm::Arun},
       {"aremsp", "two-line", "REM splice", Algorithm::Aremsp},
-      {"run", "run-based", "He rtable", Algorithm::Run},
-      {"suzuki", "multi-pass", "1-D table", Algorithm::Suzuki},
       {"floodfill", "BFS", "(none)", Algorithm::FloodFill},
   };
 

@@ -4,8 +4,10 @@
 #include <cmath>
 #include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 #include <thread>
 
+#include "analysis/validation.hpp"
 #include "common/env.hpp"
 #include "common/timer.hpp"
 #include "image/generators.hpp"
@@ -143,6 +145,24 @@ BinaryImage make_nlcd_image(const NlcdRung& rung) {
   return gen::landcover_like(rung.rows, rung.cols, seed, /*smoothing=*/3);
 }
 
+namespace {
+
+/// Throws unless `result` is a valid labeling of `image` under the
+/// labeler's default connectivity, so no bench reports the time of a wrong
+/// answer. Called outside every timed region.
+void check_labeling(const Labeler& labeler, const BinaryImage& image,
+                    const LabelResponse& result) {
+  const analysis::ValidationResult v =
+      analysis::validate_labeling(image, result.labels, result.num_components,
+                                  labeler.default_connectivity());
+  if (!v.ok) {
+    throw std::runtime_error(std::string(labeler.name()) +
+                             " produced an invalid labeling: " + v.error);
+  }
+}
+
+}  // namespace
+
 double time_labeler_ms(const Labeler& labeler, const BinaryImage& image,
                        int reps) {
   double best = 0.0;
@@ -150,7 +170,7 @@ double time_labeler_ms(const Labeler& labeler, const BinaryImage& image,
     WallTimer t;
     const auto result = labeler.label(image);
     const double ms = t.elapsed_ms();
-    (void)result;
+    if (i == 0) check_labeling(labeler, image, result);
     if (i == 0 || ms < best) best = ms;
   }
   return best;
@@ -161,6 +181,7 @@ PhaseTimings time_labeler_phases(const Labeler& labeler,
   PhaseTimings best;
   for (int i = 0; i < reps; ++i) {
     const auto result = labeler.label(image);
+    if (i == 0) check_labeling(labeler, image, result);
     if (i == 0 || result.timings.total_ms < best.total_ms) {
       best = result.timings;
     }

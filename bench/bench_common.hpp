@@ -86,6 +86,10 @@ BinaryImage make_nlcd_image(const NlcdRung& rung);
 
 // --- Timing ----------------------------------------------------------------------
 
+// Both timers validate the first rep's labeling (analysis::
+// validate_labeling, outside the timed region) and throw on a wrong one,
+// so a bench exits nonzero instead of timing it.
+
 /// Best-of-reps end-to-end time.
 double time_labeler_ms(const Labeler& labeler, const BinaryImage& image,
                        int reps);

@@ -2,7 +2,8 @@
 // the small-image families (Aerial, Texture, Miscellaneous) at 2, 6, 8,
 // 16 and 24 threads.
 //
-// Shape claims verified here (see EXPERIMENTS.md):
+// Shape claims, read off the speedup table against the note on the
+// paper's Figure 4 that the bench prints below it:
 //   * speedup rises to a family-dependent peak (paper: up to ~10);
 //   * speedup *decreases* for small images at high thread counts — each
 //     thread has too little work relative to fork/join overhead (the

@@ -3,7 +3,8 @@
 //   (a) Phase-I "local" speedup   : chunk-local scan only
 //   (b) "local + merge" speedup   : scan plus boundary merging
 //
-// Shape claims verified here (see EXPERIMENTS.md):
+// Shape claims, read off the two speedup tables against the note on the
+// paper's Figure 5 that the bench prints below them:
 //   * speedup grows with image size (bigger chunks amortize overhead);
 //   * (a) and (b) are nearly identical — the boundary merge is cheap
 //     (the paper: "merge operation does not have a significant overhead");

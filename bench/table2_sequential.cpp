@@ -2,7 +2,7 @@
 // algorithms CCLLRPC, CCLREMSP, ARUN and AREMSP over the four dataset
 // families (min / average / max across the images of each family).
 //
-// Shape claims verified here (see EXPERIMENTS.md):
+// Shape claims, checked by the "Shape check" lines the bench prints:
 //   * AREMSP is the fastest sequential algorithm on every family;
 //   * ordering AREMSP <= ARUN < CCLREMSP < CCLLRPC;
 //   * AREMSP ~39% faster than CCLLRPC and ~4% faster than ARUN (paper's

@@ -2,7 +2,8 @@
 // and 24 threads for each dataset family (min / average / max across the
 // images of the family).
 //
-// Shape claims verified here (see EXPERIMENTS.md):
+// Shape claims, read off the measured table against the paper's Table IV
+// that the bench prints below it:
 //   * times drop with threads up to the physical core count;
 //   * small families (~1 MP) stop improving — or regress — at high thread
 //     counts (the paper observes the same: "thread creation and

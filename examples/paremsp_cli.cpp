@@ -58,9 +58,8 @@ int main(int argc, char** argv) {
     cli.add_option("size", "1024", "generated image side length");
     cli.add_option("seed", "1", "generator seed");
     cli.add_option("algorithm", "paremsp",
-                   "any registry name, e.g. floodfill|suzuki|psuzuki|run|"
-                   "arun|ccllrpc|cclremsp|aremsp|paremsp|paremsp2d|"
-                   "aremsp_rle|paremsp_rle");
+                   "any registry name: floodfill|arun|ccllrpc|cclremsp|"
+                   "aremsp|paremsp|paremsp2d|aremsp_rle|paremsp_rle");
     cli.add_option("connectivity", "8", "4 or 8");
     cli.add_option("threads", "0", "threads for parallel algorithms");
     cli.add_option("output", "", "write label visualization PGM here");

@@ -1,11 +1,11 @@
 // The one fork-join executor: parallel_for over a persistent thread pool.
 //
 // Every parallel phase in the library — PAREMSP's chunk scans and seam
-// merges, the run-based tile and band loops (paremsp_rle, paremsp2d and
-// the engine's sharded requests), parallel Suzuki's sweeps — is a
-// parallel_for over a fixed set of pieces. Which piece is which depends
-// only on the caller's geometry (threads, grid), never on which thread
-// runs it, so results are bit-identical however the pieces land.
+// merges, the run-based tile and band loops (paremsp_rle, paremsp2d, the
+// engine's sharded requests and large stream slabs) — is a parallel_for
+// over a fixed set of pieces. Which piece is which depends only on the
+// caller's geometry (threads, grid), never on which thread runs it, so
+// results are bit-identical however the pieces land.
 //
 // How a loop runs (DESIGN.md §2 S1, §4):
 //

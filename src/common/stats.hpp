@@ -1,8 +1,7 @@
 // Summary statistics for benchmark measurements.
 //
 // The paper reports min / average / max execution times per dataset family
-// (Tables II and IV); Summary mirrors exactly that, plus stddev and median
-// for the extended tables in EXPERIMENTS.md.
+// (Tables II and IV); Summary mirrors exactly that, plus stddev and median.
 #pragma once
 
 #include <cstddef>

@@ -29,13 +29,13 @@ struct LabelRequest;  // core/request.hpp
 
 /// Every labeling algorithm in the library. (Defined here rather than in
 /// registry.hpp so the Labeler base can carry its own identity; the
-/// registry remains the catalog over these ids.)
+/// registry remains the catalog over these ids.) Ids are stable: deleting
+/// an algorithm leaves a gap instead of renumbering the rest, so a printed
+/// id keeps naming the same algorithm (1-3 were the multi-pass and
+/// He 2008 baselines, DESIGN.md §2 S7).
 enum class Algorithm {
-  FloodFill,       // BFS oracle (tests)
-  Suzuki,          // multi-pass, 1-D connection table [10]
-  SuzukiParallel,  // chunked parallel multi-pass, after [42]
-  Run,             // He 2008 run-based two-scan [43]
-  Arun,            // He 2012 two-line two-scan [37]
+  FloodFill = 0,   // BFS oracle (tests)
+  Arun = 4,        // He 2012 two-line two-scan [37]
   Ccllrpc,         // Wu 2009 decision tree + array union-find [36]
   Cclremsp,        // paper §III-A: decision tree + REMSP
   Aremsp,          // paper §III-B: two-line scan + REMSP

@@ -12,7 +12,6 @@
 #include "common/timer.hpp"
 #include "core/equiv_policies.hpp"
 #include "core/label_scratch.hpp"
-#include "core/scan_one_line.hpp"
 #include "core/scan_two_line.hpp"
 #include "obs/trace.hpp"
 #include "unionfind/parallel_rem.hpp"
@@ -93,20 +92,6 @@ LabelResponse ParemspLabeler::run_impl(ConstImageView image,
                                        analysis::ComponentStats* stats)
     const {
   (void)connectivity;  // 8-only; run() rejected anything else
-  if (stats != nullptr && config_.scan == ScanStrategy::OneLine) {
-    // The one-line ablation kernel has no feature hooks: label first,
-    // then the generic post-pass (value-identical by construction).
-    LabelResponse result = label_impl(image, scratch, nullptr);
-    *stats = analysis::compute_stats(result.labels, result.num_components);
-    return result;
-  }
-  return label_impl(image, scratch, stats);
-}
-
-LabelResponse ParemspLabeler::label_impl(ConstImageView image,
-                                         LabelScratch& scratch,
-                                         analysis::ComponentStats* stats)
-    const {
   const WallTimer total;
   // Opened at entry so workspace acquisition lands in scan_ms and the four
   // phase timings partition total_ms (the exporters' reconcile contract).
@@ -138,7 +123,6 @@ LabelResponse ParemspLabeler::label_impl(ConstImageView image,
   LabelImage& labels = result.labels;
 
   // --- Phase I: concurrent chunk-local scans --------------------------------
-  const bool two_line = config_.scan == ScanStrategy::TwoLine;
   // Per-chunk join slots: disjoint like the label ranges, summed after the
   // loop — the scan stays free of shared counters.
   std::vector<std::uint64_t> chunk_joins(chunks.size(), 0);
@@ -149,10 +133,8 @@ LabelResponse ParemspLabeler::label_impl(ConstImageView image,
     if (stats != nullptr) {
       analysis::FeatureAccumulator sink(cells);
       scan_two_line(image, labels, eq, sink, ch.row_begin, ch.row_end);
-    } else if (two_line) {
-      scan_two_line(image, labels, eq, ch.row_begin, ch.row_end);
     } else {
-      scan_one_line_8(image, labels, eq, ch.row_begin, ch.row_end);
+      scan_two_line(image, labels, eq, ch.row_begin, ch.row_end);
     }
     ch.used = eq.used();
   });

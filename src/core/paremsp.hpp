@@ -18,24 +18,10 @@
 
 namespace paremsp {
 
-/// Which scan kernel each chunk runs in Phase I. The paper uses the
-/// two-line ARUN mask; the one-line decision tree is provided for the
-/// scan-strategy ablation (a "parallel CCLREMSP").
-enum class ScanStrategy {
-  TwoLine,  // AREMSP scan (paper Algorithm 6) — the default
-  OneLine,  // CCLREMSP scan (paper Algorithm 4)
-};
-
-[[nodiscard]] constexpr const char* to_string(ScanStrategy s) noexcept {
-  return s == ScanStrategy::TwoLine ? "two-line" : "one-line";
-}
-
 /// PAREMSP tuning knobs.
 struct ParemspConfig {
   /// Worker threads; 0 means every hardware thread (hardware_threads()).
   int threads = 0;
-  /// Phase-I scan kernel.
-  ScanStrategy scan = ScanStrategy::TwoLine;
 };
 
 /// PAREMSP labeler (8-connectivity, like the paper).
@@ -53,11 +39,9 @@ class ParemspLabeler final : public Labeler {
   }
 
  protected:
-  /// Fused component analysis for the two-line scan strategy when `stats`
-  /// is requested: each chunk accumulates features during its local scan
-  /// (disjoint cell ranges, no synchronization), and the per-chunk cells
-  /// reduce through FLATTEN. The one-line ablation strategy falls back to
-  /// the generic post-pass.
+  /// Fused component analysis when `stats` is requested: each chunk
+  /// accumulates features during its local scan (disjoint cell ranges, no
+  /// synchronization), and the per-chunk cells reduce through FLATTEN.
   [[nodiscard]] LabelResponse run_impl(ConstImageView image,
                                        Connectivity connectivity,
                                        LabelScratch& scratch,
@@ -65,14 +49,6 @@ class ParemspLabeler final : public Labeler {
       const override;
 
  private:
-  /// Shared chunked-scan body; when `stats` is non-null the two-line chunk
-  /// scans run with the feature sink fused in and the accumulated cells
-  /// reduce through FLATTEN into `stats`.
-  [[nodiscard]] LabelResponse label_impl(ConstImageView image,
-                                         LabelScratch& scratch,
-                                         analysis::ComponentStats* stats)
-      const;
-
   ParemspConfig config_;
 };
 

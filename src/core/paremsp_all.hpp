@@ -14,9 +14,6 @@
 #include "baselines/arun.hpp"
 #include "baselines/ccllrpc.hpp"
 #include "baselines/flood_fill.hpp"
-#include "baselines/parallel_suzuki.hpp"
-#include "baselines/run_he2008.hpp"
-#include "baselines/suzuki.hpp"
 #include "core/aremsp.hpp"
 #include "core/cclremsp.hpp"
 #include "core/grayscale.hpp"

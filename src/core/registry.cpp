@@ -6,9 +6,6 @@
 #include "baselines/arun.hpp"
 #include "baselines/ccllrpc.hpp"
 #include "baselines/flood_fill.hpp"
-#include "baselines/parallel_suzuki.hpp"
-#include "baselines/run_he2008.hpp"
-#include "baselines/suzuki.hpp"
 #include "common/contracts.hpp"
 #include "core/aremsp.hpp"
 #include "core/cclremsp.hpp"
@@ -19,17 +16,9 @@ namespace paremsp {
 
 namespace {
 
-constexpr std::array<AlgorithmInfo, 12> kCatalog{{
+constexpr std::array<AlgorithmInfo, 9> kCatalog{{
     {Algorithm::FloodFill, "floodfill",
      "BFS flood fill (ground-truth oracle)", false, true, false, true},
-    {Algorithm::Suzuki, "suzuki",
-     "Suzuki 2003 multi-pass with 1-D connection table", false, true, false,
-     false},
-    {Algorithm::SuzukiParallel, "psuzuki",
-     "chunked parallel multi-pass (after Niknam et al.)", true, true, false,
-     false},
-    {Algorithm::Run, "run", "He 2008 run-based two-scan (rtable)", false,
-     false, false, false},
     {Algorithm::Arun, "arun", "He 2012 two-line two-scan (rtable)", false,
      false, false, false},
     {Algorithm::Ccllrpc, "ccllrpc",
@@ -89,13 +78,6 @@ std::unique_ptr<Labeler> make_labeler(Algorithm algorithm,
   switch (algorithm) {
     case Algorithm::FloodFill:
       return std::make_unique<FloodFillLabeler>(options.connectivity);
-    case Algorithm::Suzuki:
-      return std::make_unique<SuzukiLabeler>(options.connectivity);
-    case Algorithm::SuzukiParallel:
-      return std::make_unique<ParallelSuzukiLabeler>(options.connectivity,
-                                                     options.threads);
-    case Algorithm::Run:
-      return std::make_unique<RunLabeler>(options.connectivity);
     case Algorithm::Arun:
       return std::make_unique<ArunLabeler>(options.connectivity);
     case Algorithm::Ccllrpc:

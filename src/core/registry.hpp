@@ -32,9 +32,7 @@ struct AlgorithmInfo {
   /// True when a stats request (outputs.stats) accumulates component
   /// features inside the labeling scan itself (one pass over the pixels)
   /// in the default configuration; the rest fall back to labeling +
-  /// compute_stats with value-identical results. (PAREMSP's one-line
-  /// ScanStrategy ablation is the lone config exception — it falls back
-  /// despite the flag.)
+  /// compute_stats with value-identical results.
   bool fused_stats = false;
 
   /// Whether this algorithm can label under `connectivity`. The single
@@ -65,7 +63,7 @@ struct LabelerOptions {
   /// per call (validated through require_supported either way).
   Connectivity connectivity = Connectivity::Eight;
   /// Worker threads (0 = every hardware thread) of the parallel labelers:
-  /// paremsp, paremsp_rle, paremsp2d and psuzuki.
+  /// paremsp, paremsp_rle and paremsp2d.
   int threads = 0;
 };
 

@@ -104,11 +104,10 @@ TEST_P(EveryAlgorithm, LabelsAreRasterMinimalPerComponent) {
 
 INSTANTIATE_TEST_SUITE_P(
     Catalog, EveryAlgorithm,
-    ::testing::Values(Algorithm::FloodFill, Algorithm::Suzuki,
-                      Algorithm::SuzukiParallel, Algorithm::Run,
-                      Algorithm::Arun, Algorithm::Ccllrpc,
-                      Algorithm::Cclremsp, Algorithm::Aremsp,
-                      Algorithm::Paremsp, Algorithm::ParemspTiled),
+    ::testing::Values(Algorithm::FloodFill, Algorithm::Arun,
+                      Algorithm::Ccllrpc, Algorithm::Cclremsp,
+                      Algorithm::Aremsp, Algorithm::Paremsp,
+                      Algorithm::ParemspTiled),
     [](const auto& pinfo) {
       return std::string(algorithm_info(pinfo.param).name);
     });
@@ -145,8 +144,7 @@ TEST_P(FourConnAlgorithm, MatchesFourConnOracle) {
 
 INSTANTIATE_TEST_SUITE_P(
     FourConnCapable, FourConnAlgorithm,
-    ::testing::Values(Algorithm::FloodFill, Algorithm::Suzuki,
-                      Algorithm::SuzukiParallel, Algorithm::Ccllrpc,
+    ::testing::Values(Algorithm::FloodFill, Algorithm::Ccllrpc,
                       Algorithm::Cclremsp, Algorithm::ParemspTiled),
     [](const auto& pinfo) {
       return std::string(algorithm_info(pinfo.param).name);
@@ -155,8 +153,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(FourConnRejection, EightOnlyAlgorithmsRefuse) {
   const LabelerOptions opts{.connectivity = Connectivity::Four};
   for (const Algorithm a :
-       {Algorithm::Run, Algorithm::Arun, Algorithm::Aremsp,
-        Algorithm::Paremsp}) {
+       {Algorithm::Arun, Algorithm::Aremsp, Algorithm::Paremsp}) {
     EXPECT_THROW((void)make_labeler(a, opts), PreconditionError)
         << algorithm_info(a).name;
   }

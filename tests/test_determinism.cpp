@@ -39,8 +39,8 @@ std::uint64_t checksum(const BinaryImage& img) {
 }
 
 TEST(GoldenValues, GeneratorChecksums) {
-  // If any of these change, the benchmark inputs changed: bump DESIGN.md
-  // and re-baseline EXPERIMENTS.md deliberately, never accidentally.
+  // If any of these change, the benchmark inputs changed (DESIGN.md §2
+  // S2): re-run the paper benches deliberately, never accidentally.
   EXPECT_EQ(checksum(gen::uniform_noise(64, 64, 0.5, 7)),
             0x70e6d8085c57424aULL);
   EXPECT_EQ(checksum(gen::landcover_like(64, 64, 7)),

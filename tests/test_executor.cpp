@@ -16,8 +16,6 @@
 #include <utility>
 #include <vector>
 
-#include "baselines/flood_fill.hpp"
-#include "baselines/parallel_suzuki.hpp"
 #include "common/executor.hpp"
 #include "core/aremsp.hpp"
 #include "core/cclremsp.hpp"
@@ -154,15 +152,6 @@ TEST(ExecutorFanOut, ParallelLabelersMatchTheirSequentialTwins) {
       EXPECT_EQ(labeler->run(four).labels, want4.labels) << name << " 4-conn";
     }
   }
-}
-
-TEST(ExecutorFanOut, ParallelSuzukiMatchesFloodFill) {
-  const BinaryImage image = gen::uniform_noise(kSide, kSide, 0.4, 8);
-  const ParallelSuzukiLabeler labeler(Connectivity::Eight, 4);
-  const LabelResponse got = labeler.label(image);
-  const LabelResponse want = FloodFillLabeler().label(image);
-  EXPECT_EQ(got.num_components, want.num_components);
-  EXPECT_EQ(got.labels, want.labels);
 }
 
 TEST(ExecutorFanOut, ShardedRequestsMatchAremspWithAndWithoutStats) {

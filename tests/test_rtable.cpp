@@ -1,4 +1,4 @@
-// Tests for He's rtable/next/tail equivalence table (used by RUN and ARUN).
+// Tests for He's rtable/next/tail equivalence table (used by ARUN).
 #include <gtest/gtest.h>
 
 #include <limits>

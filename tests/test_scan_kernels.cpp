@@ -6,12 +6,9 @@
 
 #include <vector>
 
-#include "core/cclremsp.hpp"
 #include "core/equiv_policies.hpp"
-#include "core/paremsp.hpp"
 #include "core/scan_one_line.hpp"
 #include "core/scan_two_line.hpp"
-#include "fixtures.hpp"
 #include "image/ascii.hpp"
 #include "image/generators.hpp"
 #include "unionfind/rem.hpp"
@@ -156,33 +153,6 @@ TEST(TwoLineScan, MergesAcrossPairBoundary) {
   // (2,0) is 8-adjacent to (1,1): same component after resolution.
   EXPECT_EQ(uf::rem_find(p.data(), labels(2, 0)),
             uf::rem_find(p.data(), labels(1, 1)));
-}
-
-// --- PAREMSP one-line strategy (ablation) ------------------------------------------
-
-TEST(ParemspOneLine, MatchesSequentialCclremspExactly) {
-  const CclremspLabeler seq;
-  for (std::uint64_t seed = 0; seed < 4; ++seed) {
-    const auto image = gen::landcover_like(66, 44, seed);
-    const auto expected = seq.label(image);
-    for (const int threads : {1, 2, 4, 8}) {
-      const ParemspLabeler par(
-          ParemspConfig{.threads = threads, .scan = ScanStrategy::OneLine});
-      const auto got = par.label(image);
-      EXPECT_EQ(got.labels, expected.labels)
-          << "threads=" << threads << " seed=" << seed;
-      EXPECT_EQ(got.num_components, expected.num_components);
-    }
-  }
-}
-
-TEST(ParemspOneLine, HandlesFixtures) {
-  const ParemspLabeler par(
-      ParemspConfig{.threads = 3, .scan = ScanStrategy::OneLine});
-  for (const auto& fx : testing::fixtures()) {
-    SCOPED_TRACE(fx.name);
-    EXPECT_EQ(par.label(fx.image).num_components, fx.components8);
-  }
 }
 
 }  // namespace
