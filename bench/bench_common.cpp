@@ -6,10 +6,13 @@
 #include <iostream>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "analysis/validation.hpp"
 #include "common/env.hpp"
 #include "common/timer.hpp"
+#include "core/label_scratch.hpp"
+#include "core/request.hpp"
 #include "image/generators.hpp"
 
 namespace paremsp::bench {
@@ -161,31 +164,50 @@ void check_labeling(const Labeler& labeler, const BinaryImage& image,
   }
 }
 
+/// Run `request` `reps` times on one scratch warmed by an untimed first
+/// run, validating the first timed rep; `rep(result, ms)` sees each
+/// timed rep's result and wall time.
+template <class OnRep>
+void time_warm_reps(const Labeler& labeler, const BinaryImage& image,
+                    int reps, OnRep&& rep) {
+  LabelScratch scratch;
+  const LabelRequest request{.input = image};
+  scratch.recycle_plane(labeler.run(request, scratch).labels);
+  for (int i = 0; i < reps; ++i) {
+    WallTimer t;
+    LabelResponse result = labeler.run(request, scratch);
+    const double ms = t.elapsed_ms();
+    if (i == 0) check_labeling(labeler, image, result);
+    rep(result, ms);
+    scratch.recycle_plane(std::move(result.labels));
+  }
+}
+
 }  // namespace
 
 double time_labeler_ms(const Labeler& labeler, const BinaryImage& image,
                        int reps) {
   double best = 0.0;
-  for (int i = 0; i < reps; ++i) {
-    WallTimer t;
-    const auto result = labeler.label(image);
-    const double ms = t.elapsed_ms();
-    if (i == 0) check_labeling(labeler, image, result);
-    if (i == 0 || ms < best) best = ms;
-  }
+  bool first = true;
+  time_warm_reps(labeler, image, reps,
+                 [&](const LabelResponse&, double ms) {
+                   if (first || ms < best) best = ms;
+                   first = false;
+                 });
   return best;
 }
 
 PhaseTimings time_labeler_phases(const Labeler& labeler,
                                  const BinaryImage& image, int reps) {
   PhaseTimings best;
-  for (int i = 0; i < reps; ++i) {
-    const auto result = labeler.label(image);
-    if (i == 0) check_labeling(labeler, image, result);
-    if (i == 0 || result.timings.total_ms < best.total_ms) {
-      best = result.timings;
-    }
-  }
+  bool first = true;
+  time_warm_reps(labeler, image, reps,
+                 [&](const LabelResponse& result, double) {
+                   if (first || result.timings.total_ms < best.total_ms) {
+                     best = result.timings;
+                   }
+                   first = false;
+                 });
   return best;
 }
 

@@ -86,9 +86,12 @@ BinaryImage make_nlcd_image(const NlcdRung& rung);
 
 // --- Timing ----------------------------------------------------------------------
 
-// Both timers validate the first rep's labeling (analysis::
-// validate_labeling, outside the timed region) and throw on a wrong one,
-// so a bench exits nonzero instead of timing it.
+// Both timers run one untimed warm-up request, then time
+// Labeler::run(request, scratch) on that one warm LabelScratch, handing
+// each plane back between reps, so a rep times labeling rather than the
+// first touch of fresh pages. They validate the first timed rep's
+// labeling (analysis::validate_labeling, outside the timed region) and
+// throw on a wrong one, so a bench exits nonzero instead of timing it.
 
 /// Best-of-reps end-to-end time.
 double time_labeler_ms(const Labeler& labeler, const BinaryImage& image,

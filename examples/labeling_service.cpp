@@ -7,8 +7,9 @@
 // submits bursts of LabelRequests over zero-copy views of images it keeps
 // alive for the burst (the request borrow contract), asks for fused
 // per-component stats on a sample of them, consumes its LabelResponses
-// (checking the component count against a sequential reference), and
-// recycles the label planes back to the engine. The main thread prints a
+// (checking the label plane, count and stats of one per burst against
+// sequential AREMSP, the oracle every executor must match bit for bit),
+// and recycles the label planes back to the engine. The main thread prints a
 // live stats line (throughput, p50/p99 latency, arena state) while the
 // flood runs, then shuts the engine down cleanly and reports totals.
 //
@@ -89,7 +90,10 @@ int main(int argc, char** argv) {
   cli.add_option("requests", "200", "requests per producer");
   cli.add_option("workers", "0", "engine workers (0 = hardware)");
   cli.add_option("queue", "64", "job-queue capacity (backpressure bound)");
-  cli.add_option("algorithm", "aremsp", "registry algorithm to serve with");
+  cli.add_option("algorithm",
+                 std::string(algorithm_info(engine::EngineConfig{}.algorithm)
+                                 .name),
+                 "registry algorithm to serve with");
   cli.add_flag("list-algorithms",
                "print the algorithm catalog with capability flags and exit");
   cli.add_option("trace", "", "write a Chrome trace JSON of the run here");
@@ -145,7 +149,9 @@ int main(int argc, char** argv) {
   std::vector<std::thread> clients;
   for (int p = 0; p < producers; ++p) {
     clients.emplace_back([&, p] {
-      const auto reference = make_labeler(config.algorithm);
+      // The oracle, not the served algorithm: the engine must match
+      // sequential AREMSP at the workers' 8-connectivity bit for bit.
+      const auto reference = make_labeler(Algorithm::Aremsp);
       // In-flight window per client: submit a burst, then drain it. The
       // burst vector owns the images the requests borrow.
       constexpr int kBurst = 16;
@@ -168,13 +174,15 @@ int main(int argc, char** argv) {
         }
         for (Pending& pending : burst) {
           LabelResponse response = pending.future.get();
-          // Spot-check one request per burst against a direct labeling.
+          // Spot-check one request per burst against the oracle, before
+          // its plane goes back to the engine.
           if (pending.index % kBurst == 0) {
             LabelRequest check;
             check.input = pending.image;
             check.outputs.stats = true;
             const LabelResponse want = reference->run(check);
             if (want.num_components != response.num_components ||
+                want.labels != response.labels ||
                 !response.stats.has_value() ||
                 response.stats->components != want.stats->components) {
               wrong_counts.fetch_add(1);
@@ -387,6 +395,6 @@ int main(int argc, char** argv) {
     std::cerr << "phase timings do not reconcile with end-to-end latency\n";
     return 1;
   }
-  std::cout << "all spot-checks matched the direct labeler\n";
+  std::cout << "all spot-checks matched sequential aremsp\n";
   return 0;
 }

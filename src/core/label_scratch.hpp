@@ -90,16 +90,27 @@ class LabelScratch {
   /// (core/runs.hpp): buffer i belongs to chunk/tile i, so concurrent
   /// scans never share one. The vector is grown once to the largest
   /// tile-count seen and each RunBuffer keeps its own high-water-mark
-  /// storage, so a warm scratch extracts runs allocation-free. The
-  /// buffers' INTERNAL capacity is excluded from reserved_bytes() (it
-  /// tracks spans handed out by this class; run storage grows inside
-  /// extract(), off this class's books).
+  /// storage, so a warm scratch extracts runs allocation-free. Run
+  /// storage grows inside RunBuffer::extract, off this class's books, so
+  /// reserved_bytes() counts it only as of the last book_run_buffers().
   [[nodiscard]] std::span<RunBuffer> run_buffers(std::size_t n) {
     if (run_buffers_.size() < n) {
       run_buffers_.resize(n);
       grows_.fetch_add(1, std::memory_order_relaxed);
     }
     return {run_buffers_.data(), n};
+  }
+
+  /// Re-book the run buffers' storage (RunBuffer::capacity_bytes) in
+  /// reserved_bytes(). The run pipeline calls it after its scan, on the
+  /// thread using this scratch — the only writer of the booked total.
+  void book_run_buffers() noexcept {
+    std::size_t bytes = 0;
+    for (const RunBuffer& runs : run_buffers_) bytes += runs.capacity_bytes();
+    // Unsigned wrap makes this a signed delta.
+    reserved_bytes_.fetch_add(bytes - run_buffer_bytes_,
+                              std::memory_order_relaxed);
+    run_buffer_bytes_ = bytes;
   }
 
   /// How acquire_plane prepares a recycled plane's contents.
@@ -193,6 +204,7 @@ class LabelScratch {
   std::unique_ptr<analysis::FeatureCell, ReleaseCells> feature_cells_;
   std::size_t feature_cells_size_ = 0;
   std::vector<RunBuffer> run_buffers_;
+  std::size_t run_buffer_bytes_ = 0;  // run storage booked in reserved_bytes_
   std::vector<LabelImage> planes_;
   std::atomic<std::uint64_t> grows_{0};
   std::atomic<std::uint64_t> plane_reuses_{0};

@@ -62,6 +62,7 @@ LabelResponse label_runs_impl(ConstImageView image, Connectivity connectivity,
                     : scan_tile(image, p, tile, tile_runs[t], connectivity,
                                 &tile_joins[t], plan.threshold);
   });
+  scratch.book_run_buffers();
   result.timings.scan_ms = phase.elapsed_ms();
   {
     auto& counters = result.timings.counters;

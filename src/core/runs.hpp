@@ -124,6 +124,14 @@ class RunBuffer {
   [[nodiscard]] Coord row_end() const noexcept { return row_end_; }
   [[nodiscard]] std::size_t size() const noexcept { return runs_.size(); }
 
+  /// Bytes held by the buffer's pooled storage (capacity, not live use):
+  /// runs, row offsets, issued counts and the row encoder's words.
+  [[nodiscard]] std::size_t capacity_bytes() const noexcept {
+    return runs_.capacity() * sizeof(Run) +
+           offsets_.capacity() * sizeof(std::size_t) +
+           issued_.capacity() * sizeof(Label) + bits_.capacity_bytes();
+  }
+
  private:
   std::vector<Run> runs_;
   std::vector<std::size_t> offsets_;  // size (row_end - row_begin) + 1

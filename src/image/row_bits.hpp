@@ -130,6 +130,11 @@ class RowBits {
   /// Window width of the last encode.
   [[nodiscard]] Coord width() const noexcept { return width_; }
 
+  /// Bytes held by the word buffer (capacity, not live use).
+  [[nodiscard]] std::size_t capacity_bytes() const noexcept {
+    return words_.capacity() * sizeof(std::uint64_t);
+  }
+
  private:
   /// Size the word buffer for the window and return the row pointer.
   const std::uint8_t* prepare(ConstImageView image, Coord r, Coord col_begin,

@@ -107,7 +107,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(Algorithm::FloodFill, Algorithm::Arun,
                       Algorithm::Ccllrpc, Algorithm::Cclremsp,
                       Algorithm::Aremsp, Algorithm::Paremsp,
-                      Algorithm::ParemspTiled),
+                      Algorithm::ParemspTiled, Algorithm::AremspRle,
+                      Algorithm::ParemspRle),
     [](const auto& pinfo) {
       return std::string(algorithm_info(pinfo.param).name);
     });
@@ -145,7 +146,8 @@ TEST_P(FourConnAlgorithm, MatchesFourConnOracle) {
 INSTANTIATE_TEST_SUITE_P(
     FourConnCapable, FourConnAlgorithm,
     ::testing::Values(Algorithm::FloodFill, Algorithm::Ccllrpc,
-                      Algorithm::Cclremsp, Algorithm::ParemspTiled),
+                      Algorithm::Cclremsp, Algorithm::ParemspTiled,
+                      Algorithm::AremspRle, Algorithm::ParemspRle),
     [](const auto& pinfo) {
       return std::string(algorithm_info(pinfo.param).name);
     });

@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/component_stats.hpp"
 #include "analysis/validation.hpp"
 #include "common/contracts.hpp"
 #include "core/label_scratch.hpp"
@@ -258,6 +259,89 @@ TEST(LabelingEngine, WithStatsKeepsArenasAllocationFree) {
   const auto after = eng.stats();
   EXPECT_EQ(after.scratch_grow_count, warm.scratch_grow_count)
       << "stats jobs allocated on a warm arena";
+}
+
+TEST(LabelingEngine, DefaultEngineMatchesAremspOnEveryRequestShape) {
+  // The default worker algorithm (aremsp_rle) against sequential AREMSP on
+  // each request shape the service sends. Every plane-carrying shape has
+  // the same size, so recycled planes fit whichever request comes next.
+  LabelingEngine eng(EngineConfig{.workers = 1});
+  const auto oracle = make_labeler(Algorithm::Aremsp);
+  const BinaryImage binary = gen::texture_like(96, 128, 3);
+  const GrayImage gray = gen::plasma(96, 128, 4);
+  const BinaryImage parent = gen::aerial_like(120, 150, 5);
+  const ConstImageView roi = ConstImageView(parent).subview(11, 7, 96, 128);
+  const BinaryImage empty;
+
+  const auto serve_every_shape = [&] {
+    {
+      LabelResponse got = eng.submit({.input = binary}).get();
+      expect_same_result(got, oracle->label(binary), "binary");
+      eng.recycle(std::move(got.labels));
+    }
+    {
+      SCOPED_TRACE("threshold + stats");
+      LabelRequest request = testing::stats_request(gray);
+      request.threshold = 0.5;
+      LabelResponse got = eng.submit(request).get();
+      expect_same_result(got, oracle->run(request), "threshold + stats");
+      ASSERT_TRUE(got.stats.has_value());
+      EXPECT_EQ(got.stats->components,
+                analysis::compute_stats(got.labels, got.num_components)
+                    .components);
+      eng.recycle(std::move(got.labels));
+    }
+    {
+      LabelResponse got = eng.submit({.input = roi}).get();
+      expect_same_result(got, oracle->label(roi), "strided ROI");
+      eng.recycle(std::move(got.labels));
+    }
+    {
+      SCOPED_TRACE("label_out");
+      LabelImage destination(96, 128, 0xdead);
+      LabelRequest request{.input = binary};
+      request.label_out = MutableImageView(destination);
+      const LabelResponse got = eng.submit(std::move(request)).get();
+      const LabelResponse want = oracle->label(binary);
+      EXPECT_TRUE(got.labels.empty());
+      EXPECT_EQ(got.num_components, want.num_components);
+      EXPECT_EQ(destination, want.labels);
+    }
+    {
+      SCOPED_TRACE("no labels");
+      LabelRequest request{.input = binary};
+      request.outputs.labels = false;
+      const LabelResponse got = eng.submit(std::move(request)).get();
+      EXPECT_TRUE(got.labels.empty());
+      EXPECT_EQ(got.num_components, oracle->label(binary).num_components);
+    }
+    {
+      LabelResponse got = eng.submit({.input = empty}).get();
+      expect_same_result(got, oracle->label(empty), "empty image");
+      eng.recycle(std::move(got.labels));
+    }
+  };
+
+  for (int i = 0; i < 2; ++i) serve_every_shape();  // warm the arena
+  const auto warm = eng.stats();
+  for (int i = 0; i < 3; ++i) serve_every_shape();
+  EXPECT_EQ(eng.stats().scratch_grow_count, warm.scratch_grow_count)
+      << "the default engine allocated on a warm arena";
+}
+
+TEST(LabelingEngine, WorkspaceGaugeCountsRunBuffers) {
+  // The default workers keep one tile's runs in their scratch; the
+  // workspace gauge must count them on top of the parent array (the
+  // plane went to the caller, so nothing else is parked).
+  LabelingEngine eng(EngineConfig{.workers = 1});
+  const BinaryImage image = gen::uniform_noise(512, 512, 0.5, 7);
+  const LabelResponse got = eng.submit({.input = image}).get();
+  const std::uint64_t runs = got.timings.counters.runs_extracted;
+  ASSERT_GT(runs, 0u);
+  const std::size_t parents =
+      (static_cast<std::size_t>(image.size()) + 1) * sizeof(Label);
+  EXPECT_GE(eng.stats().scratch_reserved_bytes,
+            parents + runs * sizeof(paremsp::Run));
 }
 
 TEST(LabelingEngine, ConcurrentProducersGetDeterministicResults) {

@@ -197,7 +197,8 @@ TEST(LabelRequestApi, EngineConnectivityOverridePerJob) {
 
   // An unsupported override fails THAT job's future with the registry's
   // uniform PreconditionError; the engine keeps serving.
-  LabelingEngine aremsp_eng(EngineConfig{.workers = 1});
+  LabelingEngine aremsp_eng(
+      EngineConfig{.workers = 1, .algorithm = Algorithm::Aremsp});
   LabelRequest bad;
   bad.input = image;
   bad.connectivity = Connectivity::Four;  // aremsp is 8-only
@@ -205,6 +206,15 @@ TEST(LabelRequestApi, EngineConnectivityOverridePerJob) {
   EXPECT_THROW((void)failed.get(), PreconditionError);
   EXPECT_EQ(aremsp_eng.submit({.input = image}).get().labels,
             make_labeler(Algorithm::Aremsp)->label(image).labels);
+
+  // The default engine's aremsp_rle workers serve both connectivities: a
+  // 4-connectivity override is bit-identical to CCLREMSP.
+  LabelingEngine default_eng(EngineConfig{.workers = 1});
+  LabelRequest default_four;
+  default_four.input = image;
+  default_four.connectivity = Connectivity::Four;
+  EXPECT_EQ(default_eng.submit(std::move(default_four)).get().labels,
+            want->label(image).labels);
 }
 
 // --- Engine: sharded requests ------------------------------------------------
