@@ -1,9 +1,9 @@
-// Concurrency tests for the parallel REM unions (paper Algorithm 8, the
-// seam merge, and the lock-free cas_unite primitive): many threads hammer
-// the same parent array; the final partition must equal what sequential
-// REM produces, and the threads' joins must add up to the trees
-// eliminated, under every schedule and lock-stripe configuration, down to
-// one stripe (maximal contention).
+// Concurrency tests for the two parallel REM unions (paper Algorithm 8,
+// the seam merge, and the lock-free cas_unite): many threads hammer the
+// same parent array; the final partition must equal what sequential REM
+// produces, and the threads' joins must add up to the trees eliminated,
+// under every schedule and lock-stripe configuration, down to one stripe
+// (maximal contention).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -248,90 +248,6 @@ INSTANTIATE_TEST_SUITE_P(
           std::get<0>(pinfo.param) == Merger::Locked ? "locked" : "cas";
       name += "_t" + std::to_string(std::get<1>(pinfo.param));
       name += "_b" + std::to_string(std::get<2>(pinfo.param));
-      return name;
-    });
-
-// --- find × splice policy matrix (std::thread, TSan-covered) ----------------
-//
-// Every combination of path-compaction (find) and walk-advancement
-// (splice) policy is a complete CAS merger: the final partition must
-// match sequential REM and keep the parents-below-indices invariant, for
-// every thread count. Named *ParallelMergeStdThread* so the CI TSan
-// job's existing wildcard picks the whole matrix up.
-
-void run_policy_std_thread(uf::CasUniteFn unite, Label n,
-                           const std::vector<Edge>& edges,
-                           std::vector<Label>& p, int threads) {
-  p.resize(static_cast<std::size_t>(n));
-  std::iota(p.begin(), p.end(), 0);
-  std::vector<std::thread> pool;
-  for (int t = 0; t < threads; ++t) {
-    pool.emplace_back([&, t] {
-      for (std::size_t i = static_cast<std::size_t>(t); i < edges.size();
-           i += static_cast<std::size_t>(threads)) {
-        unite(p.data(), edges[i].first, edges[i].second, nullptr);
-      }
-    });
-  }
-  for (std::thread& t : pool) t.join();
-}
-
-class ParallelMergeStdThreadPolicies
-    : public ::testing::TestWithParam<std::tuple<CasFind, CasSplice, int>> {};
-
-TEST_P(ParallelMergeStdThreadPolicies, PartitionMatchesSequentialRem) {
-  const auto [find, splice, threads] = GetParam();
-  const CasUniteFn unite = cas_unite_fn(find, splice);
-  constexpr Label n = 2000;
-  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    const auto edges = random_edges(n, 6000, seed);
-    const auto expected = sequential_roots(n, edges);
-    std::vector<Label> p;
-    run_policy_std_thread(unite, n, edges, p, threads);
-    for (Label i = 0; i < n; ++i) {
-      ASSERT_EQ(rem_find(p.data(), i), expected[static_cast<std::size_t>(i)])
-          << "element " << i << " seed " << seed;
-    }
-  }
-}
-
-TEST_P(ParallelMergeStdThreadPolicies, HighContentionSingleComponent) {
-  const auto [find, splice, threads] = GetParam();
-  const CasUniteFn unite = cas_unite_fn(find, splice);
-  constexpr Label n = 1024;
-  std::vector<Edge> edges;
-  for (Label i = 1; i < n; ++i) edges.emplace_back(0, i);
-  for (Label i = 1; i < n; ++i) edges.emplace_back(i, n - i);
-  std::vector<Label> p;
-  run_policy_std_thread(unite, n, edges, p, threads);
-  for (Label i = 0; i < n; ++i) {
-    ASSERT_EQ(rem_find(p.data(), i), 0);
-  }
-}
-
-TEST_P(ParallelMergeStdThreadPolicies, ParentsStayBelowIndices) {
-  const auto [find, splice, threads] = GetParam();
-  const CasUniteFn unite = cas_unite_fn(find, splice);
-  constexpr Label n = 3000;
-  const auto edges = random_edges(n, 9000, 0xFEED);
-  std::vector<Label> p;
-  run_policy_std_thread(unite, n, edges, p, threads);
-  for (Label i = 0; i < n; ++i) {
-    ASSERT_LE(p[static_cast<std::size_t>(i)], i) << "REM invariant broken";
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Policies, ParallelMergeStdThreadPolicies,
-    ::testing::Combine(::testing::Values(CasFind::Naive, CasFind::Split,
-                                         CasFind::Halve),
-                       ::testing::Values(CasSplice::Atomic,
-                                         CasSplice::Simple),
-                       ::testing::Values(2, 4, 8)),
-    [](const auto& pinfo) {
-      std::string name = to_string(std::get<0>(pinfo.param));
-      name += std::string("_") + to_string(std::get<1>(pinfo.param));
-      name += "_t" + std::to_string(std::get<2>(pinfo.param));
       return name;
     });
 
