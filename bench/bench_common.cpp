@@ -32,7 +32,8 @@ std::string artifact_path(const std::string& filename) {
   // Scaled run without an explicit destination: never reuse a canonical
   // trajectory filename — a smoke run started from the repo root would
   // otherwise clobber the committed full-size artifact (a 0.25-scale CI
-  // pass once overwrote BENCH_rle.json with a 286x286 measurement).
+  // pass once overwrote a committed BENCH_*.json with a 286x286
+  // measurement).
   return "smoke." + filename;
 }
 

@@ -10,7 +10,7 @@
 // release-published count, which is what makes concurrent record/collect
 // race-free (TSan-verified by tests/test_obs.cpp).
 //
-// Cost model, enforced by the overhead guard in bench/throughput_rle:
+// Cost model, enforced by the overhead guard in bench/throughput_cca:
 //   tracing OFF  one relaxed atomic load per span site (phase/job/tile
 //                granularity — never per pixel or per run), measured
 //                >= 0.99x of an untraced run;

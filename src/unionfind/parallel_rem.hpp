@@ -14,11 +14,6 @@
 // (DESIGN.md §11) — while a *root*'s parent is only set under that root's
 // stripe lock with a re-check, which is the one step that must not be
 // lost (it is what actually joins two trees).
-//
-// cas_unite is a lock-free union over the same array: root links and
-// splices are CASes, so no lock is taken. No labeler merges with it; it
-// stays a standalone primitive with its own concurrency tests
-// (tests/test_unionfind_parallel.cpp).
 #pragma once
 
 #include <atomic>
@@ -29,14 +24,14 @@
 
 namespace paremsp::uf {
 
-/// Optional per-call accounting for locked_unite and cas_unite. `joins`
-/// counts root links. A link stores `p[r] = py` only after the re-check
-/// (or the CAS) saw `r` still a root, and a root is its tree's minimum, so
-/// `py < r` lies in another tree: every join merges two distinct trees.
+/// Optional per-call accounting for locked_unite. `joins` counts root
+/// links. A link stores `p[r] = py` only after the re-check saw `r` still
+/// a root, and a root is its tree's minimum, so `py < r` lies in another
+/// tree: every join merges two distinct trees.
 /// Summed over a merge phase, joins therefore equal the number of trees it
 /// eliminated (the same semantics as the `joins` out-param of rem_unite).
 /// `retries` counts contention events: a lock-side re-check that found the
-/// root stolen, or a failed root CAS.
+/// root stolen.
 struct UniteStats {
   std::uint64_t joins = 0;
   std::uint64_t retries = 0;
@@ -50,11 +45,6 @@ inline Label load(const Label* p, Label i) noexcept {
 
 inline void store(Label* p, Label i, Label v) noexcept {
   std::atomic_ref<Label>(p[i]).store(v, std::memory_order_relaxed);
-}
-
-inline bool cas(Label* p, Label i, Label expected, Label desired) noexcept {
-  return std::atomic_ref<Label>(p[i]).compare_exchange_strong(
-      expected, desired, std::memory_order_relaxed);
 }
 
 }  // namespace detail
@@ -113,48 +103,6 @@ inline void locked_unite(Label* p, LockPool& locks, Label x, Label y,
       }
       store(p, rooty, px);
       rooty = py;
-    }
-  }
-}
-
-/// Lock-free parallel REM union: root links and splices are CASes. A splice
-/// advances only if its snapshot of the parent was current, so a parent
-/// value never grows back; a successful link returns without compacting
-/// the paths it walked. A failed root CAS simply re-reads; both walk
-/// cursors strictly decrease between retries, which guarantees progress.
-inline void cas_unite(Label* p, Label x, Label y,
-                      UniteStats* stats = nullptr) noexcept {
-  using detail::cas;
-  using detail::load;
-  Label rootx = x;
-  Label rooty = y;
-  while (true) {
-    const Label px = load(p, rootx);
-    const Label py = load(p, rooty);
-    if (px == py) return;
-    if (px > py) {
-      if (rootx == px) {
-        // A successful root CAS always joins two distinct trees: rootx was
-        // a root (so every member of its tree is >= rootx, the REM
-        // minimum-root invariant) and py < rootx lies in another tree.
-        if (cas(p, rootx, px, py)) {
-          if (stats != nullptr) ++stats->joins;
-          return;
-        }
-        if (stats != nullptr) ++stats->retries;
-        continue;  // Lost the race; re-read and retry.
-      }
-      if (cas(p, rootx, px, py)) rootx = px;
-    } else {
-      if (rooty == py) {
-        if (cas(p, rooty, py, px)) {
-          if (stats != nullptr) ++stats->joins;
-          return;
-        }
-        if (stats != nullptr) ++stats->retries;
-        continue;
-      }
-      if (cas(p, rooty, py, px)) rooty = py;
     }
   }
 }

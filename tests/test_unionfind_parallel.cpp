@@ -1,9 +1,8 @@
-// Concurrency tests for the two parallel REM unions (paper Algorithm 8,
-// the seam merge, and the lock-free cas_unite): many threads hammer the
-// same parent array; the final partition must equal what sequential REM
-// produces, and the threads' joins must add up to the trees eliminated,
-// under every schedule and lock-stripe configuration, down to one stripe
-// (maximal contention).
+// Concurrency tests for the parallel REM union (paper Algorithm 8, the
+// seam merge): many threads hammer the same parent array; the final
+// partition must equal what sequential REM produces, and the threads'
+// joins must add up to the trees eliminated, under every schedule and
+// lock-stripe configuration, down to one stripe (maximal contention).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -55,9 +54,25 @@ std::uint64_t component_count(const std::vector<Label>& roots) {
   return count;
 }
 
-/// Which union runs; the lock-bits parameter only applies to Locked, where
-/// bits = 0 is one stripe shared by every root.
-enum class Merger { Locked, Cas };
+/// Parameters are (tag, threads, lock bits); bits = 0 is one stripe shared
+/// by every root. The tag is a constant: gtest prints a parameter it has no
+/// printer for as raw bytes, ctest names carry that print, and the tag's
+/// four zero bytes keep each instance's name from when the first slot
+/// chose between two unions.
+struct Tag {
+  std::int32_t zero = 0;
+};
+using MergeParam = std::tuple<Tag, int, int>;
+
+std::string merge_param_name(
+    const ::testing::TestParamInfo<MergeParam>& pinfo) {
+  return "locked_t" + std::to_string(std::get<1>(pinfo.param)) + "_b" +
+         std::to_string(std::get<2>(pinfo.param));
+}
+
+const auto kMergeParams =
+    ::testing::Combine(::testing::Values(Tag{}), ::testing::Values(2, 4, 8),
+                       ::testing::Values(0, 2, 12));
 
 std::uint64_t total_joins(const std::vector<UniteStats>& stats) {
   std::uint64_t joins = 0;
@@ -65,10 +80,9 @@ std::uint64_t total_joins(const std::vector<UniteStats>& stats) {
   return joins;
 }
 
-/// Runs every edge through the chosen union and returns the joins summed
-/// over the threads' own UniteStats.
-std::uint64_t run_parallel(Merger backend, Label n,
-                           const std::vector<Edge>& edges,
+/// Runs every edge through locked_unite and returns the joins summed over
+/// the threads' own UniteStats.
+std::uint64_t run_parallel(Label n, const std::vector<Edge>& edges,
                            std::vector<Label>& p, int threads, int bits) {
   p.resize(static_cast<std::size_t>(n));
   std::iota(p.begin(), p.end(), 0);
@@ -82,30 +96,24 @@ std::uint64_t run_parallel(Merger backend, Label n,
   parallel_for(pieces, kInlineGrain, threads, [&](std::size_t t) {
     const std::size_t end = m * (t + 1) / pieces;
     for (std::size_t i = m * t / pieces; i < end; ++i) {
-      if (backend == Merger::Locked) {
-        locked_unite(p.data(), locks, edges[i].first, edges[i].second,
-                     &stats[t]);
-      } else {
-        cas_unite(p.data(), edges[i].first, edges[i].second, &stats[t]);
-      }
+      locked_unite(p.data(), locks, edges[i].first, edges[i].second,
+                   &stats[t]);
     }
   });
   return total_joins(stats);
 }
 
-class ParallelMerge
-    : public ::testing::TestWithParam<std::tuple<Merger, int, int>> {};
+class ParallelMerge : public ::testing::TestWithParam<MergeParam> {};
 
 TEST_P(ParallelMerge, PartitionMatchesSequentialRem) {
-  const auto [backend, threads, bits] = GetParam();
+  const auto [tag, threads, bits] = GetParam();
   constexpr Label n = 2000;
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     const auto edges = random_edges(n, 6000, seed);
     const auto expected = sequential_roots(n, edges);
 
     std::vector<Label> p;
-    const std::uint64_t joins =
-        run_parallel(backend, n, edges, p, threads, bits);
+    const std::uint64_t joins = run_parallel(n, edges, p, threads, bits);
     for (Label i = 0; i < n; ++i) {
       ASSERT_EQ(rem_find(p.data(), i), expected[static_cast<std::size_t>(i)])
           << "element " << i << " seed " << seed;
@@ -116,7 +124,7 @@ TEST_P(ParallelMerge, PartitionMatchesSequentialRem) {
 }
 
 TEST_P(ParallelMerge, HighContentionSingleComponent) {
-  const auto [backend, threads, bits] = GetParam();
+  const auto [tag, threads, bits] = GetParam();
   // Every edge touches a hub: worst case for root-lock contention.
   constexpr Label n = 1024;
   std::vector<Edge> edges;
@@ -124,7 +132,7 @@ TEST_P(ParallelMerge, HighContentionSingleComponent) {
   for (Label i = 1; i < n; ++i) edges.emplace_back(i, n - i);
 
   std::vector<Label> p;
-  const std::uint64_t joins = run_parallel(backend, n, edges, p, threads, bits);
+  const std::uint64_t joins = run_parallel(n, edges, p, threads, bits);
   for (Label i = 0; i < n; ++i) {
     ASSERT_EQ(rem_find(p.data(), i), 0);
   }
@@ -132,51 +140,40 @@ TEST_P(ParallelMerge, HighContentionSingleComponent) {
 }
 
 TEST_P(ParallelMerge, ChainWorkload) {
-  const auto [backend, threads, bits] = GetParam();
+  const auto [tag, threads, bits] = GetParam();
   // Long chains maximize splicing activity.
   constexpr Label n = 4096;
   std::vector<Edge> edges;
   for (Label i = 0; i + 1 < n; ++i) edges.emplace_back(i, i + 1);
 
   std::vector<Label> p;
-  run_parallel(backend, n, edges, p, threads, bits);
+  run_parallel(n, edges, p, threads, bits);
   for (Label i = 0; i < n; ++i) {
     ASSERT_EQ(rem_find(p.data(), i), 0);
   }
 }
 
 TEST_P(ParallelMerge, ParentsStayBelowIndices) {
-  const auto [backend, threads, bits] = GetParam();
+  const auto [tag, threads, bits] = GetParam();
   constexpr Label n = 3000;
   const auto edges = random_edges(n, 9000, 0xFEED);
   std::vector<Label> p;
-  run_parallel(backend, n, edges, p, threads, bits);
+  run_parallel(n, edges, p, threads, bits);
   for (Label i = 0; i < n; ++i) {
     ASSERT_LE(p[static_cast<std::size_t>(i)], i) << "REM invariant broken";
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Backends, ParallelMerge,
-    ::testing::Combine(::testing::Values(Merger::Locked, Merger::Cas),
-                       ::testing::Values(2, 4, 8),
-                       ::testing::Values(0, 2, 12)),
-    [](const auto& pinfo) {
-      std::string name =
-          std::get<0>(pinfo.param) == Merger::Locked ? "locked" : "cas";
-      name += "_t" + std::to_string(std::get<1>(pinfo.param));
-      name += "_b" + std::to_string(std::get<2>(pinfo.param));
-      return name;
-    });
+INSTANTIATE_TEST_SUITE_P(Backends, ParallelMerge, kMergeParams,
+                         merge_param_name);
 
 // --- std::thread variants (ThreadSanitizer coverage) -----------------------
 //
-// The tests above drive the mergers through the labelers' executor;
-// these drive the same backends from plain std::thread, interleaving the
-// edges instead of splitting them into ranges.
+// The tests above drive the merger through the labelers' executor; these
+// drive it from plain std::thread, interleaving the edges instead of
+// splitting them into ranges.
 
-std::uint64_t run_parallel_std_thread(Merger backend, Label n,
-                                      const std::vector<Edge>& edges,
+std::uint64_t run_parallel_std_thread(Label n, const std::vector<Edge>& edges,
                                       std::vector<Label>& p, int threads,
                                       int bits) {
   p.resize(static_cast<std::size_t>(n));
@@ -188,13 +185,8 @@ std::uint64_t run_parallel_std_thread(Merger backend, Label n,
     pool.emplace_back([&, t] {
       for (std::size_t i = static_cast<std::size_t>(t); i < edges.size();
            i += static_cast<std::size_t>(threads)) {
-        const auto st = static_cast<std::size_t>(t);
-        if (backend == Merger::Locked) {
-          locked_unite(p.data(), locks, edges[i].first, edges[i].second,
-                       &stats[st]);
-        } else {
-          cas_unite(p.data(), edges[i].first, edges[i].second, &stats[st]);
-        }
+        locked_unite(p.data(), locks, edges[i].first, edges[i].second,
+                     &stats[static_cast<std::size_t>(t)]);
       }
     });
   }
@@ -202,18 +194,17 @@ std::uint64_t run_parallel_std_thread(Merger backend, Label n,
   return total_joins(stats);
 }
 
-class ParallelMergeStdThread
-    : public ::testing::TestWithParam<std::tuple<Merger, int, int>> {};
+class ParallelMergeStdThread : public ::testing::TestWithParam<MergeParam> {};
 
 TEST_P(ParallelMergeStdThread, PartitionMatchesSequentialRem) {
-  const auto [backend, threads, bits] = GetParam();
+  const auto [tag, threads, bits] = GetParam();
   constexpr Label n = 2000;
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     const auto edges = random_edges(n, 6000, seed);
     const auto expected = sequential_roots(n, edges);
     std::vector<Label> p;
     const std::uint64_t joins =
-        run_parallel_std_thread(backend, n, edges, p, threads, bits);
+        run_parallel_std_thread(n, edges, p, threads, bits);
     for (Label i = 0; i < n; ++i) {
       ASSERT_EQ(rem_find(p.data(), i), expected[static_cast<std::size_t>(i)])
           << "element " << i << " seed " << seed;
@@ -224,32 +215,22 @@ TEST_P(ParallelMergeStdThread, PartitionMatchesSequentialRem) {
 }
 
 TEST_P(ParallelMergeStdThread, HighContentionSingleComponent) {
-  const auto [backend, threads, bits] = GetParam();
+  const auto [tag, threads, bits] = GetParam();
   constexpr Label n = 1024;
   std::vector<Edge> edges;
   for (Label i = 1; i < n; ++i) edges.emplace_back(0, i);
   for (Label i = 1; i < n; ++i) edges.emplace_back(i, n - i);
   std::vector<Label> p;
   const std::uint64_t joins =
-      run_parallel_std_thread(backend, n, edges, p, threads, bits);
+      run_parallel_std_thread(n, edges, p, threads, bits);
   for (Label i = 0; i < n; ++i) {
     ASSERT_EQ(rem_find(p.data(), i), 0);
   }
   EXPECT_EQ(joins, static_cast<std::uint64_t>(n - 1));
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Backends, ParallelMergeStdThread,
-    ::testing::Combine(::testing::Values(Merger::Locked, Merger::Cas),
-                       ::testing::Values(2, 4, 8),
-                       ::testing::Values(0, 2, 12)),
-    [](const auto& pinfo) {
-      std::string name =
-          std::get<0>(pinfo.param) == Merger::Locked ? "locked" : "cas";
-      name += "_t" + std::to_string(std::get<1>(pinfo.param));
-      name += "_b" + std::to_string(std::get<2>(pinfo.param));
-      return name;
-    });
+INSTANTIATE_TEST_SUITE_P(Backends, ParallelMergeStdThread, kMergeParams,
+                         merge_param_name);
 
 TEST(LockPool, StripesCoverAllIndices) {
   LockPool pool(4);
